@@ -258,14 +258,4 @@ func TestPublicAPIConcurrentEngine(t *testing.T) {
 			t.Fatalf("sample %d out of range", v)
 		}
 	}
-
-	// Parallel batch estimation through the facade.
-	est := &wnw.Estimator{Client: c.Fork(rand.New(rand.NewSource(45))), Design: wnw.SimpleRandomWalk(), Start: 0}
-	got, err := wnw.EstimateAllParallel(est, res.Nodes[:3], 9, 3, 3, 2, 46)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) == 0 {
-		t.Fatal("no estimates returned")
-	}
 }

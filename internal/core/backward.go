@@ -43,12 +43,6 @@ type Estimator struct {
 	// Only used when Hist != nil. Zero means 0.1.
 	Epsilon float64
 
-	// DisableStepCache turns off the WS-BW step-distribution cache
-	// (stepcache.go). Cached and uncached runs draw bit-identical samples;
-	// the switch exists for the equivalence tests and for memory-austere
-	// callers.
-	DisableStepCache bool
-
 	// StepsTaken accumulates the total number of backward steps walked, for
 	// the cost accounting of Figure 5.
 	StepsTaken int64
@@ -58,18 +52,14 @@ type Estimator struct {
 	// give each worker its own Estimator, so no synchronization is needed.
 	scratch []float64
 
-	// probKind/fastEdge/selfLoops/stableView/eps cache per-(Design, Client)
-	// constants so the step kernel makes no interface calls for them:
-	// initialized on the first EstimateOnce.
-	probKind   walk.EdgeProbKind
-	probInit   bool
-	fastEdge   bool
-	selfLoops  bool
-	stableView bool
-	eps        float64
-
-	// cache is the lazily built WS-BW step-distribution cache (stepcache.go).
-	cache *stepCache
+	// probKind/fastEdge/selfLoops/eps cache per-(Design, Client) constants
+	// so the step kernel makes no interface calls for them: initialized on
+	// the first EstimateOnce.
+	probKind  walk.EdgeProbKind
+	probInit  bool
+	fastEdge  bool
+	selfLoops bool
+	eps       float64
 
 	// vec is the lazily built scratch state of the vectorized backward
 	// kernel (batch.go).
@@ -87,18 +77,8 @@ func (e *Estimator) initProbKind() {
 	e.probKind = walk.EdgeProbKindOf(e.Design)
 	e.fastEdge = e.probKind != walk.EdgeProbNone && e.Client.SymmetricView()
 	e.selfLoops = e.Design.SelfLoops()
-	e.stableView = e.Client.StableView()
 	e.eps = e.epsilon()
 	e.probInit = true
-}
-
-// StepCacheStats returns the step-distribution cache counters (zero before
-// the first weighted backward step at a cacheable hub).
-func (e *Estimator) StepCacheStats() StepCacheStats {
-	if e.cache == nil {
-		return StepCacheStats{}
-	}
-	return e.cache.stats
 }
 
 // EstimateOnce returns a single unbiased estimate of p_t(u). The walk's
@@ -173,9 +153,10 @@ func (e *Estimator) EstimateOnce(u, t int, rng fastrand.RNG) (float64, error) {
 // backStep samples the predecessor candidate w for the current node and
 // returns it with its pick probability. Candidates are nbr = N(node), plus
 // node itself (the last slot) for designs with self-loops. The WS-BW path is
-// a flat two-pass kernel over the dense history row — accumulate smoothed
-// hit counts into the scratch buffer, then inverse-CDF select — with no
-// per-candidate function values and no allocation.
+// a two-pass kernel over the paged history row — gather the candidates' hit
+// counts into the scratch buffer, then select by an add-and-compare scan of
+// the smoothed mix — with no per-candidate function values and no
+// allocation.
 func (e *Estimator) backStep(node, step int, nbr []int32, rng fastrand.RNG) (w int, pick float64, err error) {
 	if !e.probInit {
 		e.initProbKind()
@@ -218,24 +199,6 @@ func (e *Estimator) backStep(node, step int, nbr []int32, rng fastrand.RNG) (w i
 	// bitset, and only candidates with hits dereference the wide counter
 	// array (HistRow.Hits).
 	row := e.Hist.Row(step - 1)
-	// Hub rows on frozen snapshot views go through the step-distribution
-	// cache: the sparse row restriction gathered on a previous visit serves
-	// every revisit of the generation (lazily freezing the exact CDF), and
-	// reconciles across a snapshot refresh via the recent-walk ring. Against
-	// the live, per-walk-perturbed history the cache is not consulted at all
-	// — measured on the sequential sampler it builds two entries for every
-	// serve and loses to the plain gather. Bit-identical either way; see
-	// stepcache.go. Unstable (type-1 restricted) views skip it too: a cached
-	// candidate list would not describe the next call's.
-	gated := e.Hist.frozen && e.stableView && !e.DisableStepCache && len(nbr) >= stepCacheMinDeg && uint(step) < stepCacheMaxStep
-	if gated {
-		if chosen, pick, ok := e.cacheStep(node, step, nbr, total, rng); ok {
-			if chosen < len(nbr) {
-				return int(nbr[chosen]), pick, nil
-			}
-			return node, pick, nil
-		}
-	}
 	// Dense gather. A history row holds exactly one hit per recorded walk,
 	// so against any one candidate list the row is almost entirely zeros;
 	// the common probe dies in the page's cache-resident nonzero bitset and
@@ -257,11 +220,6 @@ func (e *Estimator) backStep(node, step int, nbr []int32, rng fastrand.RNG) (w i
 		h := float64(row.Hits(node))
 		hits[total-1] = h
 		z += h
-	}
-	if gated {
-		// Scalar visit to a cacheable pair: store the sparse restriction so
-		// frozen-view revisits select without re-gathering.
-		e.cacheStore(node, step, nbr, total, hits, z)
 	}
 	if z == 0 {
 		i := rng.Intn(total)

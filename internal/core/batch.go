@@ -41,14 +41,6 @@ type BatchCand struct {
 	Steps int64
 	Err   error
 
-	// Reps, when > 0, fixes this candidate's walk count: the lane runs
-	// exactly Reps walks and retires, bypassing the adaptive top-up rule.
-	// Fixed-rep lanes fold their walks into whatever moments the candidate
-	// already carries instead of resetting them, so a caller that owns the
-	// accumulator across calls (EstimateAllParallel's two phases) gets the
-	// exact sequential Add order of the scalar loop.
-	Reps int
-
 	reps int // completed walks this call (base + top-up)
 	m    mathx.Moments
 }
@@ -113,9 +105,7 @@ func EstimateAdaptiveBatch(e *Estimator, cands []*BatchCand, t, baseReps, varian
 	for i, cd := range cands {
 		cd.PHat, cd.Steps, cd.Err = 0, 0, nil
 		cd.reps = 0
-		if cd.Reps == 0 {
-			cd.m = mathx.Moments{} // fixed-rep lanes carry theirs in
-		}
+		cd.m = mathx.Moments{}
 		lanes[i] = bwLane{cand: cd, node: cd.V, step: t, weight: 1}
 		active = append(active, int32(i))
 	}
@@ -294,12 +284,7 @@ func (e *Estimator) laneDone(ln *bwLane, est float64, t, baseReps, budget int) (
 	cd := ln.cand
 	cd.m.Add(est)
 	cd.reps++
-	if cd.Reps > 0 {
-		if cd.reps >= cd.Reps {
-			cd.PHat = cd.m.Mean()
-			return true
-		}
-	} else if cd.reps >= baseReps {
+	if cd.reps >= baseReps {
 		extras := cd.reps - baseReps
 		mean := cd.m.Mean()
 		if extras >= budget || (mean > 0 && cd.m.StdDev()/mean <= 1) {

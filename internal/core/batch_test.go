@@ -16,7 +16,6 @@ import (
 	"repro/internal/fastrand"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/mathx"
 	"repro/internal/osn"
 	"repro/internal/walk"
 )
@@ -132,59 +131,6 @@ func TestEstimateAdaptiveBatchEdgeCases(t *testing.T) {
 	EstimateAdaptiveBatch(vec, nil, 5, 2, 0) // must not panic
 }
 
-// TestEstimateAdaptiveBatchFixedReps checks the fixed-rep lane mode used by
-// EstimateAllParallel: Reps walks folded into a carried moment accumulator
-// must reproduce the scalar sequential fold bit for bit, across two phases
-// that reuse the accumulator (the base/variance-allocation pattern).
-func TestEstimateAdaptiveBatchFixedReps(t *testing.T) {
-	const tSteps = 7
-	scalar, vec, nodes := batchFixture(t, walk.SRW{}, true)
-	nodes = nodes[:10]
-
-	wantM := make([]float64, len(nodes))
-	for i, v := range nodes {
-		var m mathx.Moments // the fold EstimateAllParallel's scalar loop does
-		for phase := int64(0); phase < 2; phase++ {
-			rng := fastrand.New(fastrand.Mix(33, int64(i), phase))
-			reps := 2 + i%3
-			for r := 0; r < reps; r++ {
-				est, err := scalar.EstimateOnce(v, tSteps, rng)
-				if err != nil {
-					t.Fatal(err)
-				}
-				m.Add(est)
-			}
-		}
-		wantM[i] = m.Mean()
-	}
-
-	cands := make([]*BatchCand, len(nodes))
-	for i, v := range nodes {
-		cands[i] = &BatchCand{V: v}
-	}
-	for phase := int64(0); phase < 2; phase++ {
-		for i := range cands {
-			cands[i].RNG = fastrand.New(fastrand.Mix(33, int64(i), phase))
-			cands[i].Reps = 2 + i%3
-		}
-		EstimateAdaptiveBatch(vec, cands, tSteps, 1, 0)
-	}
-	for i, cd := range cands {
-		if cd.Err != nil {
-			t.Fatalf("cand %d: %v", i, cd.Err)
-		}
-		if got := cd.m.Mean(); got != wantM[i] {
-			t.Fatalf("cand %d: carried mean %v != scalar %v", i, got, wantM[i])
-		}
-	}
-	if scalar.StepsTaken != vec.StepsTaken {
-		t.Fatalf("StepsTaken %d != %d", scalar.StepsTaken, vec.StepsTaken)
-	}
-	if sq, vq := scalar.Client.TotalQueries(), vec.Client.TotalQueries(); sq != vq {
-		t.Fatalf("queries %d != %d", sq, vq)
-	}
-}
-
 // TestParallelSamplerVectorizedMatchesScalar runs the full parallel
 // WALK-ESTIMATE sampler with the vectorized kernel and with the scalar
 // reference path at the same (seed, workers), over the in-memory, disk-CSR,
@@ -239,8 +185,7 @@ func TestParallelSamplerVectorizedMatchesScalar(t *testing.T) {
 			// Pin the kernel explicitly: the scalar run is the reference,
 			// the other run forces the batch kernel even on the local
 			// backends where auto-selection would pick scalar.
-			s.ScalarEstimation = scalarEst
-			s.BatchEstimation = !scalarEst
+			s.scalarKernel = &scalarEst
 			res, err := s.SampleNParallel(n, workers)
 			if err != nil {
 				t.Fatal(err)

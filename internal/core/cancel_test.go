@@ -90,40 +90,6 @@ func TestSampleNCtxPreCancelled(t *testing.T) {
 	}
 }
 
-// EstimateAllParallelCtx: cancellation errors out rather than silently
-// returning a shallower estimate; a live context matches the plain call.
-func TestEstimateAllParallelCtx(t *testing.T) {
-	g := gen.BarabasiAlbert(1000, 3, rand.New(rand.NewSource(42)))
-	nodes := []int{1, 5, 9, 33, 77, 120}
-	mk := func() *Estimator {
-		net := osn.NewNetwork(g)
-		c := osn.NewClient(net, osn.CostUniqueNodes, rand.New(rand.NewSource(1)))
-		return &Estimator{Client: c, Design: walk.SRW{}, Start: 0}
-	}
-
-	base, err := EstimateAllParallel(mk(), nodes, 7, 3, 12, 3, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	got, err := EstimateAllParallelCtx(ctx, mk(), nodes, 7, 3, 12, 3, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, u := range nodes {
-		if base[u] != got[u] {
-			t.Fatalf("node %d: %v vs %v under live context", u, base[u], got[u])
-		}
-	}
-
-	cancelled, cancelNow := context.WithCancel(context.Background())
-	cancelNow()
-	if _, err := EstimateAllParallelCtx(cancelled, mk(), nodes, 7, 3, 12, 3, 99); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled estimate: err = %v, want context.Canceled", err)
-	}
-}
-
 // The OnSample hook must observe exactly the returned result, in order,
 // for both the sequential and the parallel engine.
 func TestOnSampleHook(t *testing.T) {

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // History accumulates, per (node, step) pair, how many of the forward walks
 // performed so far visited that node at that step. It feeds the weighted
@@ -35,54 +32,7 @@ type History struct {
 	pages [][]*histPage // pages[step][node>>histPageShift]
 	walks int
 	pool  *PagePool
-
-	// frozen marks an immutable Snapshot view. The step-distribution cache
-	// (stepcache.go) serves only frozen views: against a live, per-walk-
-	// perturbed history the cache structurally cannot amortize (every hub
-	// revisit arrives dirty), while against a snapshot entries stay clean for
-	// the whole generation and the lazily frozen CDF turns O(deg) gathers
-	// into O(log deg) selections.
-	frozen bool
-
-	// lineage identifies the content line this history belongs to: assigned
-	// from a process-wide counter at construction, shared by every Snapshot
-	// (same recorded walks, same counters), and re-assigned by Release
-	// (content resets to empty). Together with the walk count it gives the
-	// step-distribution cache in backward.go a cheap validity key: two
-	// histories with equal (lineage, walks) hold bit-identical counters.
-	lineage uint64
-
-	// ring holds copies of the most recently recorded walk paths, indexed by
-	// walk number modulo histRingSize: after RecordWalk has run w times,
-	// ring[j%histRingSize] is walk j's path for every j in [w-histRingSize, w).
-	// It lets the step-distribution cache revalidate an entry built at an
-	// older walk count precisely — a (node, step) distribution changed only
-	// if some newer walk visited one of node's candidates at step-1 — instead
-	// of discarding on every recorded walk. Snapshots copy the array of
-	// headers; the stored paths themselves are immutable (RecordWalk stores a
-	// fresh copy, never rewrites one in place), so snapshot readers never race
-	// the recorder.
-	ring [histRingSize][]int
-
-	// arena backs the ring's path copies: an append-only block the recorder
-	// fills left to right, replaced (never rewritten) when full, so handed-
-	// out ring slices stay immutable without a per-walk allocation.
-	arena []int
-
-	// ringing is set by the first Snapshot: ring maintenance starts only once
-	// a frozen view exists that could ever reconcile against it, so histories
-	// that are never snapshotted pay nothing per walk.
-	ringing bool
 }
-
-// histRingSize bounds how far back the recent-walk ring reaches. The
-// sequential sampler records one walk per rejection attempt and revisits hub
-// entries every attempt, so a handful of slots suffice there; 32 also covers
-// short snapshot refresh gaps in the parallel pipeline.
-const histRingSize = 32
-
-// histLineage feeds History.lineage; 0 is reserved as "no lineage".
-var histLineage atomic.Uint64
 
 // Page geometry: 4096 ids per page — 16 KiB of counters plus a 512 B
 // nonzero bitset, a few cache pages. Small enough that sparse visits waste
@@ -154,7 +104,7 @@ func NewHistoryIn(pool *PagePool) *History {
 	if pool == nil {
 		pool = defaultPagePool
 	}
-	return &History{pool: pool, lineage: histLineage.Add(1)}
+	return &History{pool: pool}
 }
 
 // writablePage returns the page covering node at step, allocating or
@@ -196,39 +146,7 @@ func (h *History) RecordWalk(path []int) {
 		pg.counts[o]++
 		pg.nz[o>>6] |= 1 << (o & 63)
 	}
-	if !h.ringing {
-		// The ring only feeds cross-snapshot cache reconciliation; until the
-		// first Snapshot there can be no such reader, so the sequential
-		// sampler (which never snapshots) skips the per-walk path copy.
-		h.walks++
-		return
-	}
-	// A fresh copy per walk, never an in-place rewrite: snapshots share the
-	// stored paths by header, so the slot's previous occupant may still be
-	// read by an estimation worker revalidating against an older snapshot.
-	// Copies land in an append-only arena — the recorder only ever writes
-	// past every previously handed-out slice, so readers race nothing and
-	// the per-walk allocation is amortized to one block per ~16k elements.
-	if cap(h.arena)-len(h.arena) < len(path) {
-		n := 1 << 14
-		if len(path) > n {
-			n = len(path)
-		}
-		h.arena = make([]int, 0, n)
-	}
-	off := len(h.arena)
-	h.arena = append(h.arena, path...)
-	h.ring[h.walks%histRingSize] = h.arena[off:len(h.arena):len(h.arena)]
 	h.walks++
-}
-
-// ringPath returns the path of recorded walk j (0-based), or nil if j has
-// already been evicted from the recent-walk ring (or not yet recorded).
-func (h *History) ringPath(j int) []int {
-	if j < 0 || j >= h.walks || h.walks-j > histRingSize {
-		return nil
-	}
-	return h.ring[j%histRingSize]
 }
 
 // HistRow is the per-step hit-counter accessor: a view over one step's page
@@ -279,11 +197,6 @@ func (h *History) Hits(node, step int) int {
 // Walks returns n_hw, the number of recorded forward walks.
 func (h *History) Walks() int { return h.walks }
 
-// Frozen reports whether this history is an immutable Snapshot view. The
-// step-distribution cache keys its gate on it: only frozen views are served
-// from cache (see the frozen field's comment).
-func (h *History) Frozen() bool { return h.frozen }
-
 // Snapshot returns an immutable copy-on-write view of the history. The
 // parallel sampling pipeline hands snapshots to its estimation workers so
 // WS-BW reads never race the recorder: the recorder keeps mutating the live
@@ -293,8 +206,7 @@ func (h *History) Frozen() bool { return h.frozen }
 // so snapshot cost is bounded by the visited mass, not the graph's id
 // space.
 func (h *History) Snapshot() *History {
-	h.ringing = true // reconcilable readers exist from now on
-	s := &History{walks: h.walks, pool: h.pool, lineage: h.lineage, ring: h.ring, frozen: true}
+	s := &History{walks: h.walks, pool: h.pool}
 	if len(h.pages) > 0 {
 		s.pages = make([][]*histPage, len(h.pages))
 		for i, row := range h.pages {
@@ -336,11 +248,4 @@ func (h *History) Release() {
 	}
 	h.pages = h.pages[:0]
 	h.walks = 0
-	h.ring = [histRingSize][]int{}
-	h.arena = nil // snapshots may still hold ring slices into the old blocks
-	h.ringing = false
-	// A released history starts a new content line: cache entries stamped
-	// with the old lineage must never validate against the emptied (or
-	// re-recorded) counters.
-	h.lineage = histLineage.Add(1)
 }

@@ -6,15 +6,13 @@ import (
 	"sync"
 
 	"repro/internal/fastrand"
-	"repro/internal/mathx"
 	"repro/internal/walk"
 )
 
 // This file is the concurrent WALK-ESTIMATE engine: a speculative
-// walk→estimate→accept pipeline (SampleNParallel) and the parallel batch
-// form of Algorithm 3 (EstimateAllParallel). The concurrency model — what is
-// shared, what is per-worker, and the determinism contract — is documented
-// in DESIGN.md.
+// walk→estimate→accept pipeline (SampleNParallel). The concurrency model —
+// what is shared, what is per-worker, and the determinism contract — is
+// documented in DESIGN.md.
 //
 // Shared across workers: the osn.SharedCache (neighbor lists + unique-node
 // accounting), the immutable CrawlTable, and immutable History snapshots.
@@ -107,24 +105,21 @@ func (s *Sampler) SampleNParallelCtx(ctx context.Context, n, workers int) (walk.
 				Start:   s.cfg.Start,
 				Crawl:   s.est.Crawl,
 				Epsilon: s.cfg.Epsilon,
-				// The pipeline estimates fresh candidates against
-				// short-lived snapshot generations; measured on the
-				// end-to-end mem benchmark, the step-distribution cache
-				// rebuilds entries faster than it serves them there
-				// (~20% overhead), so it stays off. It pays in
-				// EstimateAllParallel, where every node is estimated
-				// repeatedly against one snapshot.
-				DisableStepCache: true,
 			}
 		}
 	}
 	ests := s.workerEsts
 
-	// Worker kernel selection (see the ScalarEstimation/BatchEstimation
-	// docs): vectorized batch kernel iff the backend resolves batches
-	// concurrently, unless a toggle pins it. Either kernel produces
-	// bit-identical results.
-	useScalar := s.ScalarEstimation || (!s.BatchEstimation && !s.c.ConcurrentBatch())
+	// Worker kernel selection: the vectorized batch kernel when the backend
+	// answers batch requests concurrently (Client.ConcurrentBatch — batching
+	// then turns one round trip per walker step into one per design step),
+	// the scalar EstimateAdaptive loop otherwise (on a local backend a batch
+	// is just a loop, and the vector bookkeeping is measured pure overhead).
+	// Either kernel produces bit-identical results.
+	useScalar := !s.c.ConcurrentBatch()
+	if s.scalarKernel != nil {
+		useScalar = *s.scalarKernel
+	}
 
 	batch := 2 * workers
 	if batch < 8 {
@@ -183,7 +178,6 @@ func (s *Sampler) SampleNParallelCtx(ctx context.Context, n, workers int) (walk.
 					// math/rand's default source walks a 607-word table on
 					// Seed, which would dominate short estimates.
 					bc.RNG = fastrand.New(cd.estSeed)
-					bc.Reps = 0
 				}
 				EstimateAdaptiveBatch(e, cands, t, baseReps, budget)
 				for k, cd := range chunk {
@@ -387,167 +381,4 @@ func (s *Sampler) SampleNParallelCtx(ctx context.Context, n, workers int) (walk.
 		}
 		cur = next
 	}
-}
-
-// EstimateAllParallel is EstimateAll with the independent backward
-// repetitions fanned across `workers` goroutines. Each node's repetitions
-// run with a private RNG derived from (seed, node index, phase), and each
-// node's moment accumulator is owned by exactly one worker per phase, so the
-// result is a deterministic function of seed alone — independent of workers
-// and goroutine scheduling (absent type-1 restrictions; see DESIGN.md).
-//
-// Workers estimate over clients forked from e.Client (sharing its cache and
-// unique-node accounting; read the total cost off e.Client.TotalQueries) and
-// read an immutable snapshot of e.Hist. Backward steps are accounted back
-// into e.StepsTaken before returning.
-func EstimateAllParallel(e *Estimator, nodes []int, t, baseReps, extraBudget, workers int, seed int64) (map[int]float64, error) {
-	return EstimateAllParallelCtx(context.Background(), e, nodes, t, baseReps, extraBudget, workers, seed)
-}
-
-// EstimateAllParallelCtx is EstimateAllParallel with cancellation: the
-// feeder stops handing out nodes and workers abandon their remaining
-// repetitions once ctx is cancelled, and the call returns ctx's error. The
-// checks consume no RNG, so completed calls are bit-identical to
-// EstimateAllParallel.
-func EstimateAllParallelCtx(ctx context.Context, e *Estimator, nodes []int, t, baseReps, extraBudget, workers int, seed int64) (map[int]float64, error) {
-	if baseReps < 1 {
-		return nil, fmt.Errorf("core: baseReps must be >= 1, got %d", baseReps)
-	}
-	if workers < 1 {
-		return nil, fmt.Errorf("core: need >= 1 worker, got %d", workers)
-	}
-	// One batched fill of the whole candidate set before the workers fan
-	// out: the first query of every node's backward walks is its own
-	// neighbor list, so this is cost-neutral and saves a lock pair (and a
-	// simulated round trip) per candidate.
-	prefetchCandidates(e.Client, nodes)
-	var snap *History
-	if e.Hist != nil {
-		snap = e.Hist.Snapshot()
-		// runPhase joins its workers before returning (even on error or
-		// cancellation), so by the time this call returns nothing can still
-		// be reading the snapshot — its directory goes back to the pool and
-		// the shared pages become writable for e.Hist again.
-		defer snap.Release()
-	}
-	ests := make([]*Estimator, workers)
-	for w := range ests {
-		ests[w] = &Estimator{
-			Client:  e.Client.Fork(fastrand.New(fastrand.Mix(seed, int64(w), -1))),
-			Design:  e.Design,
-			Start:   e.Start,
-			Crawl:   e.Crawl,
-			Hist:    snap,
-			Epsilon: e.Epsilon,
-		}
-	}
-
-	moments := make([]mathx.Moments, len(nodes))
-	errs := make([]error, len(nodes))
-	// runPhase estimates reps[i] additional walks for every node i, farming
-	// contiguous chunks of eligible nodes out to the worker pool; each chunk
-	// runs through the vectorized kernel as fixed-rep lanes that carry the
-	// node's moment accumulator in and out, so the fold order — and thus the
-	// result — is bit-identical to the scalar per-node loop. moments[i] is
-	// touched by exactly one worker within a phase (every node sits in
-	// exactly one chunk) and phases are separated by wg.Wait barriers.
-	// Chunk boundaries cannot affect results: each lane draws from its own
-	// (seed, node index, phase)-derived stream.
-	runPhase := func(phase int64, reps []int) error {
-		elig := make([]int, 0, len(nodes))
-		for i := range nodes {
-			if reps[i] > 0 && errs[i] == nil {
-				elig = append(elig, i)
-			}
-		}
-		// A few chunks per worker for load balance; wide enough lanes to
-		// amortize the batched frontier resolutions.
-		chunkSz := (len(elig) + 4*workers - 1) / (4 * workers)
-		if chunkSz < 1 {
-			chunkSz = 1
-		}
-		idx := make(chan []int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(est *Estimator) {
-				defer wg.Done()
-				var bcs []*BatchCand
-				for ck := range idx {
-					if err := ctx.Err(); err != nil {
-						cause := context.Cause(ctx)
-						for _, i := range ck {
-							errs[i] = cause
-						}
-						continue
-					}
-					for len(bcs) < len(ck) {
-						bcs = append(bcs, &BatchCand{})
-					}
-					cands := bcs[:len(ck)]
-					for k, i := range ck {
-						bc := cands[k]
-						bc.V = nodes[i]
-						bc.RNG = fastrand.New(fastrand.Mix(seed, int64(i), phase))
-						bc.Reps = reps[i]
-						bc.m = moments[i]
-					}
-					EstimateAdaptiveBatch(est, cands, t, 1, 0)
-					for k, i := range ck {
-						moments[i] = cands[k].m
-						if cands[k].Err != nil {
-							errs[i] = cands[k].Err
-						}
-					}
-				}
-			}(ests[w])
-		}
-		for lo := 0; lo < len(elig); lo += chunkSz {
-			if ctx.Err() != nil {
-				break // drain: workers mark any already-queued chunks instead
-			}
-			hi := lo + chunkSz
-			if hi > len(elig) {
-				hi = len(elig)
-			}
-			idx <- elig[lo:hi]
-		}
-		close(idx)
-		wg.Wait()
-		// Cancellation is authoritative: a phase cut short must never read
-		// as a completed (but silently shallower) estimate.
-		if err := ctx.Err(); err != nil {
-			return context.Cause(ctx)
-		}
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	base := make([]int, len(nodes))
-	for i := range base {
-		base[i] = baseReps
-	}
-	if err := runPhase(0, base); err != nil {
-		return nil, err
-	}
-	variances := make([]float64, len(nodes))
-	for i := range moments {
-		variances[i] = moments[i].Variance()
-	}
-	if err := runPhase(1, AllocateByVariance(variances, extraBudget)); err != nil {
-		return nil, err
-	}
-
-	for _, est := range ests {
-		e.StepsTaken += est.StepsTaken
-	}
-	out := make(map[int]float64, len(nodes))
-	for i, u := range nodes {
-		out[u] = moments[i].Mean()
-	}
-	return out, nil
 }

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/gen"
-	"repro/internal/linalg"
 	"repro/internal/osn"
 	"repro/internal/walk"
 )
@@ -106,86 +104,6 @@ func TestSampleNParallelArgs(t *testing.T) {
 	res, err = s.SampleNParallel(3, 1) // delegates to the sequential path
 	if err != nil || res.Len() != 3 {
 		t.Errorf("workers=1: %v, %d samples", err, res.Len())
-	}
-}
-
-// TestEstimateAllParallelExact runs the parallel batch estimator on a graph
-// whose crawl table covers the full walk length, so every estimate is exact:
-// the output must match the oracle (and hence sequential EstimateAll) to
-// floating-point accuracy, for any worker count.
-func TestEstimateAllParallelExact(t *testing.T) {
-	g := gen.Cycle(12)
-	start, steps := 0, 3
-	c := newClient(g, 21)
-	ct, err := BuildCrawlTable(c, walk.SRW{}, start, steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := &Estimator{Client: c, Design: walk.SRW{}, Start: start, Crawl: ct}
-	nodes := []int{0, 1, 2, 3, 9, 11}
-	exact := linalg.NewSRW(g).DistFrom(start, steps)
-
-	for _, workers := range []int{1, 2, 4} {
-		got, err := EstimateAllParallel(e, nodes, steps, 3, 6, workers, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, u := range nodes {
-			if math.Abs(got[u]-exact[u]) > 1e-12 {
-				t.Errorf("workers=%d: p_%d(%d) = %v, exact %v", workers, steps, u, got[u], exact[u])
-			}
-		}
-	}
-}
-
-// TestEstimateAllParallelDeterministicPerSeed checks that the estimates are
-// a function of the seed alone — the same for every worker count — on a
-// graph where backward walks are genuinely random (no crawl shortcut).
-func TestEstimateAllParallelDeterministicPerSeed(t *testing.T) {
-	g := gen.BarabasiAlbert(300, 3, rand.New(rand.NewSource(31)))
-	nodes := []int{5, 17, 40, 99}
-	const steps = 5
-
-	// A partial crawl table (h < steps) keeps the last backward hops random
-	// while making typical estimates nonzero, so seed changes are observable.
-	mkEstimator := func() *Estimator {
-		c := newClient(g, 33)
-		ct, err := BuildCrawlTable(c, walk.SRW{}, 0, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &Estimator{Client: c, Design: walk.SRW{}, Start: 0, Crawl: ct}
-	}
-
-	results := make([]map[int]float64, 0, 3)
-	for _, workers := range []int{1, 2, 4} {
-		got, err := EstimateAllParallel(mkEstimator(), nodes, steps, 4, 8, workers, 77)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, got)
-	}
-	for _, got := range results[1:] {
-		for _, u := range nodes {
-			if got[u] != results[0][u] {
-				t.Errorf("estimate for %d varies with workers: %v vs %v", u, got[u], results[0][u])
-			}
-		}
-	}
-
-	// A different seed must (generically) give different randomness.
-	other, err := EstimateAllParallel(mkEstimator(), nodes, steps, 4, 8, 2, 78)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for _, u := range nodes {
-		if other[u] != results[0][u] {
-			same = false
-		}
-	}
-	if same {
-		t.Error("seed change did not alter the estimates")
 	}
 }
 

@@ -117,19 +117,11 @@ type Sampler struct {
 	// running. The hook must not call back into the sampler.
 	OnSample func(SampleEvent)
 
-	// ScalarEstimation and BatchEstimation pin SampleNParallel's worker
-	// kernel. By default workers pick automatically: the vectorized batch
-	// kernel when the backend answers batch requests concurrently
-	// (Client.ConcurrentBatch — batching then turns one round trip per
-	// walker step into one per design step), the scalar EstimateAdaptive
-	// loop otherwise (on a local backend a batch is just a loop, and the
-	// vector bookkeeping is measured pure overhead). Results are
-	// bit-identical either way — the kernel equivalence contract, pinned
-	// by the property tests — so the toggles exist for those tests and
-	// for the batched-vs-scalar benchmark, not for correctness.
-	// ScalarEstimation wins if both are set.
-	ScalarEstimation bool
-	BatchEstimation  bool
+	// scalarKernel, when non-nil, overrides SampleNParallel's worker-kernel
+	// auto-selection: true pins the scalar loop, false the batch kernel.
+	// Both draw bit-identical results; only the kernel-equivalence tests
+	// set it, to run both kernels on every backend.
+	scalarKernel *bool
 
 	forwardSteps int64
 	attempts     int64

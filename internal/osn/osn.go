@@ -485,14 +485,6 @@ func (c *Client) Mode() CostMode { return c.mode }
 // fast paths along edges already known to exist.
 func (c *Client) SymmetricView() bool { return c.net.restriction == nil }
 
-// StableView reports whether repeated Neighbors calls for the same node are
-// guaranteed to return the same list: true for unrestricted views and
-// deterministic (type-2) restrictions, false under re-randomizing (type-1)
-// restrictions. Callers that memoize per-node derived state (e.g. the WS-BW
-// step-distribution cache) must check it — under an unstable view a cached
-// list may no longer describe the candidates a fresh call would return.
-func (c *Client) StableView() bool { return c.cacheable }
-
 // ConcurrentBatch reports whether some layer of the backend stack answers
 // batch requests over concurrent connections (a RemoteSim anywhere in the
 // wrapper chain), so batching many accesses into one request saves

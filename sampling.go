@@ -1,8 +1,6 @@
 package walknotwait
 
 import (
-	"context"
-
 	"repro/internal/core"
 	"repro/internal/walk"
 )
@@ -92,22 +90,6 @@ type Estimator = core.Estimator
 // walks per node plus extraBudget walks allocated by estimation variance.
 func EstimateAll(e *Estimator, nodes []int, t, baseReps, extraBudget int, rng RNG) (map[int]float64, error) {
 	return core.EstimateAll(e, nodes, t, baseReps, extraBudget, rng)
-}
-
-// EstimateAllParallel is EstimateAll with the independent backward
-// repetitions fanned across a worker pool over a shared neighbor cache. The
-// result is a deterministic function of seed, independent of workers and
-// scheduling; see DESIGN.md.
-func EstimateAllParallel(e *Estimator, nodes []int, t, baseReps, extraBudget, workers int, seed int64) (map[int]float64, error) {
-	return core.EstimateAllParallel(e, nodes, t, baseReps, extraBudget, workers, seed)
-}
-
-// EstimateAllParallelCtx is EstimateAllParallel with cancellation: once ctx
-// is cancelled, workers abandon their remaining repetitions and the call
-// returns ctx's error. Completed calls are bit-identical to
-// EstimateAllParallel.
-func EstimateAllParallelCtx(ctx context.Context, e *Estimator, nodes []int, t, baseReps, extraBudget, workers int, seed int64) (map[int]float64, error) {
-	return core.EstimateAllParallelCtx(ctx, e, nodes, t, baseReps, extraBudget, workers, seed)
 }
 
 // EstimateAdaptive estimates p_t(v) with baseReps backward walks plus up to

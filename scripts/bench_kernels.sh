@@ -55,18 +55,16 @@ awk -v benchtime="$MICROTIME" '
   /^Benchmark/ {
     name = $1; iters = $2
     sub(/-[0-9]+$/, "", name)
-    nsop = ""; bop = ""; allocs = ""; hitrate = ""
+    nsop = ""; bop = ""; allocs = ""
     for (i = 3; i < NF; i++) {
-      if ($(i+1) == "ns/op")          nsop = $i
-      if ($(i+1) == "B/op")           bop = $i
-      if ($(i+1) == "allocs/op")      allocs = $i
-      if ($(i+1) == "cache-hit-rate") hitrate = $i
+      if ($(i+1) == "ns/op")     nsop = $i
+      if ($(i+1) == "B/op")      bop = $i
+      if ($(i+1) == "allocs/op") allocs = $i
     }
     if (nsop == "") next
     line = sprintf("    {\"name\": \"%s\", \"iters\": %s, \"ns_per_op\": %s", name, iters, nsop)
     if (bop != "")    line = line sprintf(", \"bytes_per_op\": %s", bop)
     if (allocs != "") line = line sprintf(", \"allocs_per_op\": %s", allocs)
-    if (hitrate != "") line = line sprintf(", \"cache_hit_rate\": %s", hitrate)
     line = line "}"
     lines[n++] = line
   }
