@@ -148,15 +148,3 @@ func postJSON(hc *http.Client, url string, v, out any) error {
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]any{"error": msg})
-}

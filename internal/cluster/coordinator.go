@@ -23,17 +23,11 @@ type CoordinatorConfig struct {
 	// HeartbeatTimeout is how stale a worker's last heartbeat may be before
 	// it is considered dead (default 2s).
 	HeartbeatTimeout time.Duration
-	// MaxAttempts bounds how many workers one job may be dispatched to
-	// before it fails with reason "worker_lost" (default 5).
-	MaxAttempts int
-	// Journal, when non-nil, makes job hand-off durable: accepted specs,
-	// relay progress, and terminal records are journaled in the serve
-	// frame format, and incomplete jobs are re-dispatched at boot. The
-	// coordinator takes ownership and closes it on Close.
+	// Journal, when non-nil, makes coordinator jobs durable exactly as a
+	// daemon's are: accepted specs, relay progress, and terminal records are
+	// journaled, terminal jobs rehydrate at boot and incomplete ones are
+	// re-dispatched. The coordinator takes ownership and closes it on Close.
 	Journal *serve.Journal
-	// DispatchTimeout bounds one submit/status call to a worker (default
-	// 10s). Streams are not bounded by it.
-	DispatchTimeout time.Duration
 	// CacheBytes bounds the coordinator-side job result cache: completed
 	// jobs are memoized by the digest their worker reported, and repeat
 	// submissions are answered without dispatching to any worker. Zero
@@ -47,15 +41,6 @@ func (c CoordinatorConfig) withDefaults() (CoordinatorConfig, error) {
 	}
 	if c.HeartbeatTimeout <= 0 {
 		c.HeartbeatTimeout = 2 * time.Second
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 5
-	}
-	if c.DispatchTimeout <= 0 {
-		c.DispatchTimeout = 10 * time.Second
-	}
-	if c.CacheBytes == 0 {
-		c.CacheBytes = serve.DefaultCacheBytes
 	}
 	return c, nil
 }
@@ -87,49 +72,34 @@ const ReasonWorkerLost = "worker_lost"
 
 // Coordinator is the fleet frontend: worker registry and liveness, job
 // placement, stream relay with hand-off, and aggregated meters, served over
-// the same HTTP surface as a single weserve daemon.
+// the same HTTP surface as a single weserve daemon. Its jobs live in a
+// serve.Manager driven by a fleetRunner, so the job lifecycle — admission,
+// result cache, job table, streams, journal, recovery, retention — is the
+// daemon's own.
 type Coordinator struct {
 	cfg   CoordinatorConfig
 	hc    *http.Client // dispatch/status calls (bounded)
 	sc    *http.Client // stream relays (unbounded)
 	start time.Time
+	mgr   *serve.Manager
 
 	mu      sync.Mutex
 	workers []workerSlot
 	rr      int // round-robin placement cursor
-	jobs    map[string]*cjob
-	order   []string
-	seq     int64
-	closed  bool
 
-	jl atomic.Pointer[serve.Journal]
-
-	// results memoizes completed fleet jobs by their worker-reported spec
-	// digest (nil when disabled); normEnv is the normalization environment
-	// adopted from worker heartbeats, needed to compute lookup digests
-	// coordinator-side. Until the first heartbeat arrives, submissions
-	// dispatch normally (a startup window of misses, never a wrong hit).
-	results *serve.ResultCache
+	// normEnv is the normalization environment adopted from worker
+	// heartbeats, needed to digest submissions coordinator-side.
 	normEnv atomic.Pointer[serve.NormEnv]
 
-	jobsSubmitted atomic.Int64
-	jobsDone      atomic.Int64
-	jobsFailed    atomic.Int64
-	jobsCancelled atomic.Int64
-	jobsShed      atomic.Int64
 	shedForwarded atomic.Int64
 	handoffs      atomic.Int64
-	samples       atomic.Int64
-	inFlight      atomic.Int64
 
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	wg sync.WaitGroup // relays
 }
 
-// NewCoordinator builds the fleet frontend and starts its liveness loop.
-// With a journal attached, terminal jobs rehydrate and incomplete jobs are
-// re-dispatched (suppressing already-durable rows) once workers join.
+// NewCoordinator builds the fleet frontend. With a journal attached,
+// terminal jobs rehydrate and incomplete jobs are re-dispatched (suppressing
+// already-durable rows) once workers join.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -137,74 +107,30 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	co := &Coordinator{
 		cfg:     cfg,
-		hc:      &http.Client{Timeout: cfg.DispatchTimeout},
+		hc:      &http.Client{Timeout: dispatchTimeout},
 		sc:      &http.Client{},
 		start:   time.Now(),
 		workers: make([]workerSlot, cfg.Workers),
-		jobs:    make(map[string]*cjob),
-		stop:    make(chan struct{}),
 	}
-	if cfg.CacheBytes > 0 {
-		co.results = serve.NewResultCache(cfg.CacheBytes)
-	}
-	if cfg.Journal != nil {
-		co.jl.Store(cfg.Journal)
-		co.recoverFromJournal(cfg.Journal)
-		cfg.Journal.SetSnapshot(co.snapshotRecords)
-	}
-	co.wg.Add(1)
-	go co.livenessLoop()
+	co.mgr = serve.NewRunnerManager(fleetRunner{co}, serve.Config{
+		Journal: cfg.Journal, CacheBytes: cfg.CacheBytes,
+	})
 	return co, nil
 }
 
-// Close stops placement (later submissions shed with "draining"), cancels
+// Close stops placement (later submissions shed with "draining"), abandons
 // relays, and closes the journal. Worker processes are not touched.
-func (co *Coordinator) Close() {
-	co.mu.Lock()
-	already := co.closed
-	co.closed = true
-	jobs := make([]*cjob, 0, len(co.jobs))
-	for _, j := range co.jobs {
-		jobs = append(jobs, j)
-	}
-	co.mu.Unlock()
-	if already {
-		co.wg.Wait()
-		return
-	}
-	co.stopOnce.Do(func() { close(co.stop) })
-	for _, j := range jobs {
-		j.abandon()
-	}
-	co.wg.Wait()
-	if jl := co.jl.Swap(nil); jl != nil {
-		jl.Close()
-	}
-}
+func (co *Coordinator) Close() { co.mgr.Close() }
 
-func (co *Coordinator) journal() *serve.Journal { return co.jl.Load() }
-
-// livenessLoop ages out workers whose heartbeats stopped.
-func (co *Coordinator) livenessLoop() {
-	defer co.wg.Done()
-	period := co.cfg.HeartbeatTimeout / 4
-	if period < 50*time.Millisecond {
-		period = 50 * time.Millisecond
+// List returns snapshots of all retained coordinator jobs in submission
+// order.
+func (co *Coordinator) List() []JobStatus {
+	jobs := co.mgr.Jobs()
+	out := make([]JobStatus, len(jobs))
+	for i, j := range jobs {
+		out[i] = co.status(j)
 	}
-	t := time.NewTicker(period)
-	defer t.Stop()
-	for {
-		select {
-		case <-co.stop:
-			return
-		case <-t.C:
-			// Liveness is computed from lastSeen at read time; the ticker
-			// only bounds how long a dead worker can pin its slot before a
-			// replacement may re-register into it (nothing to do here —
-			// register() checks staleness itself). Kept as a goroutine so a
-			// future epoch/rebalance step has a home.
-		}
-	}
+	return out
 }
 
 func (co *Coordinator) alive(s *workerSlot, now time.Time) bool {
@@ -480,10 +406,7 @@ func (co *Coordinator) Summary(refresh bool) ClusterSummary {
 // ResultCacheStats returns the coordinator-side result cache snapshot
 // (Enabled false, all zeros, when disabled).
 func (co *Coordinator) ResultCacheStats() serve.ResultCacheStats {
-	if co.results == nil {
-		return serve.ResultCacheStats{}
-	}
-	return co.results.Stats()
+	return co.mgr.ResultCacheStats()
 }
 
 // Handler returns the coordinator's HTTP surface: the weserve-compatible
@@ -494,45 +417,45 @@ func (co *Coordinator) Handler() http.Handler {
 	mux.HandleFunc(PathRegister, func(w http.ResponseWriter, r *http.Request) {
 		var req RegisterRequest
 		if r.Method != http.MethodPost || json.NewDecoder(r.Body).Decode(&req) != nil || req.Addr == "" {
-			httpError(w, http.StatusBadRequest, "POST a register request with addr")
+			serve.HTTPError(w, http.StatusBadRequest, "POST a register request with addr")
 			return
 		}
 		resp, err := co.register(req)
 		if err != nil {
-			httpError(w, http.StatusConflict, err.Error())
+			serve.HTTPError(w, http.StatusConflict, err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		serve.WriteJSON(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc(PathHeartbeat, func(w http.ResponseWriter, r *http.Request) {
 		var req HeartbeatRequest
 		if r.Method != http.MethodPost || json.NewDecoder(r.Body).Decode(&req) != nil {
-			httpError(w, http.StatusBadRequest, "POST a heartbeat")
+			serve.HTTPError(w, http.StatusBadRequest, "POST a heartbeat")
 			return
 		}
 		resp, err := co.heartbeat(req)
 		if err != nil {
-			httpError(w, http.StatusGone, err.Error())
+			serve.HTTPError(w, http.StatusGone, err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		serve.WriteJSON(w, http.StatusOK, resp)
 	})
 	live := func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{
+		serve.WriteJSON(w, http.StatusOK, map[string]any{
 			"ok":            true,
 			"role":          "coordinator",
 			"uptime_s":      time.Since(co.start).Seconds(),
 			"workers_live":  co.WorkersLive(),
 			"workers_total": co.cfg.Workers,
-			"jobs_inflight": co.inFlight.Load(),
-			"samples":       co.samples.Load(),
+			"jobs_inflight": co.mgr.Metrics().InFlight(),
+			"samples":       co.mgr.Metrics().Samples(),
 		})
 	}
 	mux.HandleFunc("/healthz", live)
 	mux.HandleFunc("/livez", live)
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+		draining := co.mgr.Draining()
 		co.mu.Lock()
-		draining := co.closed
 		complete := co.completeLocked(time.Now())
 		partitioned := co.partitionedLocked()
 		co.mu.Unlock()
@@ -540,7 +463,7 @@ func (co *Coordinator) Handler() http.Handler {
 		if draining || !complete || !partitioned {
 			code = http.StatusServiceUnavailable
 		}
-		writeJSON(w, code, map[string]any{
+		serve.WriteJSON(w, code, map[string]any{
 			"ready":         code == http.StatusOK,
 			"draining":      draining,
 			"partitioned":   partitioned,
@@ -553,106 +476,10 @@ func (co *Coordinator) Handler() http.Handler {
 		co.WriteProm(w)
 	})
 	mux.HandleFunc("/v1/cluster", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, co.Summary(r.URL.Query().Get("refresh") != "0"))
+		serve.WriteJSON(w, http.StatusOK, co.Summary(r.URL.Query().Get("refresh") != "0"))
 	})
-	mux.HandleFunc("/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		switch r.Method {
-		case http.MethodPost:
-			co.handleSubmit(w, r)
-		case http.MethodGet:
-			writeJSON(w, http.StatusOK, map[string]any{"jobs": co.List()})
-		default:
-			httpError(w, http.StatusMethodNotAllowed, "use POST to submit or GET to list")
-		}
-	})
-	mux.HandleFunc("/v1/jobs/", co.handleJob)
+	serve.JobRoutes(mux, co.mgr, func(j *serve.Job) any { return co.status(j) })
 	return mux
-}
-
-// shed writes the coordinator's own typed 503 (reason it generated itself —
-// worker sheds are forwarded verbatim by handleSubmit instead).
-func shedOwn(w http.ResponseWriter, reason string) {
-	w.Header().Set("Retry-After", "1")
-	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-		"error":          reason,
-		"retry_after_ms": int64(1000),
-	})
-}
-
-// forwardResponse relays a worker's HTTP response unchanged: status code,
-// Retry-After hint, and body — so a worker's typed queue_full 503 reaches
-// the client exactly as the worker wrote it (no double-shedding).
-func forwardResponse(w http.ResponseWriter, resp *http.Response, body []byte) {
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(resp.StatusCode)
-	w.Write(body)
-}
-
-// List returns snapshots of all coordinator jobs in submission order.
-func (co *Coordinator) List() []JobStatus {
-	co.mu.Lock()
-	jobs := make([]*cjob, 0, len(co.order))
-	for _, id := range co.order {
-		jobs = append(jobs, co.jobs[id])
-	}
-	co.mu.Unlock()
-	out := make([]JobStatus, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.status()
-	}
-	return out
-}
-
-// getJob returns the coordinator job with the given id.
-func (co *Coordinator) getJob(id string) (*cjob, bool) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	j, ok := co.jobs[id]
-	return j, ok
-}
-
-func (co *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
-	id, stream := trimID(r.URL.Path)
-	j, ok := co.getJob(id)
-	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("unknown job %q", id))
-		return
-	}
-	switch {
-	case stream && r.Method == http.MethodGet:
-		j.streamTo(w, r)
-	case r.Method == http.MethodGet:
-		writeJSON(w, http.StatusOK, j.status())
-	case r.Method == http.MethodDelete:
-		co.cancelJob(j)
-		writeJSON(w, http.StatusOK, j.status())
-	default:
-		httpError(w, http.StatusMethodNotAllowed, "use GET for status/stream or DELETE to cancel")
-	}
-}
-
-// trimID extracts the job id and stream flag from a /v1/jobs/ subpath.
-func trimID(path string) (string, bool) {
-	rest := path
-	for len(rest) > 0 && rest[0] == '/' {
-		rest = rest[1:]
-	}
-	const prefix = "v1/jobs/"
-	if len(rest) >= len(prefix) && rest[:len(prefix)] == prefix {
-		rest = rest[len(prefix):]
-	}
-	for len(rest) > 0 && rest[len(rest)-1] == '/' {
-		rest = rest[:len(rest)-1]
-	}
-	if len(rest) > len("/stream") && rest[len(rest)-len("/stream"):] == "/stream" {
-		return rest[:len(rest)-len("/stream")], true
-	}
-	return rest, false
 }
 
 // readBody reads at most 1 MiB of a response body (worker error bodies are

@@ -3,52 +3,25 @@ package cluster
 import (
 	"fmt"
 	"io"
-	"time"
 )
 
 // WriteProm writes the coordinator's metric set in Prometheus text
-// exposition format: fleet-level job counters (same metric names a single
-// weserve daemon exposes, so dashboards point at either), the exact
-// fleet-wide charge meter, and per-worker gauges labeled by fleet index.
-// Worker meters come from the last heartbeat (or stats scrape) — a scrape
-// never blocks on the fleet.
+// exposition format: the job lifecycle meters of its serve.Manager (the
+// same metric names a single weserve daemon exposes, so dashboards point at
+// either — result cache, retention, journal and recovery included), the
+// exact fleet-wide charge meter, and per-worker gauges labeled by fleet
+// index. Worker meters come from the last heartbeat (or stats scrape) — a
+// scrape never blocks on the fleet.
 func (co *Coordinator) WriteProm(w io.Writer) {
+	co.mgr.WriteProm(w)
 	counter := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
 	gauge := func(name, help string, v float64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
 	}
-
-	counter("walknotwait_jobs_submitted_total", "Jobs admitted and placed on a worker.", co.jobsSubmitted.Load())
-	counter("walknotwait_jobs_shed_total", "Submissions turned away with 503 (fleet overloaded, draining, or no workers).", co.jobsShed.Load())
-	fmt.Fprintf(w, "# HELP walknotwait_jobs_finished_total Jobs finished, by terminal state.\n")
-	fmt.Fprintf(w, "# TYPE walknotwait_jobs_finished_total counter\n")
-	fmt.Fprintf(w, "walknotwait_jobs_finished_total{state=\"done\"} %d\n", co.jobsDone.Load())
-	fmt.Fprintf(w, "walknotwait_jobs_finished_total{state=\"failed\"} %d\n", co.jobsFailed.Load())
-	fmt.Fprintf(w, "walknotwait_jobs_finished_total{state=\"cancelled\"} %d\n", co.jobsCancelled.Load())
-	gauge("walknotwait_jobs_inflight", "Jobs currently relaying from workers.", float64(co.inFlight.Load()))
-
-	samples := co.samples.Load()
-	up := time.Since(co.start).Seconds()
-	counter("walknotwait_samples_total", "Sample rows relayed to clients across all jobs.", samples)
-	rate := 0.0
-	if up > 0 {
-		rate = float64(samples) / up
-	}
-	gauge("walknotwait_samples_per_second", "Relayed samples per second of uptime.", rate)
-	gauge("walknotwait_uptime_seconds", "Coordinator uptime.", up)
-
 	counter("walknotwait_cluster_handoffs_total", "Jobs re-dispatched after losing their worker.", co.handoffs.Load())
 	counter("walknotwait_cluster_shed_forwarded_total", "Worker-side 503 sheds relayed verbatim to clients.", co.shedForwarded.Load())
-
-	rcs := co.ResultCacheStats()
-	counter("walknotwait_jobs_cache_hits_total", "Repeat submissions answered from the coordinator's result cache (no worker dispatch).", rcs.Hits)
-	counter("walknotwait_jobs_cache_misses_total", "Submissions that missed the coordinator's result cache and were dispatched.", rcs.Misses)
-	counter("walknotwait_jobs_cache_evictions_total", "Cached job results evicted by the coordinator's LRU byte budget.", rcs.Evictions)
-	gauge("walknotwait_jobs_cache_bytes", "Bytes held by the coordinator's job result cache.", float64(rcs.Bytes))
-	gauge("walknotwait_jobs_cache_entries", "Job results currently cached coordinator-side.", float64(rcs.Entries))
-	counter("walknotwait_queries_saved_total", "Query charges avoided by coordinator result-cache hits (the original runs' costs).", rcs.QueriesSaved)
 
 	sum := co.Summary(false)
 	counter("walknotwait_queries_charged_total", "Fleet-wide query cost: sum of per-worker owned-unique meters (the paper's cost axis).", sum.FleetQueries)

@@ -108,7 +108,7 @@ func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathResolve, w.handleResolve)
 	mux.HandleFunc(PathStats, func(rw http.ResponseWriter, r *http.Request) {
-		writeJSON(rw, http.StatusOK, w.Stats())
+		serve.WriteJSON(rw, http.StatusOK, w.Stats())
 	})
 	mux.Handle("/", serve.Handler(w.mgr))
 	return mux
@@ -337,15 +337,28 @@ func (w *Worker) resolveCall(ctx context.Context, addr string, reqBody ResolveRe
 // in one batched call, and hand back the fleet-first verdicts.
 func (w *Worker) handleResolve(rw http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpError(rw, http.StatusMethodNotAllowed, "POST a resolve request")
+		serve.HTTPError(rw, http.StatusMethodNotAllowed, "POST a resolve request")
 		return
 	}
 	var req ResolveRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(rw, http.StatusBadRequest, "bad resolve request: "+err.Error())
+		serve.HTTPError(rw, http.StatusBadRequest, "bad resolve request: "+err.Error())
 		return
 	}
 	eng := w.mgr.Engine()
+	// Ids come off the wire: index only nodes that exist and that this
+	// worker's partition owns (the owner's bitset is the charging authority).
+	n, part := eng.NumNodes(), eng.Cache().Partition()
+	for _, v := range req.IDs {
+		if v < 0 || int(v) >= n {
+			serve.HTTPError(rw, http.StatusBadRequest, fmt.Sprintf("node %d out of range [0, %d)", v, n))
+			return
+		}
+		if part != nil && !part.Owns(v) {
+			serve.HTTPError(rw, http.StatusBadRequest, fmt.Sprintf("node %d is not owned by worker %d", v, part.Index))
+			return
+		}
+	}
 	resp := ResolveResponse{
 		Lists: make([][]int32, len(req.IDs)),
 		First: make([]bool, len(req.IDs)),
@@ -356,7 +369,7 @@ func (w *Worker) handleResolve(rw http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if err != nil {
-		httpError(rw, http.StatusInternalServerError, err.Error())
+		serve.HTTPError(rw, http.StatusInternalServerError, err.Error())
 		return
 	}
 	// Empty lists must round-trip as [] (JSON null decodes to nil fine, but
@@ -366,5 +379,5 @@ func (w *Worker) handleResolve(rw http.ResponseWriter, r *http.Request) {
 			resp.Lists[i] = []int32{}
 		}
 	}
-	writeJSON(rw, http.StatusOK, resp)
+	serve.WriteJSON(rw, http.StatusOK, resp)
 }

@@ -37,7 +37,7 @@ import (
 func Handler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 	live := func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{
+		WriteJSON(w, http.StatusOK, map[string]any{
 			"ok":            true,
 			"uptime_s":      m.met.Uptime().Seconds(),
 			"graph_nodes":   m.eng.NumNodes(),
@@ -71,62 +71,96 @@ func Handler(m *Manager) http.Handler {
 		if breaker != "" {
 			body["breaker"] = breaker
 		}
-		writeJSON(w, code, body)
+		WriteJSON(w, code, body)
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		m.WriteProm(w)
 	})
+	JobRoutes(mux, m, func(j *Job) any { return j.Status() })
+	return mux
+}
+
+// JobRoutes mounts the job API on mux — submit, list, status, NDJSON
+// stream, cancel — over the manager's job table. view renders a job's
+// status: a daemon serves Job.Status, a fleet coordinator adds placement.
+func JobRoutes(mux *http.ServeMux, m *Manager, view func(*Job) any) {
 	mux.HandleFunc("/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		switch r.Method {
 		case http.MethodPost:
-			submit(m, w, r)
+			submit(m, w, r, view)
 		case http.MethodGet:
-			writeJSON(w, http.StatusOK, map[string]any{"jobs": m.List()})
+			jobs := m.Jobs()
+			out := make([]any, len(jobs))
+			for i, j := range jobs {
+				out[i] = view(j)
+			}
+			WriteJSON(w, http.StatusOK, map[string]any{"jobs": out})
 		default:
-			httpError(w, http.StatusMethodNotAllowed, "use POST to submit or GET to list")
+			HTTPError(w, http.StatusMethodNotAllowed, "use POST to submit or GET to list")
 		}
 	})
 	mux.HandleFunc("/v1/jobs/", func(w http.ResponseWriter, r *http.Request) {
 		id, stream := trimID(strings.TrimPrefix(r.URL.Path, "/v1/jobs/"))
 		job, ok := m.Get(id)
 		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Sprintf("unknown job %q", id))
+			HTTPError(w, http.StatusNotFound, fmt.Sprintf("unknown job %q", id))
 			return
 		}
 		switch {
 		case stream && r.Method == http.MethodGet:
 			streamJob(w, r, job)
 		case r.Method == http.MethodGet:
-			writeJSON(w, http.StatusOK, job.Status())
+			WriteJSON(w, http.StatusOK, view(job))
 		case r.Method == http.MethodDelete:
 			m.Cancel(id)
-			writeJSON(w, http.StatusOK, job.Status())
+			WriteJSON(w, http.StatusOK, view(job))
 		default:
-			httpError(w, http.StatusMethodNotAllowed, "use GET for status/stream or DELETE to cancel")
+			HTTPError(w, http.StatusMethodNotAllowed, "use GET for status/stream or DELETE to cancel")
 		}
 	})
-	return mux
 }
 
-func submit(m *Manager, w http.ResponseWriter, r *http.Request) {
+// trimID strips an optional "/stream" suffix and leading/trailing slashes
+// from a /v1/jobs/ subpath, returning (id, stream).
+func trimID(rest string) (string, bool) {
+	rest = strings.Trim(rest, "/")
+	if s, ok := strings.CutSuffix(rest, "/stream"); ok {
+		return s, true
+	}
+	return rest, false
+}
+
+func submit(m *Manager, w http.ResponseWriter, r *http.Request, view func(*Job) any) {
 	var spec JobSpec
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "bad job spec: "+err.Error())
+		HTTPError(w, http.StatusBadRequest, "bad job spec: "+err.Error())
 		return
 	}
 	job, err := m.Submit(spec)
+	var se *ShedError
+	var re *RelayedError
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		shed(w, "queue_full")
 	case errors.Is(err, ErrClosed):
 		shed(w, "draining")
+	case errors.As(err, &se):
+		shed(w, se.Reason)
+	case errors.As(err, &re):
+		// A worker's own answer (typed shed or rejection): verbatim.
+		if re.RetryAfter != "" {
+			w.Header().Set("Retry-After", re.RetryAfter)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(re.Code)
+		w.Write(re.Body)
 	case err != nil:
-		httpError(w, http.StatusBadRequest, err.Error())
+		HTTPError(w, http.StatusBadRequest, err.Error())
 	default:
-		writeJSON(w, http.StatusAccepted, job.Status())
+		WriteJSON(w, http.StatusAccepted, view(job))
 	}
 }
 
@@ -144,7 +178,7 @@ func shed(w http.ResponseWriter, reason string) {
 		secs = 1
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+	WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 		"error":          reason,
 		"retry_after_ms": shedRetryAfter.Milliseconds(),
 	})
@@ -204,7 +238,8 @@ func streamJob(w http.ResponseWriter, r *http.Request, job *Job) {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as an indented JSON response with the given status.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -212,6 +247,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-func httpError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]any{"error": msg})
+// HTTPError writes a JSON {"error": msg} response with the given status.
+func HTTPError(w http.ResponseWriter, code int, msg string) {
+	WriteJSON(w, code, map[string]any{"error": msg})
 }

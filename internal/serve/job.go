@@ -4,16 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/agg"
-	"repro/internal/core"
-	"repro/internal/fastrand"
-	"repro/internal/osn"
-	"repro/internal/walk"
 )
 
 // Job types accepted by the service.
@@ -151,13 +145,20 @@ type JobStatus struct {
 // Job is one submitted sampling job. All mutable state is guarded by mu;
 // samples is append-only, published under mu with cond broadcast so any
 // number of streamers can follow along.
+//
+// A Job's lifecycle belongs to its Manager — admission, the job table, the
+// sample log, the exactly-once terminal transition and the journal — while
+// the Manager's Runner moves it through that lifecycle with the exported
+// runner-side methods (SetRunning, Publish, Finish, Abandon).
 type Job struct {
+	m      *Manager
 	id     string
 	seq    int64  // numeric id suffix, persisted for id continuity across restarts
 	digest string // canonical content address (SpecDigest of the normalized spec)
 	spec   JobSpec
 	ctx    context.Context
 	cancel context.CancelCauseFunc
+	ext    atomic.Value // runner-private state (see SetExt)
 
 	// recovered marks a job re-admitted from the journal at boot for a
 	// deterministic re-run; durable is the count of samples already in the
@@ -176,15 +177,16 @@ type Job struct {
 	reason    string // typed failure reason (failed jobs)
 	samples   []Sample
 	result    *JobResult
+	abandoned bool // runner let go without a terminal transition (see Abandon)
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
 }
 
-func newJob(id string, spec JobSpec, now time.Time) *Job {
+func (m *Manager) newJob(spec JobSpec, digest string, submitted time.Time) *Job {
 	ctx, cancel := context.WithCancelCause(context.Background())
-	j := &Job{id: id, spec: spec, ctx: ctx, cancel: cancel,
-		state: JobQueued, submitted: now}
+	j := &Job{m: m, spec: spec, digest: digest, ctx: ctx, cancel: cancel,
+		state: JobQueued, submitted: submitted}
 	j.cond.L = &j.mu
 	return j
 }
@@ -198,24 +200,27 @@ func (j *Job) Digest() string { return j.digest }
 // Spec returns the normalized spec the job runs under.
 func (j *Job) Spec() JobSpec { return j.spec }
 
-// Cancel requests cancellation: a queued job is finalized immediately, a
-// running job's context is cancelled and its workers abandon in-flight work
-// within one batch (see core.SampleNParallelCtx). It reports whether this
-// call finalized a still-queued job (so the caller can account it — runner
-// bookkeeping never sees such a job).
-func (j *Job) Cancel() bool {
-	j.cancel(nil) // cause defaults to context.Canceled
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != JobQueued {
-		return false
-	}
-	j.state = JobCancelled
-	j.errMsg = context.Canceled.Error()
-	j.finished = time.Now()
-	j.cond.Broadcast()
-	return true
-}
+// Context returns the job's context: cancelled by Cancel and Abandon, and
+// once the job is terminal.
+func (j *Job) Context() context.Context { return j.ctx }
+
+// Adopt replaces the spec and digest of a job that is not yet registered: a
+// remote runner takes on the normalization its executor admitted the job
+// under.
+func (j *Job) Adopt(spec JobSpec, digest string) { j.spec, j.digest = spec, digest }
+
+// SetExt attaches runner-private state to the job; Ext returns it (nil when
+// never set).
+func (j *Job) SetExt(v any) { j.ext.Store(v) }
+
+// Ext returns the state attached by SetExt.
+func (j *Job) Ext() any { return j.ext.Load() }
+
+// Cancel requests cancellation through the manager's runner: a queued local
+// job is finalized immediately, a running one abandons its in-flight work
+// within one batch (see core.SampleNParallelCtx), and a remote one is
+// cancelled where it runs.
+func (j *Job) Cancel() { j.m.runner.Cancel(j) }
 
 // expired reports whether the job is terminal and finished before cutoff
 // (the retention sweeper's eviction test).
@@ -252,10 +257,97 @@ func (j *Job) Status() JobStatus {
 	return st
 }
 
-// publish appends one sample and wakes all streamers.
-func (j *Job) publish(s Sample) {
+// SetRunning moves a queued job to running. It reports false when the job
+// is no longer queued (cancelled before its runner got to it).
+func (j *Job) SetRunning() bool {
 	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state != JobQueued {
+		return false
+	}
+	j.state = JobRunning
+	j.started = time.Now()
+	j.m.met.jobsInFlight.Add(1)
+	return true
+}
+
+// Publish appends a sample row whose index continues the log, wakes all
+// streamers, and advances the job's durable high-water mark. Rows whose
+// index is already in the log are dropped, so a deterministic re-run that
+// replays from row 0 — a hand-off to another worker — extends the log
+// exactly where the lost run stopped. A local run's indices are contiguous
+// and every row is kept.
+func (j *Job) Publish(s Sample) {
+	j.mu.Lock()
+	if s.Index != len(j.samples) {
+		j.mu.Unlock()
+		return
+	}
 	j.samples = append(j.samples, s)
+	n := len(j.samples)
+	j.cond.Broadcast()
+	j.mu.Unlock()
+	j.m.met.samples.Add(1)
+	// On a resumed job the re-run's first k samples fall inside the
+	// already-durable prefix and append nothing.
+	j.m.journalProgress(j, n)
+}
+
+// Finish moves the job to a terminal state exactly once — later calls are
+// no-ops — then settles its bookkeeping: job counters, the result cache
+// (clean completions are memoized under the job's digest), recovery debt,
+// and the journal's terminal record.
+func (j *Job) Finish(state JobState, errMsg, reason string, result *JobResult) {
+	j.finish(false, state, errMsg, reason, result)
+}
+
+// finish is Finish, restricted to still-queued jobs when queuedOnly is set.
+// It reports whether this call made the transition.
+func (j *Job) finish(queuedOnly bool, state JobState, errMsg, reason string, result *JobResult) bool {
+	m := j.m
+	j.mu.Lock()
+	prev := j.state
+	if prev.Terminal() || (queuedOnly && prev != JobQueued) {
+		j.mu.Unlock()
+		return false
+	}
+	j.state, j.errMsg, j.reason, j.result = state, errMsg, reason, result
+	j.finished = time.Now()
+	// Settle the bookkeeping before the transition is visible, so whoever
+	// observes the terminal state also observes its counters, its cache
+	// entry and the end of recovery.
+	if prev == JobRunning {
+		m.met.jobsInFlight.Add(-1)
+		m.met.runDur.Observe(j.finished.Sub(j.started))
+	}
+	switch state {
+	case JobDone:
+		m.met.jobsDone.Add(1)
+	case JobCancelled:
+		m.met.jobsCancelled.Add(1)
+	default:
+		m.met.jobsFailed.Add(1)
+	}
+	if state == JobDone && m.results != nil && j.digest != "" && result != nil && !result.Cached {
+		// The rows are terminal and append-only — safe to share with the
+		// cache and every future hit. (Put itself drops partial results.)
+		m.results.Put(j.digest, j.samples, result)
+	}
+	m.retireRecovery(j)
+	j.cond.Broadcast()
+	j.mu.Unlock()
+	j.cancel(nil)
+	m.journalTerminal(j)
+	return true
+}
+
+// Abandon stops the job's context and releases its streamers without a
+// terminal transition: the journal keeps the job incomplete, so the next
+// boot resumes it, exactly as after a kill -9.
+func (j *Job) Abandon() {
+	j.cancel(nil)
+	j.mu.Lock()
+	j.abandoned = true
 	j.cond.Broadcast()
 	j.mu.Unlock()
 }
@@ -268,16 +360,45 @@ func (j *Job) wake() {
 	j.mu.Unlock()
 }
 
-// waitSamples blocks until samples beyond from exist, the job is terminal,
-// or ctx is cancelled; it returns the new samples (safe to read unlocked —
-// the slice is append-only) and whether the job is terminal.
+// waitSamples blocks until samples beyond from exist, the job is terminal
+// (or abandoned), or ctx is cancelled; it returns the new samples (safe to
+// read unlocked — the slice is append-only) and whether the log is final.
 func (j *Job) waitSamples(ctx context.Context, from int) ([]Sample, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for from >= len(j.samples) && !j.state.Terminal() && ctx.Err() == nil {
+	for from >= len(j.samples) && !j.state.Terminal() && !j.abandoned && ctx.Err() == nil {
 		j.cond.Wait()
 	}
-	return j.samples[from:], j.state.Terminal()
+	return j.samples[from:], j.state.Terminal() || j.abandoned
+}
+
+// Runner executes the jobs a Manager admits. The Manager owns the rest of a
+// job's lifecycle — admission, the job table, the sample log, the terminal
+// transition, journaling and boot recovery — so a daemon and a fleet
+// coordinator differ only in their Runner: the local one runs jobs
+// in-process, a remote one places them on workers and relays their rows.
+type Runner interface {
+	// Env returns the environment specs are normalized and digested under,
+	// and false while none is known (submissions then go to Start as sent).
+	Env() (NormEnv, bool)
+	// FleetQueries returns the service-wide unique-node charge, reported by
+	// jobs served from the result cache.
+	FleetQueries() int64
+	// Start launches an admitted job. It must enter the job in the table
+	// with Manager.Register (the local runner does so in the same critical
+	// section as its enqueue) and returns ErrQueueFull, ErrClosed, a
+	// *ShedError or a *RelayedError when the job cannot be taken.
+	Start(j *Job) error
+	// Resume re-launches jobs recovered incomplete from the journal; they
+	// are already registered, in submission order.
+	Resume(jobs []*Job)
+	// Cancel cancels a job; the runner finishes it as cancelled.
+	Cancel(j *Job)
+	// Close stops the runner once the manager has stopped admitting; jobs
+	// are every registered job. When it returns, no goroutine of the runner
+	// may still be executing a job, except the local runner's loops, which
+	// the manager waits for itself.
+	Close(jobs []*Job)
 }
 
 // ErrQueueFull is returned by Submit when admission control rejects a job
@@ -286,6 +407,33 @@ var ErrQueueFull = errors.New("serve: job queue full")
 
 // ErrClosed is returned by Submit after the manager has been closed.
 var ErrClosed = errors.New("serve: manager closed")
+
+// ShedError is a typed load-shedding refusal from a Runner: the submit route
+// answers it with a 503 carrying Reason and a retry hint.
+type ShedError struct{ Reason string }
+
+func (e *ShedError) Error() string { return "serve: shed: " + e.Reason }
+
+// RelayedError is a remote executor's refusal held for verbatim relay: its
+// status, Retry-After hint and body reach the client unchanged.
+type RelayedError struct {
+	Code       int
+	RetryAfter string
+	Body       []byte
+}
+
+func (e *RelayedError) Error() string {
+	return fmt.Sprintf("serve: relayed %d: %s", e.Code, e.Body)
+}
+
+// isShed reports whether a Start error is load shedding (a 503) rather than
+// a rejection of the spec.
+func isShed(err error) bool {
+	var se *ShedError
+	var re *RelayedError
+	return errors.Is(err, ErrQueueFull) || errors.Is(err, ErrClosed) ||
+		errors.As(err, &se) || (errors.As(err, &re) && re.Code == http.StatusServiceUnavailable)
+}
 
 // Config bounds the service's concurrency. Zero fields select defaults.
 type Config struct {
@@ -367,24 +515,22 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Manager owns job admission, scheduling, and bookkeeping for one Engine.
+// Manager owns the job lifecycle — admission, the job table, the terminal
+// transition, result caching, journaling and recovery — and drives its
+// Runner for execution.
 type Manager struct {
-	eng *Engine
-	cfg Config
-	met *Metrics
-	env NormEnv
+	eng    *Engine // nil for a manager without a local engine (fleet coordinator)
+	cfg    Config
+	met    *Metrics
+	runner Runner
 
 	// results memoizes completed jobs by spec digest (nil when disabled).
-	// Admission consults it before the bounded queue, so hits bypass
-	// admission control entirely — a repeat submission is served even while
-	// the queue is shedding fresh work.
+	// Admission consults it before the runner, so hits bypass admission
+	// control entirely — a repeat submission is served even while the queue
+	// is shedding fresh work.
 	results *ResultCache
 
-	queue chan *Job
-
 	mu     sync.Mutex
-	cond   sync.Cond // worker-slot availability
-	free   int       // estimation-worker slots currently free
 	jobs   map[string]*Job
 	order  []string // submission order, for List
 	seq    int64
@@ -395,53 +541,76 @@ type Manager struct {
 	// Durability state (see recover.go). jl is atomic so a crash-simulating
 	// test can detach it mid-flight; Close swaps it out before closing.
 	jl             atomic.Pointer[Journal]
-	recWG          sync.WaitGroup // boot-recovery enqueue goroutine
 	recovering     atomic.Bool
 	recoverPending atomic.Int64 // resumed jobs not yet terminal
 	recoverStart   time.Time
 	recoveryDur    atomic.Int64 // ns, set when recovery completes
 
-	wg sync.WaitGroup
+	wg sync.WaitGroup // sweeper and local runner goroutines
 }
 
-// NewManager starts cfg.Runners runner goroutines over the engine.
+// NewManager starts a manager that runs jobs in-process on the engine, with
+// cfg.Runners runner goroutines.
 func NewManager(eng *Engine, cfg Config) *Manager {
 	cfg = cfg.withDefaults()
-	m := &Manager{
-		eng:       eng,
-		cfg:       cfg,
-		met:       NewMetrics(),
-		queue:     make(chan *Job, cfg.QueueDepth),
-		free:      cfg.WorkerBudget,
-		jobs:      make(map[string]*Job),
-		stopSweep: make(chan struct{}),
+	m := newManager(eng, cfg)
+	r := &localRunner{
+		m:     m,
+		queue: make(chan *Job, cfg.QueueDepth),
+		free:  cfg.WorkerBudget,
+		env: NormEnv{
+			GraphID:          eng.GraphID(),
+			NumNodes:         eng.NumNodes(),
+			DefaultStart:     eng.defaultStart,
+			DefaultWalkLen:   eng.defaultWalkLen,
+			MaxWorkersPerJob: cfg.MaxWorkersPerJob,
+		},
 	}
-	m.cond.L = &m.mu
-	m.env = NormEnv{
-		GraphID:          eng.GraphID(),
-		NumNodes:         eng.NumNodes(),
-		DefaultStart:     eng.defaultStart,
-		DefaultWalkLen:   eng.defaultWalkLen,
-		MaxWorkersPerJob: cfg.MaxWorkersPerJob,
+	r.cond.L = &r.mu
+	m.start(r)
+	for i := 0; i < cfg.Runners; i++ {
+		m.wg.Add(1)
+		go r.loop()
+	}
+	return m
+}
+
+// NewRunnerManager starts a manager without a local engine whose jobs run
+// on r — a fleet coordinator's remote runner. Only the lifecycle fields of
+// cfg apply (Retention, SweepInterval, Journal, CacheBytes, Logf).
+func NewRunnerManager(r Runner, cfg Config) *Manager {
+	m := newManager(nil, cfg.withDefaults())
+	m.start(r)
+	return m
+}
+
+func newManager(eng *Engine, cfg Config) *Manager {
+	m := &Manager{
+		eng:          eng,
+		cfg:          cfg,
+		met:          NewMetrics(),
+		jobs:         make(map[string]*Job),
+		stopSweep:    make(chan struct{}),
+		recoverStart: time.Now(),
 	}
 	if cfg.CacheBytes > 0 {
 		m.results = NewResultCache(cfg.CacheBytes)
 	}
-	m.recoverStart = time.Now()
-	if cfg.Journal != nil {
-		m.jl.Store(cfg.Journal)
-		m.recoverFromJournal(cfg.Journal)
-		cfg.Journal.SetSnapshot(m.snapshotRecords)
+	return m
+}
+
+// start attaches the runner, recovers the journal, and starts the sweeper.
+func (m *Manager) start(r Runner) {
+	m.runner = r
+	if m.cfg.Journal != nil {
+		m.jl.Store(m.cfg.Journal)
+		m.recoverFromJournal(m.cfg.Journal)
+		m.cfg.Journal.SetSnapshot(m.snapshotRecords)
 	}
-	for i := 0; i < cfg.Runners; i++ {
-		m.wg.Add(1)
-		go m.runner()
-	}
-	if cfg.Retention > 0 {
+	if m.cfg.Retention > 0 {
 		m.wg.Add(1)
 		go m.sweeper()
 	}
-	return m
 }
 
 // sweeper periodically evicts terminal job records older than the
@@ -501,23 +670,20 @@ func (m *Manager) Sweep(now time.Time) int {
 // Metrics returns the manager's metric registry (for the /metrics endpoint).
 func (m *Manager) Metrics() *Metrics { return m.met }
 
-// Engine returns the engine the manager schedules over.
+// Engine returns the engine the manager runs jobs on (nil for a manager
+// built with NewRunnerManager).
 func (m *Manager) Engine() *Engine { return m.eng }
 
 // Config returns the effective (defaulted) configuration.
 func (m *Manager) Config() Config { return m.cfg }
 
-// normalize fills spec defaults and validates against the manager's
-// environment; the result is the contract the job's determinism is stated
-// over (see NormalizeSpec).
-func (m *Manager) normalize(spec JobSpec) (JobSpec, error) {
-	return NormalizeSpec(spec, m.env)
-}
-
 // NormEnv returns the normalization environment this manager admits specs
 // under. The cluster coordinator mirrors it fleet-side so coordinator and
 // worker compute identical digests.
-func (m *Manager) NormEnv() NormEnv { return m.env }
+func (m *Manager) NormEnv() NormEnv {
+	env, _ := m.runner.Env()
+	return env
+}
 
 // ResultCacheStats returns a snapshot of the job result cache's meters
 // (Enabled false, all zeros, when the cache is disabled).
@@ -536,120 +702,105 @@ func (m *Manager) Draining() bool {
 	return m.closed
 }
 
-// Submit normalizes and enqueues a job. Admission consults the result cache
-// first: a digest already memoized is served as an instantly-terminal job —
-// zero walk steps, zero charges, no queue slot, no estimation workers — so
-// repeat submissions are immune to overload shedding. Otherwise it fails
-// fast with ErrQueueFull when the bounded queue is at capacity (admission
-// control), never blocking the caller.
+// Submit normalizes a spec, digests it, and admits the job. Admission
+// consults the result cache first: a digest already memoized is served as
+// an instantly-terminal job — zero walk steps, zero charges, no queue slot,
+// no estimation workers — so repeat submissions are immune to overload
+// shedding. Otherwise the runner starts the job or refuses it (ErrQueueFull
+// when the bounded queue is at capacity), never blocking on execution.
 func (m *Manager) Submit(spec JobSpec) (*Job, error) {
-	spec, err := m.normalize(spec)
+	var digest string
+	if env, ok := m.runner.Env(); ok {
+		norm, err := NormalizeSpec(spec, env)
+		if err != nil {
+			m.met.jobsRejected.Add(1)
+			return nil, err
+		}
+		spec, digest = norm, SpecDigest(env, norm)
+	}
+	var rows []Sample
+	var cres *JobResult
+	cached := false
+	if m.results != nil && digest != "" {
+		rows, cres, cached = m.results.Get(digest)
+	}
+	job := m.newJob(spec, digest, time.Now())
+	if m.journal() != nil {
+		job.journaled = make(chan struct{})
+	}
+	var err error
+	if cached {
+		job.samples = rows
+		err = m.Register(job)
+	} else {
+		err = m.runner.Start(job)
+	}
 	if err != nil {
-		m.met.jobsRejected.Add(1)
+		shed := isShed(err)
+		if shed {
+			m.met.jobsShed.Add(1)
+		}
+		if !shed || errors.Is(err, ErrQueueFull) {
+			m.met.jobsRejected.Add(1)
+		}
 		return nil, err
 	}
-	digest := SpecDigest(m.env, spec)
-	if m.results != nil {
-		if rows, cres, ok := m.results.Get(digest); ok {
-			return m.admitCached(spec, digest, rows, cres)
-		}
-	}
-	// The closed check, the non-blocking enqueue, and the registration form
-	// one critical section: Close sets closed under the same lock before it
-	// ever closes the channel (so this send cannot race a closed queue),
-	// and a job is registered if and only if its enqueue succeeded (so a
-	// rejected submission can never corrupt the registry under concurrent
-	// submitters).
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		m.met.jobsShed.Add(1)
-		return nil, ErrClosed
-	}
-	m.seq++
-	id := fmt.Sprintf("job-%06d", m.seq)
-	job := newJob(id, spec, time.Now())
-	job.seq = m.seq
-	job.digest = digest
-	if m.journal() != nil {
-		job.journaled = make(chan struct{})
-	}
-	select {
-	case m.queue <- job:
-		m.jobs[id] = job
-		m.order = append(m.order, id)
-		m.mu.Unlock()
-		// The accepted record is appended outside m.mu (the journal may
-		// rotate, and rotation snapshots through m.mu); the runner and any
-		// canceller wait on job.journaled, so admission is always the
-		// job's first durable record.
-		if job.journaled != nil {
-			m.journalAccepted(job)
-			close(job.journaled)
-		}
-		m.met.jobsSubmitted.Add(1)
-		if m.cfg.Logf != nil {
-			m.cfg.Logf("job %s accepted digest=%s", id, digest)
-		}
-		return job, nil
-	default:
-		m.mu.Unlock()
-		m.met.jobsRejected.Add(1)
-		m.met.jobsShed.Add(1)
-		return nil, ErrQueueFull
-	}
-}
-
-// admitCached serves a repeat submission from the result cache: the job is
-// registered already terminal, its rows the original run's rows verbatim
-// (identical i/node/steps/cost sequence) and its result a fresh summary
-// charging zero queries. It never touches the bounded queue or the worker
-// budget — the only admission gate that still applies is Close.
-func (m *Manager) admitCached(spec JobSpec, digest string, rows []Sample, cres *JobResult) (*Job, error) {
-	now := time.Now()
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		m.met.jobsShed.Add(1)
-		return nil, ErrClosed
-	}
-	m.seq++
-	id := fmt.Sprintf("job-%06d", m.seq)
-	job := newJob(id, spec, now)
-	job.seq = m.seq
-	job.digest = digest
-	if m.journal() != nil {
-		job.journaled = make(chan struct{})
-	}
-	job.state = JobDone
-	job.started = now
-	job.finished = now
-	job.samples = rows
-	job.result = &JobResult{
-		Samples:        cres.Samples,
-		Queries:        0,
-		FleetQueries:   m.eng.CacheStats().Queries,
-		AcceptanceRate: cres.AcceptanceRate,
-		Estimate:       cres.Estimate,
-		Nodes:          cres.Nodes,
-		Cached:         true,
-	}
-	m.jobs[id] = job
-	m.order = append(m.order, id)
-	m.mu.Unlock()
+	// The accepted record is appended outside m.mu (the journal may rotate,
+	// and rotation snapshots through m.mu); the runner and any canceller
+	// wait on job.journaled, so admission is always the job's first durable
+	// record.
 	if job.journaled != nil {
 		m.journalAccepted(job)
 		close(job.journaled)
 	}
 	m.met.jobsSubmitted.Add(1)
-	m.met.jobsDone.Add(1)
-	// The hit is journaled as a self-contained terminal record, so it
-	// survives restart exactly like a live run's record.
-	m.journalTerminal(job)
+	if cached {
+		// A fresh summary charging zero queries over the original run's rows;
+		// the terminal record is self-contained, so the hit survives restart
+		// exactly like a live run's record.
+		job.Finish(JobDone, "", "", &JobResult{
+			Samples:        cres.Samples,
+			Queries:        0,
+			FleetQueries:   m.runner.FleetQueries(),
+			AcceptanceRate: cres.AcceptanceRate,
+			Estimate:       cres.Estimate,
+			Nodes:          cres.Nodes,
+			Cached:         true,
+		})
+	}
 	if m.cfg.Logf != nil {
-		m.cfg.Logf("job %s served from result cache digest=%s", id, digest)
+		if cached {
+			m.cfg.Logf("job %s served from result cache digest=%s", job.id, digest)
+		} else {
+			m.cfg.Logf("job %s accepted digest=%s", job.id, digest)
+		}
 	}
 	return job, nil
+}
+
+// Register assigns a job its id and enters it in the job table; it fails
+// with ErrClosed once Close has begun. Runners call it from Start.
+func (m *Manager) Register(j *Job) error { return m.register(j, nil) }
+
+// register is Register with an enqueue step in the same critical section:
+// Close sets closed under m.mu before it closes the local queue (so the
+// send cannot race a closed channel), and a job is registered if and only
+// if its enqueue succeeded.
+func (m *Manager) register(j *Job, enqueue func(*Job) bool) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return ErrClosed
+	}
+	m.seq++
+	j.seq = m.seq
+	j.id = fmt.Sprintf("job-%06d", m.seq)
+	if enqueue != nil && !enqueue(j) {
+		return ErrQueueFull
+	}
+	m.jobs[j.id] = j
+	m.order = append(m.order, j.id)
+	return nil
 }
 
 // Get returns the job with the given id.
@@ -660,15 +811,20 @@ func (m *Manager) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// List returns snapshots of all known jobs in submission order.
-func (m *Manager) List() []JobStatus {
+// Jobs returns all known jobs in submission order.
+func (m *Manager) Jobs() []*Job {
 	m.mu.Lock()
-	ids := append([]string(nil), m.order...)
-	jobs := make([]*Job, 0, len(ids))
-	for _, id := range ids {
+	defer m.mu.Unlock()
+	jobs := make([]*Job, 0, len(m.order))
+	for _, id := range m.order {
 		jobs = append(jobs, m.jobs[id])
 	}
-	m.mu.Unlock()
+	return jobs
+}
+
+// List returns snapshots of all known jobs in submission order.
+func (m *Manager) List() []JobStatus {
+	jobs := m.Jobs()
 	out := make([]JobStatus, len(jobs))
 	for i, j := range jobs {
 		out[i] = j.Status()
@@ -688,20 +844,14 @@ func (m *Manager) RetainedJobs() int {
 // known.
 func (m *Manager) Cancel(id string) bool {
 	j, ok := m.Get(id)
-	if !ok {
-		return false
+	if ok {
+		m.runner.Cancel(j)
 	}
-	if j.Cancel() {
-		// Queued jobs never reach the runner's finish path; finalize their
-		// terminal bookkeeping (journal record, recovery debt) here.
-		m.met.jobsCancelled.Add(1)
-		m.noteTerminal(j)
-	}
-	return true
+	return ok
 }
 
-// Close stops accepting jobs, cancels everything in flight, and waits for
-// the runners to drain.
+// Close stops accepting jobs, stops the runner (the local runner cancels
+// everything in flight and drains), and closes the journal.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	if m.closed {
@@ -716,15 +866,7 @@ func (m *Manager) Close() {
 		jobs = append(jobs, j)
 	}
 	m.mu.Unlock()
-	// The boot-recovery enqueuer must stop before the queue closes.
-	m.recWG.Wait()
-	for _, j := range jobs {
-		if j.Cancel() {
-			m.met.jobsCancelled.Add(1)
-			m.noteTerminal(j)
-		}
-	}
-	close(m.queue)
+	m.runner.Close(jobs)
 	m.wg.Wait()
 	// Every terminal record is appended by now; a graceful drain leaves the
 	// journal flushed and fsynced, so the next boot recovers exactly the
@@ -732,246 +874,4 @@ func (m *Manager) Close() {
 	if jl := m.jl.Swap(nil); jl != nil {
 		jl.Close()
 	}
-}
-
-// acquire blocks until n estimation-worker slots are free and takes them.
-// n is clamped to WorkerBudget at normalization, so acquisition always
-// eventually succeeds.
-func (m *Manager) acquire(n int) {
-	m.mu.Lock()
-	for m.free < n {
-		m.cond.Wait()
-	}
-	m.free -= n
-	m.mu.Unlock()
-}
-
-func (m *Manager) release(n int) {
-	m.mu.Lock()
-	m.free += n
-	m.cond.Broadcast()
-	m.mu.Unlock()
-}
-
-// runner is one of cfg.Runners job loops: pop, carve workers from the global
-// budget, run, release.
-func (m *Manager) runner() {
-	defer m.wg.Done()
-	for job := range m.queue {
-		// A journaled job must not run (and so must not append progress)
-		// before its accepted record is durable.
-		job.waitJournaled()
-		job.mu.Lock()
-		if job.state != JobQueued { // cancelled while queued
-			job.mu.Unlock()
-			continue
-		}
-		job.state = JobRunning
-		job.started = time.Now()
-		job.mu.Unlock()
-
-		m.met.queueWait.Observe(job.started.Sub(job.submitted))
-		workers := job.spec.Workers
-		m.acquire(workers)
-		m.met.jobsInFlight.Add(1)
-		result, err := m.run(job)
-		m.met.jobsInFlight.Add(-1)
-		m.release(workers)
-		m.finish(job, result, err)
-	}
-}
-
-// finish finalizes a job's state, result, and metrics. On failure the typed
-// cause is classified into JobStatus.FailureReason and any partial result
-// (samples produced before the failure) is preserved with Partial set.
-func (m *Manager) finish(job *Job, result *JobResult, err error) {
-	job.mu.Lock()
-	job.finished = time.Now()
-	var bu *osn.BackendUnavailableError
-	switch {
-	case err == nil:
-		job.state = JobDone
-		job.result = result
-		m.met.jobsDone.Add(1)
-	case errors.Is(err, context.Canceled) && !errors.As(err, &bu):
-		job.state = JobCancelled
-		job.errMsg = err.Error()
-		m.met.jobsCancelled.Add(1)
-	default:
-		job.state = JobFailed
-		job.errMsg = err.Error()
-		switch {
-		case errors.As(err, &bu):
-			job.reason = ReasonBackendUnavailable
-		case errors.Is(err, context.DeadlineExceeded):
-			job.reason = ReasonDeadlineExceeded
-		}
-		if result != nil {
-			result.Partial = true
-			job.result = result
-		}
-		m.met.jobsFailed.Add(1)
-	}
-	run := job.finished.Sub(job.started)
-	job.cond.Broadcast()
-	job.mu.Unlock()
-	if err == nil && m.results != nil && job.digest != "" {
-		// Memoize the clean completion (Put drops partial results itself).
-		// The samples slice is terminal and append-only — safe to share
-		// with the cache and every future hit.
-		m.results.Put(job.digest, job.samples, result)
-	}
-	m.met.runDur.Observe(run)
-	m.noteTerminal(job)
-}
-
-// run executes one job on the calling runner goroutine. On failure it
-// returns the samples produced so far as a partial result alongside the
-// error, so degradation is graceful: a backend outage or deadline overrun
-// voids only the remainder of the job, never the work already streamed.
-func (m *Manager) run(job *Job) (*JobResult, error) {
-	spec := job.spec
-	d, err := walk.ByName(spec.Design)
-	if err != nil {
-		return nil, err
-	}
-	// The run context layers, derived from the job's cancellable context:
-	// an optional per-job deadline, and the failure-cancel hook that lets
-	// the resilience middleware cancel this job with a typed
-	// BackendUnavailableError when its retry policy gives up. Both causes
-	// surface through context.Cause and are classified by finish.
-	runCtx := job.ctx
-	if spec.DeadlineMS > 0 {
-		var cancelDL context.CancelFunc
-		runCtx, cancelDL = context.WithTimeout(runCtx, time.Duration(spec.DeadlineMS)*time.Millisecond)
-		defer cancelDL()
-	}
-	runCtx = osn.WithFailureCancel(runCtx, job.cancel)
-	rng := fastrand.New(spec.Seed)
-	c := m.eng.NewClientCtx(runCtx, rng)
-	fleetBefore := c.TotalQueries()
-
-	onSample := func(ev core.SampleEvent) {
-		job.publish(Sample{Index: ev.Index, Node: ev.Node,
-			Steps: ev.Steps, Cost: ev.CostAfter})
-		m.met.samples.Add(1)
-		// Durability high-water mark. On a resumed job the re-run's first k
-		// samples fall inside the already-durable prefix and append nothing.
-		m.journalProgress(job, ev.Index+1)
-	}
-
-	switch spec.Type {
-	case TypeWalkPath:
-		// One plain forward walk, streamed node by node, with a
-		// cancellation check per step.
-		u := *spec.Start
-		for i := 1; i <= spec.Count; i++ {
-			if runCtx.Err() != nil {
-				return &JobResult{
-					Samples:      i - 1,
-					Queries:      c.TotalQueries() - fleetBefore,
-					FleetQueries: c.TotalQueries(),
-				}, context.Cause(runCtx)
-			}
-			u = d.Step(c, u, rng)
-			s := Sample{Index: i - 1, Node: u, Steps: i, Cost: c.TotalQueries()}
-			job.publish(s)
-			m.met.samples.Add(1)
-			m.journalProgress(job, i)
-		}
-		return &JobResult{
-			Samples:      spec.Count,
-			Queries:      c.TotalQueries() - fleetBefore,
-			FleetQueries: c.TotalQueries(),
-		}, nil
-
-	case TypeSample, TypeEstimateMean:
-		cfg := core.Config{
-			Design:         d,
-			Start:          *spec.Start,
-			WalkLength:     spec.WalkLength,
-			UseWeighted:    !spec.NoWeighted,
-			BackwardReps:   spec.BackwardReps,
-			VarianceBudget: spec.VarianceBudget,
-			// Allocate WS-BW history pages from the engine's shared pool
-			// and release them when this job is done (the deferred
-			// ReleasePages below), so per-job history churn is bounded by
-			// the job's visited mass instead of regrown from zero.
-			Pages: m.eng.pages,
-		}
-		if !spec.NoCrawl {
-			// Reuse (or build-and-memoize) the crawl table instead of
-			// letting the sampler crawl per job.
-			ct, err := m.eng.crawlTable(runCtx, c, d, *spec.Start, spec.CrawlHops)
-			if err != nil {
-				return nil, primaryCause(runCtx, err)
-			}
-			cfg.Crawl = ct
-		}
-		s, err := core.NewSampler(c, cfg, rng)
-		if err != nil {
-			return nil, err
-		}
-		// Safe on every path out of run: SampleN*Ctx quiesce their workers
-		// before returning, so nothing can still read the pages.
-		defer s.ReleasePages()
-		s.OnSample = onSample
-		var res walk.Result
-		if spec.Workers > 1 {
-			res, err = s.SampleNParallelCtx(runCtx, spec.Count, spec.Workers)
-		} else {
-			res, err = s.SampleNCtx(runCtx, spec.Count)
-		}
-		out := &JobResult{
-			Samples:        res.Len(),
-			Queries:        c.TotalQueries() - fleetBefore,
-			FleetQueries:   c.TotalQueries(),
-			AcceptanceRate: s.AcceptanceRate(),
-			Nodes:          res.Nodes,
-		}
-		if err != nil {
-			// The samplers return the in-order prefix drawn before the
-			// error; keep it as the partial result.
-			return out, primaryCause(runCtx, err)
-		}
-		if spec.Type == TypeEstimateMean {
-			if runCtx.Err() != nil {
-				return out, context.Cause(runCtx)
-			}
-			est, err := agg.EstimateMean(c, d, spec.Attr, res.Nodes)
-			if err != nil {
-				return out, primaryCause(runCtx, err)
-			}
-			out.Estimate = &est
-			out.Queries = c.TotalQueries() - fleetBefore
-			out.FleetQueries = c.TotalQueries()
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("serve: unknown job type %q", spec.Type)
-}
-
-// primaryCause resolves which error really failed the run: when the run
-// context was cancelled, its cause (the typed backend failure, the deadline,
-// or the user's cancel) is the primary failure and err is downstream fallout
-// — a backend giving up mid-access degrades that access to an empty answer,
-// and whatever the sampler tripped over next (an impossible walk state, a
-// missing attribute) is a symptom, not the cause.
-func primaryCause(ctx context.Context, err error) error {
-	if ctx.Err() != nil {
-		if cause := context.Cause(ctx); cause != nil {
-			return cause
-		}
-	}
-	return err
-}
-
-// trimID strips an optional "/stream" suffix and leading/trailing slashes
-// from a /v1/jobs/ subpath, returning (id, stream).
-func trimID(rest string) (string, bool) {
-	rest = strings.Trim(rest, "/")
-	if s, ok := strings.CutSuffix(rest, "/stream"); ok {
-		return s, true
-	}
-	return rest, false
 }

@@ -345,30 +345,6 @@ func (jl *Journal) append(rec journalRecord) error {
 	return nil
 }
 
-// AppendAccepted durably records an admitted job's normalized spec. A later
-// accepted record for the same id replaces the stored spec at replay, so a
-// coordinator re-dispatching a job may re-append after renormalization.
-// Exported for fleet coordinators that journal through the same frame
-// format the in-process Manager uses.
-func (jl *Journal) AppendAccepted(rec JobRecord) error {
-	return jl.append(journalRecord{T: recAccepted, Job: &rec})
-}
-
-// AppendProgress durably records a job's durable-sample high-water mark.
-func (jl *Journal) AppendProgress(id string, n int) error {
-	return jl.append(journalRecord{T: recProgress, ID: id, N: n})
-}
-
-// AppendTerminal durably records a job's terminal status (full record).
-func (jl *Journal) AppendTerminal(rec JobRecord) error {
-	return jl.append(journalRecord{T: recTerminal, Job: &rec})
-}
-
-// AppendEvicted durably records that a terminal job record was dropped.
-func (jl *Journal) AppendEvicted(id string) error {
-	return jl.append(journalRecord{T: recEvicted, ID: id})
-}
-
 // Sync forces buffered appends to stable storage (a no-op when clean).
 func (jl *Journal) Sync() error {
 	jl.mu.Lock()

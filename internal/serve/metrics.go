@@ -115,7 +115,8 @@ func (m *Metrics) Uptime() time.Duration { return time.Since(m.start) }
 // engine's cache meters (atomic snapshots from internal/osn),
 // simulated-backend meters when present, and the per-stage latency
 // histograms. retained is the current job-record count (the quantity the
-// retention sweeper bounds).
+// retention sweeper bounds). With a nil engine (a fleet coordinator's
+// manager) the engine and backend sections are left to the caller.
 func (m *Metrics) WriteProm(w io.Writer, eng *Engine, retained int) {
 	up := m.Uptime().Seconds()
 	counter := func(name, help string, v int64) {
@@ -146,36 +147,38 @@ func (m *Metrics) WriteProm(w io.Writer, eng *Engine, retained int) {
 	gauge("walknotwait_samples_per_second", "Accepted samples per second of uptime.", rate)
 	gauge("walknotwait_uptime_seconds", "Daemon uptime.", up)
 
-	cs := eng.CacheStats()
-	counter("walknotwait_queries_charged_total", "Fleet-wide query cost (the paper's cost axis).", cs.Queries)
-	counter("walknotwait_cache_calls_total", "Interface calls, cached or not.", cs.Calls)
-	gauge("walknotwait_cache_unique_nodes", "Distinct nodes fetched into the shared cache.", float64(cs.UniqueNodes))
-	gauge("walknotwait_cache_hit_ratio", "Fraction of interface calls served without a new charge.", cs.HitRatio())
-	gauge("walknotwait_cache_owned_unique_nodes", "Distinct partition-owned nodes first-accessed here (== unique nodes unpartitioned).", float64(cs.OwnedUnique))
-	counter("walknotwait_cache_remote_fallbacks_total", "Non-owned lookups served locally because the shard owner was unreachable.", cs.RemoteFallbacks)
+	if eng != nil {
+		cs := eng.CacheStats()
+		counter("walknotwait_queries_charged_total", "Fleet-wide query cost (the paper's cost axis).", cs.Queries)
+		counter("walknotwait_cache_calls_total", "Interface calls, cached or not.", cs.Calls)
+		gauge("walknotwait_cache_unique_nodes", "Distinct nodes fetched into the shared cache.", float64(cs.UniqueNodes))
+		gauge("walknotwait_cache_hit_ratio", "Fraction of interface calls served without a new charge.", cs.HitRatio())
+		gauge("walknotwait_cache_owned_unique_nodes", "Distinct partition-owned nodes first-accessed here (== unique nodes unpartitioned).", float64(cs.OwnedUnique))
+		counter("walknotwait_cache_remote_fallbacks_total", "Non-owned lookups served locally because the shard owner was unreachable.", cs.RemoteFallbacks)
 
-	if sim := eng.Sim(); sim != nil {
-		counter("walknotwait_backend_round_trips_total", "Simulated remote round trips.", sim.RoundTrips())
-		gauge("walknotwait_backend_simulated_wait_seconds_total", "Total simulated latency charged.", sim.SimulatedWait().Seconds())
-	}
+		if sim := eng.Sim(); sim != nil {
+			counter("walknotwait_backend_round_trips_total", "Simulated remote round trips.", sim.RoundTrips())
+			gauge("walknotwait_backend_simulated_wait_seconds_total", "Total simulated latency charged.", sim.SimulatedWait().Seconds())
+		}
 
-	if res := eng.Resilient(); res != nil {
-		rs := res.Stats()
-		counter("walknotwait_backend_retries_total", "Backend accesses retried by the resilience middleware.", rs.Retries)
-		counter("walknotwait_backend_retries_absorbed_total", "Backend accesses that succeeded after at least one retry.", rs.Absorbed)
-		counter("walknotwait_backend_failures_total", "Backend accesses given up on after exhausting the retry policy.", rs.Failures)
-		counter("walknotwait_backend_breaker_opens_total", "Circuit breaker transitions to open.", rs.BreakerOpens)
-		gauge("walknotwait_backend_breaker_state", "Circuit breaker state (0=closed, 1=open, 2=half-open).", float64(rs.Breaker))
-		gauge("walknotwait_backend_retry_budget", "Retry-budget tokens remaining.", rs.BudgetRemaining)
-	}
+		if res := eng.Resilient(); res != nil {
+			rs := res.Stats()
+			counter("walknotwait_backend_retries_total", "Backend accesses retried by the resilience middleware.", rs.Retries)
+			counter("walknotwait_backend_retries_absorbed_total", "Backend accesses that succeeded after at least one retry.", rs.Absorbed)
+			counter("walknotwait_backend_failures_total", "Backend accesses given up on after exhausting the retry policy.", rs.Failures)
+			counter("walknotwait_backend_breaker_opens_total", "Circuit breaker transitions to open.", rs.BreakerOpens)
+			gauge("walknotwait_backend_breaker_state", "Circuit breaker state (0=closed, 1=open, 2=half-open).", float64(rs.Breaker))
+			gauge("walknotwait_backend_retry_budget", "Retry-budget tokens remaining.", rs.BudgetRemaining)
+		}
 
-	if fs := eng.Faults(); fs != nil {
-		st := fs.Stats()
-		counter("walknotwait_backend_attempts_total", "Round trips seen by the fault injector.", st.Attempts)
-		fmt.Fprintf(w, "# HELP walknotwait_backend_faults_total Faults injected, by kind.\n")
-		fmt.Fprintf(w, "# TYPE walknotwait_backend_faults_total counter\n")
-		for k, n := range st.Injected {
-			fmt.Fprintf(w, "walknotwait_backend_faults_total{kind=%q} %d\n", osn.FaultKind(k).String(), n)
+		if fs := eng.Faults(); fs != nil {
+			st := fs.Stats()
+			counter("walknotwait_backend_attempts_total", "Round trips seen by the fault injector.", st.Attempts)
+			fmt.Fprintf(w, "# HELP walknotwait_backend_faults_total Faults injected, by kind.\n")
+			fmt.Fprintf(w, "# TYPE walknotwait_backend_faults_total counter\n")
+			for k, n := range st.Injected {
+				fmt.Fprintf(w, "walknotwait_backend_faults_total{kind=%q} %d\n", osn.FaultKind(k).String(), n)
+			}
 		}
 	}
 

@@ -51,9 +51,9 @@ func (m *Manager) RecoveredCounts() (resumed, rehydrated int64) {
 }
 
 // recoverFromJournal registers the journal's replayed jobs: terminal records
-// rehydrate into the retained table, incomplete ones re-queue for a
-// deterministic re-run. Called from NewManager before the runners start, so
-// every recovered id is resolvable before the first request lands.
+// rehydrate into the retained table, incomplete ones go to the runner's
+// Resume for a deterministic re-run. Called at construction, before any
+// request can land, so every recovered id is resolvable from the start.
 func (m *Manager) recoverFromJournal(jl *Journal) {
 	recs, seq := jl.Recovered()
 	var resume []*Job
@@ -88,41 +88,28 @@ func (m *Manager) recoverFromJournal(jl *Journal) {
 	}
 	m.recovering.Store(true)
 	m.recoverPending.Store(int64(len(resume)))
-	// Enqueue asynchronously: the resumed backlog may exceed the queue
-	// depth, and blocking NewManager on runner drain would deadlock boot.
-	m.recWG.Add(1)
-	go func() {
-		defer m.recWG.Done()
-		for _, j := range resume {
-			select {
-			case m.queue <- j:
-			case <-m.stopSweep:
-				// Shutdown mid-recovery: Close cancels the registered
-				// jobs; their cancelled terminals are journaled there.
-				return
-			}
-		}
-	}()
+	m.runner.Resume(resume)
 }
 
 // jobFromRecord rebuilds a Job from its durable record.
 func (m *Manager) jobFromRecord(rec JobRecord) *Job {
 	spec := rec.Spec
-	if spec.Workers > m.cfg.MaxWorkersPerJob {
+	env, haveEnv := m.runner.Env()
+	if haveEnv && spec.Workers > env.MaxWorkersPerJob {
 		// A shrunken worker budget cannot honor the recorded parallelism;
 		// clamp rather than deadlock on acquisition. The resumed stream is
 		// then the deterministic stream of the clamped spec — keep the
 		// budget stable across restarts when bit-identity matters.
-		spec.Workers = m.cfg.MaxWorkersPerJob
+		spec.Workers = env.MaxWorkersPerJob
 	}
-	j := newJob(rec.ID, spec, msToTime(rec.SubmittedMS))
+	j := m.newJob(spec, rec.Digest, msToTime(rec.SubmittedMS))
+	j.id = rec.ID
 	j.seq = rec.Seq
-	j.digest = rec.Digest
-	if j.digest == "" || spec.Workers != rec.Spec.Workers {
+	if haveEnv && (j.digest == "" || spec.Workers != rec.Spec.Workers) {
 		// Pre-digest journals, or a clamp that changed the spec the job will
 		// actually run under: the recorded spec is already normalized, so
 		// the digest is recomputable against the current environment.
-		j.digest = SpecDigest(m.env, spec)
+		j.digest = SpecDigest(env, spec)
 	}
 	if !rec.State.Terminal() {
 		j.recovered = true
@@ -144,18 +131,14 @@ func (m *Manager) jobFromRecord(rec JobRecord) *Job {
 	return j
 }
 
-// noteTerminal runs once per job terminal transition (from finish and from
-// the queued-cancel finalizers): it journals the terminal record and, for
-// resumed jobs, retires one unit of recovery debt — when the last resumed
-// job lands, recovery is complete and /readyz goes ready.
-func (m *Manager) noteTerminal(j *Job) {
-	if j.recovered {
-		if m.recoverPending.Add(-1) == 0 {
-			m.recoveryDur.Store(int64(time.Since(m.recoverStart)))
-			m.recovering.Store(false)
-		}
+// retireRecovery runs once per terminal transition of a resumed job, before
+// the transition is visible: it retires one unit of recovery debt — when
+// the last resumed job lands, recovery is complete and /readyz goes ready.
+func (m *Manager) retireRecovery(j *Job) {
+	if j.recovered && m.recoverPending.Add(-1) == 0 {
+		m.recoveryDur.Store(int64(time.Since(m.recoverStart)))
+		m.recovering.Store(false)
 	}
-	m.journalTerminal(j)
 }
 
 // journalAccepted makes a fresh job's admission durable. Submit closes
