@@ -63,7 +63,9 @@ func TestCoordinatorRestartRecoversFromJournal(t *testing.T) {
 	}
 	wcfg := serve.Config{Runners: 1, WorkerBudget: 4}
 	done := serve.JobSpec{Type: serve.TypeSample, Count: 20, Seed: 5, Workers: 2}
-	slow := serve.JobSpec{Type: serve.TypeSample, Count: 30, Seed: 17, Workers: 1}
+	// slow must outlast several 5 ms polls even on a warm shared cache, or
+	// the abandon point below races the job's completion.
+	slow := serve.JobSpec{Type: serve.TypeSample, Count: 300, Seed: 17, Workers: 1}
 
 	// Reference for the abandoned job: an uninterrupted run on an unjournaled fleet.
 	ref := startFleet(t, 2, mkNet, wcfg, CoordinatorConfig{})

@@ -12,10 +12,9 @@ import (
 // lookup (or, on a remote backend, a full round trip) per walker step —
 // EstimateAdaptiveBatch advances one walker per candidate in lockstep design
 // steps. Each round gathers every walker's next frontier node, resolves the
-// whole frontier with a single Client.NeighborsBatch (one L1 pass, one
-// shard-lock pass per shard, one backend round trip), then applies the
-// transition weights in a dense pass (walk.EdgeProbKind.ProbsInto for the
-// degree-only designs).
+// whole frontier with a single Client.NeighborsBatch (one cache pass, one
+// backend round trip), then applies the transition weights in a dense pass
+// (walk.EdgeProbKind.ProbsInto for the degree-only designs).
 //
 // Equivalence contract: every candidate draws from its own private RNG
 // stream and consumes exactly the draws the scalar EstimateAdaptive →

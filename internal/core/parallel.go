@@ -16,8 +16,8 @@ import (
 //
 // Shared across workers: the osn.SharedCache (neighbor lists + unique-node
 // accounting), the immutable CrawlTable, and immutable History snapshots.
-// Per worker: an osn.Client (own cost meter, own L1 cache), an Estimator
-// (own scratch buffer, own StepsTaken meter), and job-derived RNGs.
+// Per worker: an osn.Client (own cost meter, reading the shared cache), an
+// Estimator (own scratch buffer, own StepsTaken meter), and job-derived RNGs.
 
 // pcand is one speculative candidate flowing through the pipeline. The
 // producer fills the first group of fields; exactly one estimation worker
@@ -94,7 +94,7 @@ func (s *Sampler) SampleNParallelCtx(ctx context.Context, n, workers int) (walk.
 
 	// Per-worker estimators over forked clients. Forking promotes s.c's
 	// private cache into a SharedCache all workers (and the producer) share.
-	// The pool persists across calls so the workers' L1 caches stay warm.
+	// The pool persists across calls, and with it the workers' clients.
 	if len(s.workerEsts) != workers {
 		s.workerEsts = make([]*Estimator, workers)
 		for w := range s.workerEsts {

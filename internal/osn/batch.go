@@ -3,12 +3,11 @@ package osn
 import "slices"
 
 // This file is the batched access path: Client.NeighborsBatch resolves a
-// whole frontier of nodes in one pass per layer — one L1 scan, one shared-
-// cache lock acquisition per shard (instead of a lock pair per miss), one
+// whole frontier of nodes in one pass per layer — one cache scan, one
 // backend NeighborsBatch call (one simulated round trip instead of k), and
 // one batched charge. Results, caching, and metering are exactly what the
-// per-node path would produce for the same frontier; only lock traffic and
-// backend round trips are amortized.
+// per-node path would produce for the same frontier; only backend round
+// trips are amortized.
 
 // NeighborsBatch fills out[i] with the (possibly restricted) neighbor list
 // of vs[i]; len(out) must equal len(vs). Cache misses are resolved in one
@@ -27,10 +26,18 @@ func (c *Client) NeighborsBatch(vs []int32, out [][]int32) {
 		return
 	}
 
-	// Pass 1: serve L1 hits; collect the positions still unresolved.
+	// Pass 1: serve cache hits; collect the positions still unresolved.
+	// The private probe is inlined; the branch on the tier is predictable.
 	pos := c.batchPos[:0]
 	for i, v := range vs {
-		if nbr, ok := c.l1Lookup(v); ok {
+		var nbr []int32
+		var ok bool
+		if c.shared != nil {
+			nbr, ok = c.shared.lookup(v)
+		} else {
+			nbr, ok = c.l1Lookup(v)
+		}
+		if ok {
 			out[i] = nbr
 		} else {
 			pos = append(pos, int32(i))
@@ -58,30 +65,15 @@ func (c *Client) NeighborsBatch(vs []int32, out [][]int32) {
 	if cap(c.batchFirst) < len(ids) {
 		c.batchFirst = make([]bool, len(ids), 2*len(ids))
 	}
-	found := c.batchFirst[:len(ids)]
+	first := c.batchFirst[:len(ids)]
 
-	// Pass 2: shared-cache batched lookup — one read lock per shard. Hits
-	// are already paid for globally; install them in the L1 uncharged.
+	// Pass 2: in a fleet-partitioned cache, route non-owned misses through
+	// their shard owners (absorbed + charged with the owners' fleet-first
+	// verdicts); only locally-owned ids continue to the backend pass.
 	fetch := ids
-	if c.shared != nil {
-		k := 0
-		c.shared.lookupBatch(ids, lists, found, &c.groups)
-		for i, v := range ids {
-			if found[i] {
-				c.setL1(int(v), lists[i])
-			} else {
-				ids[k] = v
-				k++
-			}
-		}
-		fetch = ids[:k]
-		// Fleet-partitioned cache: route non-owned misses through their
-		// shard owners (absorbed + charged with the owners' fleet-first
-		// verdicts); only locally-owned ids continue to the backend pass.
-		if len(fetch) > 0 && c.fastPath {
-			if p := c.shared.part.Load(); p != nil && p.Resolver != nil {
-				fetch = c.resolvePartitioned(p, fetch)
-			}
+	if c.shared != nil && c.fastPath {
+		if p := c.shared.part.Load(); p != nil && p.Resolver != nil {
+			fetch = c.resolvePartitioned(p, fetch)
 		}
 	}
 
@@ -110,7 +102,7 @@ func (c *Client) NeighborsBatch(vs []int32, out [][]int32) {
 				fetch, fetched = fetch[:k], fetched[:k]
 				if len(fetch) == 0 {
 					for _, i := range pos {
-						out[i], _ = c.l1Lookup(vs[i])
+						out[i], _ = c.cached(vs[i])
 					}
 					return
 				}
@@ -123,37 +115,29 @@ func (c *Client) NeighborsBatch(vs []int32, out [][]int32) {
 				fetched[i] = c.net.restriction.Apply(fetched[i], int(v), c.rng)
 			}
 		}
-		// Pass 4: publish to the shared cache and test-and-set the
-		// first-access flags in one fused write-lock pass per shard
-		// (concurrent fillers' winning entries are kept), install in L1,
-		// and apply one batched charge.
-		first := found[:len(fetch)]
-		if c.shared != nil {
-			c.shared.fillBatch(fetch, fetched, first, &c.groups)
-		} else {
-			for i, v := range fetch {
-				first[i] = c.markQueried(v)
-			}
-		}
+		// Pass 4: publish each list (a concurrent filler's winning entry is
+		// kept), test-and-set its first-access flag, and apply one batched
+		// charge.
 		for i, v := range fetch {
-			c.setL1(int(v), fetched[i])
+			c.cache(v, fetched[i])
+			first[i] = c.markQueried(v)
 		}
-		c.chargeBatch(len(fetch), first)
+		c.chargeBatch(len(fetch), first[:len(fetch)])
 	}
 
-	// Final pass: every miss position is now warm in the L1.
+	// Final pass: every miss position is now warm in the cache.
 	for _, i := range pos {
-		out[i], _ = c.l1Lookup(vs[i])
+		out[i], _ = c.cached(vs[i])
 	}
 }
 
-// Prefetch warms the client's cache hierarchy for vs in one batched pass;
-// under a shared cache the fill (and its unique-node charges) is visible to
-// all attached clients, so a fleet's frontier costs one locked pass per
-// shard and one backend round trip instead of a lock pair and a round trip
-// per node. Nodes already cached cost nothing. Under a non-deterministic
-// (type-1) restriction nothing may be cached, so Prefetch is a no-op —
-// calling it never changes any restriction RNG stream or cost meter.
+// Prefetch warms the client's cache for vs in one batched pass; under a
+// shared cache the fill (and its unique-node charges) is visible to all
+// attached clients, so a fleet's frontier costs one backend round trip
+// instead of a round trip per node. Nodes already cached cost nothing.
+// Under a non-deterministic (type-1) restriction nothing may be cached, so
+// Prefetch is a no-op — calling it never changes any restriction RNG stream
+// or cost meter.
 func (c *Client) Prefetch(vs []int32) {
 	if len(vs) == 0 || !c.cacheable {
 		return
@@ -164,73 +148,11 @@ func (c *Client) Prefetch(vs []int32) {
 	c.NeighborsBatch(vs, out)
 }
 
-// LookaheadNeighbors warms the L1 for the forward-walk frontier of u: the
-// nodes a walk standing at u may step to next. It pulls the subset of u's
-// neighbors that the fleet has *already fetched and paid for* (present in
-// the shared cache) into this client's L1 in one batched read-locked pass
-// per shard — so the subsequent step's Neighbors call is a lock-free L1 hit
-// instead of a shared-cache lock pair. It never contacts the backend, never
-// charges a query, and consumes no RNG, so it is cost-neutral on the
-// paper's query axis and invisible to every determinism contract.
-//
-// Reading u's own list is the one access it shares with the step that
-// follows (which would issue it anyway), so that too adds no charge. It
-// returns the number of entries pulled into the L1; it is a free no-op for
-// private clients and under non-deterministic (type-1) restrictions, where
-// nothing may be cached.
-func (c *Client) LookaheadNeighbors(u int) int {
-	if c.shared == nil || !c.cacheable {
-		return 0
-	}
-	return c.PrefetchCached(c.Neighbors(u))
-}
-
-// PrefetchCached pulls the already-cached (fleet-paid) entries among vs into
-// the client's L1 in one batched shared-cache read pass. Unlike Prefetch it
-// never falls through to the backend and never charges: nodes absent from
-// the shared cache are simply skipped. Returns the number of entries
-// installed. No-op for private clients and under type-1 restrictions.
-func (c *Client) PrefetchCached(vs []int32) int {
-	if c.shared == nil || !c.cacheable || len(vs) == 0 {
-		return 0
-	}
-	// L1 pass: only ids this client does not already hold need a lookup.
-	ids := c.batchIDs[:0]
-	for _, v := range vs {
-		if _, ok := c.l1Lookup(v); !ok {
-			ids = append(ids, v)
-		}
-	}
-	slices.Sort(ids)
-	ids = slices.Compact(ids)
-	c.batchIDs = ids
-	if len(ids) == 0 {
-		return 0
-	}
-	if cap(c.batchLists) < len(ids) {
-		c.batchLists = make([][]int32, len(ids), 2*len(ids))
-	}
-	lists := c.batchLists[:len(ids)]
-	if cap(c.batchFirst) < len(ids) {
-		c.batchFirst = make([]bool, len(ids), 2*len(ids))
-	}
-	found := c.batchFirst[:len(ids)]
-	c.shared.lookupBatch(ids, lists, found, &c.groups)
-	n := 0
-	for i, v := range ids {
-		if found[i] {
-			c.setL1(int(v), lists[i])
-			n++
-		}
-	}
-	return n
-}
-
 // chargeBatch is the batched form of charge for k nodes fetched from the
-// backend, whose first-access flags (resolved by the fused fillBatch
-// test-and-set, or locally for a private client) are in first[:k]: the
-// fleet meter is charged exactly once per unique node under
-// CostUniqueNodes — even when sibling clients race the same frontier.
+// backend, whose first-access flags (the shared cache's atomic
+// test-and-set, or the private accounting) are in first[:k]: the fleet
+// meter is charged exactly once per unique node under CostUniqueNodes —
+// even when sibling clients race the same frontier.
 func (c *Client) chargeBatch(k int, first []bool) {
 	kk := int64(k)
 	c.calls += kk

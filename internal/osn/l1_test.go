@@ -1,8 +1,9 @@
 package osn
 
-// Tests for the paged client L1: footprint bounded by visited mass on a
-// multi-million-node backend, and paged bookkeeping (presence, queried,
-// KnownNodes) agreeing with the metered semantics across page boundaries.
+// Tests for the paged client L1 and shared cache: footprint bounded by
+// visited mass on a multi-million-node backend, and paged bookkeeping
+// (presence, queried, KnownNodes) agreeing with the metered semantics across
+// page boundaries.
 
 import (
 	"math/rand"
@@ -30,32 +31,40 @@ func (s stubBackend) NeighborsBatch(vs []int32, out [][]int32) {
 func (s stubBackend) Attr(name string, v int) (float64, bool) { return 0, false }
 func (s stubBackend) AttrNames() []string                     { return nil }
 
-// TestClientSparseFootprint is the paged-L1 memory regression: a client
+// TestClientSparseFootprint is the paged-cache memory regression: a client
 // over a 5M-node backend that touches a few hundred scattered nodes must
 // cost kilobytes of directory plus the touched pages — not the O(24n)
-// bytes per client of the dense header layout (~120 MB here).
+// bytes of a dense header layout (~120 MB here). The bound holds for a
+// private client's L1 and for a client reading a fresh SharedCache (the
+// cache every parallel job promotes into) alike.
 func TestClientSparseFootprint(t *testing.T) {
 	net := NewNetworkOn(stubBackend{n: 5_000_000, list: []int32{1, 2, 3}})
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	c := NewClient(net, CostUniqueNodes, rand.New(rand.NewSource(1)))
-	for v := 0; v < 5_000_000; v += 25_000 { // 200 scattered nodes
-		c.Neighbors(v)
+	for _, shared := range []bool{false, true} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		rng := rand.New(rand.NewSource(1))
+		c := NewClient(net, CostUniqueNodes, rng)
+		if shared {
+			c = NewClientShared(net, CostUniqueNodes, rng, NewSharedCache())
+		}
+		for v := 0; v < 5_000_000; v += 25_000 { // 200 scattered nodes
+			c.Neighbors(v)
+		}
+		runtime.ReadMemStats(&after)
+		grew := after.TotalAlloc - before.TotalAlloc
+		// Directory: 5M/256 pointers ≈ 156 KB. 200 pages ≈ 1.25 MB. Dense
+		// headers would be ~120 MB; budget 4 MB keeps 30× slack below that
+		// while catching any return to O(n) headers.
+		const budget = 4 << 20
+		if grew > budget {
+			t.Fatalf("sparse client (shared=%v) footprint %d B, want <= %d B (visited-mass bound)", shared, grew, budget)
+		}
+		if got := c.Queries(); got != 200 {
+			t.Fatalf("shared=%v: queries = %d, want 200", shared, got)
+		}
+		t.Logf("sparse 5M-node client (shared=%v): %d B total", shared, grew)
 	}
-	runtime.ReadMemStats(&after)
-	grew := after.TotalAlloc - before.TotalAlloc
-	// Directory: 5M/256 pointers ≈ 156 KB. 200 pages ≈ 1.25 MB. Dense
-	// headers would be ~120 MB; budget 4 MB keeps 30× slack below that
-	// while catching any return to O(n) headers.
-	const budget = 4 << 20
-	if grew > budget {
-		t.Fatalf("sparse client footprint %d B, want <= %d B (visited-mass bound)", grew, budget)
-	}
-	if got := c.Queries(); got != 200 {
-		t.Fatalf("queries = %d, want 200", got)
-	}
-	t.Logf("sparse 5M-node client: %d B total", grew)
 }
 
 // TestAccountingOnlyFootprint pins the accounting-page split: charges that

@@ -279,7 +279,7 @@ const (
 	l1Words = l1Size / 64
 )
 
-// l1Page holds one 256-id range of the client-private L1: the presence
+// l1Page holds one 256-id range of a private client's L1: the presence
 // bitset gating the cached neighbor-list headers.
 type l1Page struct {
 	present [l1Words]uint64
@@ -301,21 +301,21 @@ type acctPage struct {
 // coordinate through a SharedCache, so distinct workers stop paying for
 // duplicate cache fills while each keeps its own cost meter.
 //
-// Node ids are dense in [0, NumNodes()), so the client's L1 cache and its
-// unique-node accounting are paged slices over the id space: a directory of
-// fixed-size pages allocated on first touch, making the warm Neighbors path
-// one directory index, one bit test and one array load with no hashing,
+// Node ids are dense in [0, NumNodes()), so a private client's L1 cache and
+// its unique-node accounting are paged slices over the id space: a directory
+// of fixed-size pages allocated on first touch, making the warm Neighbors
+// path one directory index, one bit test and one array load with no hashing,
 // branching on the meter, or allocation — while a client on a multi-million
-// node graph costs kilobytes of directory, not O(24n) bytes of headers.
+// node graph costs kilobytes of directory, not O(24n) bytes of headers. A
+// client attached to a SharedCache has neither: it reads the shared pages
+// directly (wait-free) and charges against the shared accounting.
 type Client struct {
 	net  *Network
 	rng  fastrand.RNG
 	mode CostMode
-	// l1 is the client-private paged L1 neighbor cache directory; pages are
-	// allocated the first time an id in their range is cached. With a
-	// shared cache attached the L1 memoizes shared lookups so the hot read
-	// path stays lock-free after warm-up; the cached slices alias the
-	// shared entries.
+	// l1 is the private client's paged L1 neighbor cache directory; pages
+	// are allocated the first time an id in their range is cached. nil when
+	// shared is set (the shared cache is then the only cache tier).
 	l1 []*l1Page
 	// acct is the paged unique-node accounting directory; nil when shared
 	// is set (the shared cache's accounting is then authoritative).
@@ -349,18 +349,16 @@ type Client struct {
 	failedFetch int64
 	// Reusable scratch buffers for the batched access path (NeighborsBatch,
 	// Prefetch), so steady-state batches allocate nothing on the client.
-	batchPos    []int32     // positions in vs still unresolved after the L1 pass
-	batchIDs    []int32     // deduplicated miss ids
-	batchLists  [][]int32   // lists aligned with batchIDs
-	batchFirst  []bool      // found/first-access flags aligned with batchIDs
-	batchFailed []bool      // per-element failure flags for the fallible batch path
-	groups      shardGroups // shard bucketing scratch for the shared-cache batch ops
-	prefetchBuf [][]int32   // Prefetch's throwaway out buffer
+	batchPos    []int32   // positions in vs still unresolved after the cache pass
+	batchIDs    []int32   // deduplicated miss ids
+	batchLists  [][]int32 // lists aligned with batchIDs
+	batchFirst  []bool    // first-access flags aligned with batchIDs
+	batchFailed []bool    // per-element failure flags for the fallible batch path
+	prefetchBuf [][]int32 // Prefetch's throwaway out buffer
 	// Partitioned-fleet scratch (cluster mode only; see partition.go).
 	remoteIDs   []int32   // non-owned miss ids routed to shard owners
 	remoteLists [][]int32 // owner-resolved lists aligned with remoteIDs
 	remoteFirst []bool    // owner fleet-first verdicts aligned with remoteIDs
-	remoteSeen  []bool    // throwaway first flags for absorbing owner fills
 }
 
 func newClient(net *Network, mode CostMode, rng fastrand.RNG, sc *SharedCache) *Client {
@@ -370,7 +368,6 @@ func newClient(net *Network, mode CostMode, rng fastrand.RNG, sc *SharedCache) *
 		net:       net,
 		rng:       rng,
 		mode:      mode,
-		l1:        make([]*l1Page, (n+l1Mask)>>l1Shift),
 		shared:    sc,
 		fb:        fb,
 		ctx:       context.Background(),
@@ -378,6 +375,7 @@ func newClient(net *Network, mode CostMode, rng fastrand.RNG, sc *SharedCache) *
 		fastPath:  net.restriction == nil && net.rateLimit == nil,
 	}
 	if sc == nil {
+		c.l1 = make([]*l1Page, (n+l1Mask)>>l1Shift)
 		c.acct = make([]*acctPage, (n+l1Mask)>>l1Shift)
 	}
 	return c
@@ -402,8 +400,9 @@ func NewClientShared(net *Network, mode CostMode, rng fastrand.RNG, sc *SharedCa
 // client's neighbor cache and unique-node accounting, for use by another
 // goroutine. If the client is not yet attached to a SharedCache, its private
 // cache and accounting are promoted into a fresh one first (so nothing
-// already paid for is charged again); the promotion must happen before any
-// concurrent use. rng drives the sibling's restriction sampling.
+// already paid for is charged again) and the client then reads the shared
+// cache like its siblings; the promotion must happen before any concurrent
+// use. rng drives the sibling's restriction sampling.
 func (c *Client) Fork(rng fastrand.RNG) *Client {
 	if c.shared == nil {
 		sc := NewSharedCache()
@@ -411,32 +410,20 @@ func (c *Client) Fork(rng fastrand.RNG) *Client {
 			if pg == nil {
 				continue
 			}
-			base := pi << l1Shift
 			for w, word := range pg.present {
-				for word != 0 {
+				for ; word != 0; word &= word - 1 {
 					o := w<<6 + bits.TrailingZeros64(word)
-					word &= word - 1
-					sc.store(int32(base+o), pg.nbrs[o])
+					sc.store(int32(pi<<l1Shift+o), pg.nbrs[o])
 				}
 			}
 		}
-		for pi, pg := range c.acct {
-			if pg == nil {
-				continue
-			}
-			base := pi << l1Shift
-			for w, word := range pg.queried {
-				for word != 0 {
-					o := w<<6 + bits.TrailingZeros64(word)
-					word &= word - 1
-					sc.markQueried(int32(base + o))
-				}
-			}
+		for _, v := range c.KnownNodes() {
+			sc.markQueried(int32(v))
 		}
 		sc.queries.Store(c.queries)
 		sc.calls.Store(c.calls)
 		c.shared = sc
-		c.acct = nil
+		c.l1, c.acct = nil, nil
 	}
 	nc := NewClientShared(c.net, c.mode, rng, c.shared)
 	nc.ctx = c.ctx // workers inherit the job's deadline and failure-cancel hook
@@ -496,19 +483,40 @@ func (c *Client) ConcurrentBatch() bool { return c.net.concBatch }
 // Neighbors issues the local-neighborhood query for v and returns its
 // (possibly restricted) neighbor list. The result must not be modified.
 // The warm path — v already cached — is a page-directory index, a bit test
-// and an array load.
+// and an array load: in the private L1, or in the shared cache's pages (with
+// atomic loads) for an attached client.
 func (c *Client) Neighbors(v int) []int32 {
-	if pg := c.l1[uint(v)>>l1Shift]; pg != nil {
-		o := uint(v) & l1Mask
-		if pg.present[o>>6]&(1<<(o&63)) != 0 {
-			return pg.nbrs[o]
+	if c.shared == nil {
+		if pg := c.l1[uint(v)>>l1Shift]; pg != nil {
+			o := uint(v) & l1Mask
+			if pg.present[o>>6]&(1<<(o&63)) != 0 {
+				return pg.nbrs[o]
+			}
+		}
+	} else if c.cacheable {
+		// SharedCache.lookup, spelled out: it is over the inlining budget,
+		// and the call costs ~2 ns of a ~4 ns warm read.
+		if pg := c.shared.page(int32(v)); pg != nil {
+			o := uint(v) & l1Mask
+			if pg.present[o>>6].Load()&(1<<(o&63)) != 0 {
+				return pg.nbrs[o] // already paid for globally
+			}
 		}
 	}
 	return c.neighborsMiss(v)
 }
 
-// l1Lookup is the warm-path probe as a helper for the batched access layer:
-// the cached list of v and whether it is present.
+// cached is the warm-path probe as a helper for the batched access layer:
+// the cached list of v and whether it is present, in whichever cache tier
+// the client reads.
+func (c *Client) cached(v int32) ([]int32, bool) {
+	if c.shared != nil {
+		return c.shared.lookup(v)
+	}
+	return c.l1Lookup(v)
+}
+
+// l1Lookup is cached for a private client, small enough to inline.
 func (c *Client) l1Lookup(v int32) ([]int32, bool) {
 	if pg := c.l1[uint32(v)>>l1Shift]; pg != nil {
 		o := uint32(v) & l1Mask
@@ -519,30 +527,16 @@ func (c *Client) l1Lookup(v int32) ([]int32, bool) {
 	return nil, false
 }
 
-// l1Page returns the page covering v, allocating it on first touch.
-func (c *Client) l1page(v int) *l1Page {
-	pi := uint(v) >> l1Shift
-	pg := c.l1[pi]
-	if pg == nil {
-		pg = new(l1Page)
-		c.l1[pi] = pg
-	}
-	return pg
-}
-
-// neighborsMiss is the cold path of Neighbors: consult the shared cache,
-// fall through to the network, apply any restriction, cache, and charge.
+// neighborsMiss is the cold path of Neighbors: fall through to the network
+// (or, in a partitioned fleet, to the shard owner), apply any restriction,
+// cache, and charge.
 func (c *Client) neighborsMiss(v int) []int32 {
 	vv := int32(v)
-	if c.cacheable && c.shared != nil {
-		if nbr, ok := c.shared.lookup(vv); ok {
-			c.setL1(v, nbr) // already paid for globally
-			return nbr
-		}
+	if c.shared != nil && c.fastPath {
 		// Fleet-partitioned cache: a miss on a shard another worker owns is
 		// resolved through the owner (one atomic load on the cold path; the
-		// warm path above is untouched). Unrestricted views only.
-		if p := c.shared.part.Load(); p != nil && p.Resolver != nil && c.fastPath && !p.Owns(vv) {
+		// warm path is untouched). Unrestricted views only.
+		if p := c.shared.part.Load(); p != nil && p.Resolver != nil && !p.Owns(vv) {
 			return c.neighborsRemote(vv, p)
 		}
 	}
@@ -565,10 +559,7 @@ func (c *Client) neighborsMiss(v int) []int32 {
 	if c.fastPath {
 		// Unrestricted view: the ground-truth list is the answer and is
 		// always cacheable.
-		if c.shared != nil {
-			nbr = c.shared.store(vv, nbr) // concurrent fill: keep the winner
-		}
-		c.setL1(v, nbr)
+		nbr = c.cache(vv, nbr)
 		c.charge(vv)
 		return nbr
 	}
@@ -576,20 +567,29 @@ func (c *Client) neighborsMiss(v int) []int32 {
 		nbr = c.net.restriction.Apply(nbr, v, c.rng)
 	}
 	if c.cacheable {
-		if c.shared != nil {
-			nbr = c.shared.store(vv, nbr)
-		}
-		c.setL1(v, nbr)
+		nbr = c.cache(vv, nbr)
 	}
 	c.charge(vv)
 	return nbr
 }
 
-func (c *Client) setL1(v int, nbr []int32) {
-	pg := c.l1page(v)
-	o := uint(v) & l1Mask
+// cache installs nbr as v's cached list — in the shared cache when one is
+// attached, returning the winner of a concurrent fill, in the private L1
+// otherwise — and returns the list every later read of v will see.
+func (c *Client) cache(v int32, nbr []int32) []int32 {
+	if c.shared != nil {
+		return c.shared.store(v, nbr)
+	}
+	pi := uint32(v) >> l1Shift
+	pg := c.l1[pi]
+	if pg == nil {
+		pg = new(l1Page)
+		c.l1[pi] = pg
+	}
+	o := uint32(v) & l1Mask
 	pg.nbrs[o] = nbr
 	pg.present[o>>6] |= 1 << (o & 63)
+	return nbr
 }
 
 // Degree returns the number of neighbors visible through the interface
@@ -737,13 +737,18 @@ func (c *Client) KnownNodes() []int {
 		if pg == nil {
 			continue
 		}
-		base := pi << l1Shift
 		for w, word := range pg.queried {
-			for word != 0 {
-				out = append(out, base+w<<6+bits.TrailingZeros64(word))
-				word &= word - 1
-			}
+			out = appendBits(out, pi<<l1Shift+w<<6, word)
 		}
+	}
+	return out
+}
+
+// appendBits appends base+i to out for every set bit i of word, ascending.
+func appendBits(out []int, base int, word uint64) []int {
+	for word != 0 {
+		out = append(out, base+bits.TrailingZeros64(word))
+		word &= word - 1
 	}
 	return out
 }

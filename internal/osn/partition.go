@@ -1,12 +1,12 @@
 package osn
 
 // This file is the cluster seam of the shared cache: a Partition splits the
-// cache's 64 shards across N fleet workers (shard s belongs to worker
-// s mod N — the same v&63 sharding SharedCache already uses), and a
+// node id space into 64 shards (shard s holds the ids v with v&63 == s)
+// across N fleet workers (shard s belongs to worker s mod N), and a
 // ShardResolver carries non-owned lookups to the shard owner. Everything
-// here is cold-path only: the partition is consulted after an L1 miss and a
-// shared-cache miss, behind a single atomic pointer load, so the zero-alloc
-// warm-path contracts are untouched and a single-process cache (no partition
+// here is cold-path only: the partition is consulted after a shared-cache
+// miss, behind a single atomic pointer load, so the zero-alloc warm-path
+// contracts are untouched and a single-process cache (no partition
 // installed) behaves exactly as before.
 //
 // Charging contract. Each worker's cache keeps two unique-node meters:
@@ -41,8 +41,12 @@ type ShardResolver interface {
 	ResolveShards(ctx context.Context, ids []int32, lists [][]int32, first []bool) error
 }
 
+// partitionShards is the number of id shards (v & 63) a Partition deals out
+// to fleet workers.
+const partitionShards = 64
+
 // Partition describes this worker's slice of a fleet-partitioned shared
-// cache: cache shard s (s = v & 63) is owned by worker s mod Workers.
+// cache: shard s (s = v & 63) is owned by worker s mod Workers.
 type Partition struct {
 	// Index is this worker's position in [0, Workers).
 	Index int
@@ -54,12 +58,12 @@ type Partition struct {
 	Resolver ShardResolver
 }
 
-// OwnerOf returns the fleet index owning node v's cache shard.
+// OwnerOf returns the fleet index owning node v's shard.
 func (p *Partition) OwnerOf(v int32) int {
-	return int(uint32(v)&(cacheShards-1)) % p.Workers
+	return int(uint32(v)&(partitionShards-1)) % p.Workers
 }
 
-// Owns reports whether this worker owns node v's cache shard.
+// Owns reports whether this worker owns node v's shard.
 func (p *Partition) Owns(v int32) bool { return p.OwnerOf(v) == p.Index }
 
 // SetPartition installs (or, with nil, removes) the fleet partition. The
@@ -99,27 +103,17 @@ func (sc *SharedCache) ownsLocal(p *Partition, v int32) bool {
 // fleet-first verdict the requester charges with. Safe for concurrent use;
 // racing resolves of the same id hand first=true to exactly one caller.
 func (sc *SharedCache) ResolveOwned(ids []int32, lists [][]int32, first []bool, fetch func(miss []int32, out [][]int32) error) error {
-	if len(ids) == 0 {
-		return nil
-	}
-	var sg shardGroups
-	found := make([]bool, len(ids))
-	sc.lookupBatch(ids, lists, found, &sg)
-	nmiss := 0
-	for _, ok := range found {
+	var missIDs []int32
+	var missPos []int
+	for i, v := range ids {
+		nbr, ok := sc.lookup(v)
+		lists[i] = nbr
 		if !ok {
-			nmiss++
+			missIDs = append(missIDs, v)
+			missPos = append(missPos, i)
 		}
 	}
-	if nmiss > 0 {
-		missIDs := make([]int32, 0, nmiss)
-		missPos := make([]int, 0, nmiss)
-		for i, ok := range found {
-			if !ok {
-				missIDs = append(missIDs, ids[i])
-				missPos = append(missPos, i)
-			}
-		}
+	if len(missIDs) > 0 {
 		missLists := make([][]int32, len(missIDs))
 		if err := fetch(missIDs, missLists); err != nil {
 			return err
@@ -135,9 +129,9 @@ func (sc *SharedCache) ResolveOwned(ids []int32, lists [][]int32, first []bool, 
 }
 
 // neighborsRemote resolves a single non-owned miss through the shard owner:
-// the returned list is absorbed into the local cache and L1 (uncharged
-// against the owned meter — the owner counted it), and the owner's
-// fleet-first verdict drives this client's charge.
+// the returned list is absorbed into the local cache (uncharged against the
+// owned meter — the owner counted it), and the owner's fleet-first verdict
+// drives this client's charge.
 func (c *Client) neighborsRemote(v int32, p *Partition) []int32 {
 	ids := [1]int32{v}
 	var lists [1][]int32
@@ -146,9 +140,7 @@ func (c *Client) neighborsRemote(v int32, p *Partition) []int32 {
 		c.shared.remoteFallbacks.Add(1)
 		return c.neighborsFallback(v)
 	}
-	nbr := c.shared.store(v, lists[0])
-	c.shared.markQueried(v) // local dedup bookkeeping; ownership gates the owned meter
-	c.setL1(int(v), nbr)
+	nbr := c.shared.absorb(v, lists[0])
 	c.chargeBatch(1, first[:])
 	return nbr
 }
@@ -170,17 +162,25 @@ func (c *Client) neighborsFallback(v int32) []int32 {
 		nbr = c.net.be.Neighbors(int(v))
 	}
 	nbr = c.shared.store(v, nbr)
-	c.setL1(int(v), nbr)
 	c.charge(v)
+	return nbr
+}
+
+// absorb stores an owner-resolved list of non-owned v and marks v queried
+// for local dedup bookkeeping (ownership keeps it off the owned meter). It
+// returns the winning entry, as store does.
+func (sc *SharedCache) absorb(v int32, nbr []int32) []int32 {
+	nbr = sc.store(v, nbr)
+	sc.markQueried(v)
 	return nbr
 }
 
 // resolvePartitioned splits a deduplicated miss batch into locally-owned ids
 // — returned for the caller's usual backend pass — and remote ids, which are
 // resolved through their shard owners in one ShardResolver call, absorbed
-// into the local cache and L1, and charged with the owners' fleet-first
-// verdicts. On resolver error the remote ids are handed back for local
-// fetching (fallback), keeping the batch complete.
+// into the local cache, and charged with the owners' fleet-first verdicts.
+// On resolver error the remote ids are handed back for local fetching
+// (fallback), keeping the batch complete.
 func (c *Client) resolvePartitioned(p *Partition, fetch []int32) []int32 {
 	k := 0
 	remote := c.remoteIDs[:0]
@@ -208,13 +208,8 @@ func (c *Client) resolvePartitioned(p *Partition, fetch []int32) []int32 {
 		c.shared.remoteFallbacks.Add(int64(len(remote)))
 		return append(fetch[:k], remote...)
 	}
-	if cap(c.remoteSeen) < len(remote) {
-		c.remoteSeen = make([]bool, len(remote), 2*len(remote))
-	}
-	seen := c.remoteSeen[:len(remote)]
-	c.shared.fillBatch(remote, lists, seen, &c.groups)
 	for i, v := range remote {
-		c.setL1(int(v), lists[i])
+		c.shared.absorb(v, lists[i])
 	}
 	c.chargeBatch(len(remote), first)
 	return fetch[:k]

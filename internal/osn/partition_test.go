@@ -74,7 +74,7 @@ func TestPartitionOwnershipDisjointAndTotal(t *testing.T) {
 	}
 	// Same-shard ids share an owner (the partition is by cache shard).
 	p := parts[1]
-	if p.OwnerOf(5) != p.OwnerOf(5+cacheShards) || p.OwnerOf(5) != p.OwnerOf(5+7*cacheShards) {
+	if p.OwnerOf(5) != p.OwnerOf(5+partitionShards) || p.OwnerOf(5) != p.OwnerOf(5+7*partitionShards) {
 		t.Fatal("ids in one cache shard must share an owner")
 	}
 }

@@ -1,23 +1,8 @@
 package osn
 
 import (
-	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
-)
-
-// cacheShards is the number of independently-locked shards of a SharedCache.
-// Neighbor lookups on a social graph concentrate on hub nodes; sharding by
-// node id keeps concurrent fills of distinct hubs from serializing on one
-// lock. 64 shards is far beyond any worker count we run.
-//
-// Must stay a power of two: node v lives in shard v&(cacheShards-1) at
-// within-shard index v>>shardShift, so consecutive ids stripe across shards
-// while each shard's backing slices stay dense.
-const (
-	cacheShards = 64
-	shardShift  = 6 // log2(cacheShards)
 )
 
 // SharedCache is a concurrency-safe neighbor cache plus unique-node
@@ -28,23 +13,38 @@ const (
 // clients, while every client keeps its own cost meter for the charges it
 // incurred itself.
 //
-// Like the Client L1, each shard is slice-backed over the dense node-id
-// space — a slice-of-slices plus presence and queried bitsets, grown on
-// demand — so shared lookups cost a lock, a bit test and an array index
-// rather than a map probe.
+// Storage is paged like the Client L1: fixed 256-id pages allocated on first
+// touch behind a two-level directory, so memory is bounded by the id ranges
+// actually visited, never by the largest id. Reads are wait-free — two
+// directory loads, an atomic load of the presence word and the list header —
+// so attached clients read the cache directly, with no private L1 in front.
+//
+// Publication order. A fill takes its page's mutex, writes the list header,
+// and only then sets the presence bit; a reader that observes the bit
+// therefore observes the list (the atomic store/load pair orders them).
+// Lists are never overwritten, so a concurrent filler that finds the bit set
+// returns the winner's list and every client shares one slice per node.
+//
+// Charging. First-access verdicts are an atomic test-and-set on the queried
+// bit, independent of the fill: whichever path touches v first — a per-node
+// miss, a batched fill, an attribute read, or a ResolveOwned on behalf of a
+// fleet peer — sees the bit clear and sets it; every later or racing caller
+// sees it set. Each node is thus "first" for exactly one caller, so the fleet
+// meter is charged once per unique node with no lock around the pair.
 //
 // The cache stores post-restriction neighbor lists, so it is only consulted
 // when the installed Restriction (if any) is deterministic — exactly the
 // condition under which a single-threaded Client caches.
 type SharedCache struct {
-	shards  [cacheShards]cacheShard
+	dir     [sharedDirSize]atomic.Pointer[sharedChunk]
 	queries atomic.Int64
 	calls   atomic.Int64
 	uniq    atomic.Int64 // distinct nodes accessed, for lock-free Stats
-	// owned counts distinct nodes first-accessed here whose cache shard this
-	// worker owns under the installed partition (all of them when part is
-	// nil). Summing owned across a fleet gives the exact distinct-node total
-	// regardless of which workers touched which nodes (see partition.go).
+	// owned counts distinct nodes first-accessed here whose partition shard
+	// this worker owns under the installed partition (all of them when part
+	// is nil). Summing owned across a fleet gives the exact distinct-node
+	// total regardless of which workers touched which nodes (see
+	// partition.go).
 	owned atomic.Int64
 	// part is the fleet partition, consulted only on the cold miss path.
 	part atomic.Pointer[Partition]
@@ -53,198 +53,108 @@ type SharedCache struct {
 	remoteFallbacks atomic.Int64
 }
 
-type cacheShard struct {
-	mu      sync.RWMutex
-	nbr     [][]int32 // nbr[idx] valid iff bit idx of present is set
-	present []uint64
-	queried []uint64
+// Directory geometry: a fixed top level of sharedDirSize chunk pointers, each
+// chunk covering sharedChunkSize pages (1M ids), so the whole non-negative
+// int32 id space is addressable with no directory regrowth. An empty cache
+// costs the 16 KiB top level; each touched million-id range adds a 32 KiB
+// chunk.
+const (
+	sharedChunkShift = 12
+	sharedChunkSize  = 1 << sharedChunkShift
+	sharedDirSize    = 1 << (31 - l1Shift - sharedChunkShift)
+)
+
+type sharedChunk [sharedChunkSize]atomic.Pointer[sharedPage]
+
+// sharedPage holds one 256-id range of the shared cache. nbrs[o] is written
+// once, under mu, before bit o of present is set, and never changes after.
+type sharedPage struct {
+	mu      sync.Mutex // serializes fills of this page
+	present [l1Words]atomic.Uint64
+	queried [l1Words]atomic.Uint64
+	nbrs    [l1Size][]int32
 }
 
-// NewSharedCache returns an empty shared neighbor cache. Shard storage grows
+// NewSharedCache returns an empty shared neighbor cache. Pages are allocated
 // on demand with the node ids actually touched.
 func NewSharedCache() *SharedCache {
 	return &SharedCache{}
 }
 
-func (sc *SharedCache) shard(v int32) (*cacheShard, uint32) {
-	return &sc.shards[uint32(v)&(cacheShards-1)], uint32(v) >> shardShift
+// page returns the page covering v, or nil if none has been allocated.
+func (sc *SharedCache) page(v int32) *sharedPage {
+	pi := uint32(v) >> l1Shift
+	if ch := sc.dir[pi>>sharedChunkShift].Load(); ch != nil {
+		return ch[pi&(sharedChunkSize-1)].Load()
+	}
+	return nil
 }
 
-// grow extends the shard's dense stores to cover within-shard index idx.
-// Caller must hold the write lock.
-func (sh *cacheShard) grow(idx uint32) {
-	need := int(idx) + 1
-	if need <= len(sh.nbr) {
-		return
+// pageFor returns the page covering v, allocating it (and its directory
+// chunk) on first touch. Racing allocators agree through CompareAndSwap; the
+// loser's fresh page is simply dropped.
+func (sc *SharedCache) pageFor(v int32) *sharedPage {
+	pi := uint32(v) >> l1Shift
+	slot := &sc.dir[pi>>sharedChunkShift]
+	ch := slot.Load()
+	if ch == nil {
+		slot.CompareAndSwap(nil, new(sharedChunk))
+		ch = slot.Load()
 	}
-	size := 2 * len(sh.nbr)
-	if size < need {
-		size = need
+	ps := &ch[pi&(sharedChunkSize-1)]
+	pg := ps.Load()
+	if pg == nil {
+		ps.CompareAndSwap(nil, new(sharedPage))
+		pg = ps.Load()
 	}
-	grown := make([][]int32, size)
-	copy(grown, sh.nbr)
-	sh.nbr = grown
-	words := (size + 63) / 64
-	if words > len(sh.present) {
-		p := make([]uint64, words)
-		copy(p, sh.present)
-		sh.present = p
-		q := make([]uint64, words)
-		copy(q, sh.queried)
-		sh.queried = q
-	}
+	return pg
 }
 
-// lookup returns the cached neighbor list of v, if present.
+// lookup returns the cached neighbor list of v, if present. Wait-free.
 func (sc *SharedCache) lookup(v int32) ([]int32, bool) {
-	sh, idx := sc.shard(v)
-	var nbr []int32
-	ok := false
-	sh.mu.RLock()
-	if w := idx >> 6; int(w) < len(sh.present) && sh.present[w]&(1<<(idx&63)) != 0 {
-		nbr = sh.nbr[idx]
-		ok = true
+	if pg := sc.page(v); pg != nil {
+		o := uint32(v) & l1Mask
+		if pg.present[o>>6].Load()&(1<<(o&63)) != 0 {
+			return pg.nbrs[o], true
+		}
 	}
-	sh.mu.RUnlock()
-	return nbr, ok
+	return nil, false
 }
 
 // store inserts the neighbor list of v and returns the winning entry: if a
 // concurrent client stored v first, its list is returned so all clients
 // share one slice.
 func (sc *SharedCache) store(v int32, nbr []int32) []int32 {
-	sh, idx := sc.shard(v)
-	sh.mu.Lock()
-	if w := idx >> 6; int(w) < len(sh.present) && sh.present[w]&(1<<(idx&63)) != 0 {
-		prev := sh.nbr[idx]
-		sh.mu.Unlock()
-		return prev
+	pg := sc.pageFor(v)
+	o := uint32(v) & l1Mask
+	w, bit := &pg.present[o>>6], uint64(1)<<(o&63)
+	pg.mu.Lock()
+	if w.Load()&bit != 0 {
+		nbr = pg.nbrs[o]
+	} else {
+		pg.nbrs[o] = nbr
+		w.Store(w.Load() | bit) // publish only after the list is written
 	}
-	sh.grow(idx)
-	sh.nbr[idx] = nbr
-	sh.present[idx>>6] |= 1 << (idx & 63)
-	sh.mu.Unlock()
+	pg.mu.Unlock()
 	return nbr
 }
 
-// shardGroups is reusable scratch that buckets a batch's positions by shard
-// with a two-pass counting sort, so each batch operation takes every
-// touched shard's lock exactly once and allocates nothing in steady state.
-// Each Client owns one (clients are single-goroutine).
-type shardGroups struct {
-	start [cacheShards + 1]int32
-	order []int32 // positions into ids, grouped by shard
-}
-
-func (sg *shardGroups) build(ids []int32) {
-	var count [cacheShards]int32
-	for _, v := range ids {
-		count[uint32(v)&(cacheShards-1)]++
-	}
-	acc := int32(0)
-	for s := 0; s < cacheShards; s++ {
-		sg.start[s] = acc
-		acc += count[s]
-	}
-	sg.start[cacheShards] = acc
-	if cap(sg.order) < len(ids) {
-		sg.order = make([]int32, len(ids), 2*len(ids))
-	}
-	sg.order = sg.order[:len(ids)]
-	pos := sg.start
-	for i, v := range ids {
-		s := uint32(v) & (cacheShards - 1)
-		sg.order[pos[s]] = int32(i)
-		pos[s]++
-	}
-}
-
-func (sg *shardGroups) group(s int) []int32 { return sg.order[sg.start[s]:sg.start[s+1]] }
-
-// lookupBatch fills out[i] and sets found[i] for every cached ids[i],
-// taking each touched shard's read lock once for the whole batch instead of
-// once per node. Slots of missing ids are left with found[i] = false.
-func (sc *SharedCache) lookupBatch(ids []int32, out [][]int32, found []bool, sg *shardGroups) {
-	sg.build(ids)
-	for s := 0; s < cacheShards; s++ {
-		g := sg.group(s)
-		if len(g) == 0 {
-			continue
-		}
-		sh := &sc.shards[s]
-		sh.mu.RLock()
-		for _, i := range g {
-			idx := uint32(ids[i]) >> shardShift
-			if w := idx >> 6; int(w) < len(sh.present) && sh.present[w]&(1<<(idx&63)) != 0 {
-				out[i] = sh.nbr[idx]
-				found[i] = true
-			} else {
-				out[i] = nil
-				found[i] = false
-			}
-		}
-		sh.mu.RUnlock()
-	}
-}
-
-// fillBatch publishes a batch of backend-fetched neighbor lists and records
-// their accesses in one write-lock pass per touched shard: store (entries a
-// concurrent client stored first win — lists[i] is replaced by the existing
-// entry so all clients share one slice per node, the same contract as
-// store) fused with the first-access test-and-set (first[i] set iff this
-// was the first access fleet-wide). Because both updates for all ids in a
-// shard happen under one lock acquisition, two clients racing the same
-// frontier partition the first flags exactly — each node is "first" for
-// precisely one of them, so the fleet meter is charged once per unique
-// node.
-func (sc *SharedCache) fillBatch(ids []int32, lists [][]int32, first []bool, sg *shardGroups) {
-	p := sc.part.Load()
-	sg.build(ids)
-	for s := 0; s < cacheShards; s++ {
-		g := sg.group(s)
-		if len(g) == 0 {
-			continue
-		}
-		sh := &sc.shards[s]
-		sh.mu.Lock()
-		for _, i := range g {
-			idx := uint32(ids[i]) >> shardShift
-			sh.grow(idx)
-			w, bit := idx>>6, uint64(1)<<(idx&63)
-			if sh.present[w]&bit != 0 {
-				lists[i] = sh.nbr[idx]
-			} else {
-				sh.nbr[idx] = lists[i]
-				sh.present[w] |= bit
-			}
-			if sh.queried[w]&bit != 0 {
-				first[i] = false
-			} else {
-				sh.queried[w] |= bit
-				sc.uniq.Add(1)
-				if sc.ownsLocal(p, ids[i]) {
-					sc.owned.Add(1)
-				}
-				first[i] = true
-			}
-		}
-		sh.mu.Unlock()
-	}
-}
-
 // markQueried records that v has been accessed and reports whether this was
-// the first access across all attached clients.
+// the first access across all attached clients: an atomic test-and-set on
+// v's queried bit, so exactly one of any number of racing callers wins.
 func (sc *SharedCache) markQueried(v int32) bool {
-	sh, idx := sc.shard(v)
-	w, bit := idx>>6, uint64(1)<<(idx&63)
-	sh.mu.Lock()
-	if int(w) < len(sh.queried) && sh.queried[w]&bit != 0 {
-		sh.mu.Unlock()
-		return false
+	pg := sc.pageFor(v)
+	o := uint32(v) & l1Mask
+	w, bit := &pg.queried[o>>6], uint64(1)<<(o&63)
+	for {
+		old := w.Load()
+		if old&bit != 0 {
+			return false
+		}
+		if w.CompareAndSwap(old, old|bit) {
+			break
+		}
 	}
-	sh.grow(idx)
-	sh.queried[w] |= bit
-	sh.mu.Unlock()
 	sc.uniq.Add(1)
 	if sc.ownsLocal(sc.part.Load(), v) {
 		sc.owned.Add(1)
@@ -254,12 +164,12 @@ func (sc *SharedCache) markQueried(v int32) bool {
 
 // wasQueried reports whether any attached client has accessed v.
 func (sc *SharedCache) wasQueried(v int32) bool {
-	sh, idx := sc.shard(v)
-	w, bit := idx>>6, uint64(1)<<(idx&63)
-	sh.mu.RLock()
-	q := int(w) < len(sh.queried) && sh.queried[w]&bit != 0
-	sh.mu.RUnlock()
-	return q
+	pg := sc.page(v)
+	if pg == nil {
+		return false
+	}
+	o := uint32(v) & l1Mask
+	return pg.queried[o>>6].Load()&(1<<(o&63)) != 0
 }
 
 // Queries returns the total query cost accumulated across all attached
@@ -287,8 +197,8 @@ func (sc *SharedCache) ResetCost() {
 func (sc *SharedCache) UniqueNodes() int { return int(sc.uniq.Load()) }
 
 // CacheStats is a point-in-time snapshot of a SharedCache's fleet-wide
-// meters, cheap enough to read on every scrape of a metrics endpoint: three
-// atomic loads, no shard locks.
+// meters, cheap enough to read on every scrape of a metrics endpoint: a few
+// atomic loads, no locks.
 type CacheStats struct {
 	// Queries is the fleet-wide query cost (the paper's cost axis).
 	Queries int64
@@ -315,9 +225,9 @@ func (s CacheStats) HitRatio() float64 {
 	return 1 - float64(s.Queries)/float64(s.Calls)
 }
 
-// Stats returns an atomic snapshot of the fleet-wide meters. The three
-// counters are loaded independently (not one consistent cut), which is fine
-// for monitoring; phase-accurate accounting should quiesce clients first.
+// Stats returns an atomic snapshot of the fleet-wide meters. The counters
+// are loaded independently (not one consistent cut), which is fine for
+// monitoring; phase-accurate accounting should quiesce clients first.
 func (sc *SharedCache) Stats() CacheStats {
 	return CacheStats{
 		Queries:         sc.queries.Load(),
@@ -329,21 +239,25 @@ func (sc *SharedCache) Stats() CacheStats {
 }
 
 // KnownNodes returns the sorted ids of all nodes accessed so far across all
-// attached clients (the crawler fleet's combined frontier knowledge).
+// attached clients (the crawler fleet's combined frontier knowledge). The
+// directory walk visits ids in ascending order, so no sort is needed.
 func (sc *SharedCache) KnownNodes() []int {
 	var out []int
-	for s := range sc.shards {
-		sh := &sc.shards[s]
-		sh.mu.RLock()
-		for w, word := range sh.queried {
-			for word != 0 {
-				idx := w<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				out = append(out, idx<<shardShift|s)
+	for ci := range sc.dir {
+		ch := sc.dir[ci].Load()
+		if ch == nil {
+			continue
+		}
+		for pj := range ch {
+			pg := ch[pj].Load()
+			if pg == nil {
+				continue
+			}
+			base := (ci<<sharedChunkShift | pj) << l1Shift
+			for w := range pg.queried {
+				out = appendBits(out, base+w<<6, pg.queried[w].Load())
 			}
 		}
-		sh.mu.RUnlock()
 	}
-	sort.Ints(out)
 	return out
 }

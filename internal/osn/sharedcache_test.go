@@ -11,35 +11,68 @@ import (
 // TestSharedCacheUniqueCharging drives N concurrent clients over heavily
 // overlapping node sets and checks the CostUniqueNodes contract: each unique
 // node is charged exactly once across the fleet, the shared meter equals the
-// sum of the per-client meters, and every client still gets correct data.
-// Run under -race this also exercises the shard locking.
+// sum of the per-client meters, and every client gets the same list for a
+// node. The workers resolve the shared block through different fill paths at
+// once — per-node Neighbors, batched Prefetch/NeighborsBatch, and Attr (a
+// charge with no fill) — each starting at a different offset, so every path
+// races every other for the same first-access bits and page fills. Run under
+// -race this also exercises the wait-free publication order.
 func TestSharedCacheUniqueCharging(t *testing.T) {
 	g := gen.BarabasiAlbert(500, 3, rand.New(rand.NewSource(1)))
-	net := NewNetwork(g)
+	vals := make([]float64, g.NumNodes())
+	net := NewNetwork(g, WithAttribute("score", vals))
 	sc := NewSharedCache()
 
-	const workers = 8
+	const workers, block = 9, 100
 	clients := make([]*Client, workers)
+	seen := make([][]*int32, workers) // seen[w][v]: data pointer of v's list
 	for w := range clients {
 		clients[w] = NewClientShared(net, CostUniqueNodes, rand.New(rand.NewSource(int64(w))), sc)
+		seen[w] = make([]*int32, block)
 	}
 
-	// Every worker queries the same shared block [0,100) plus a disjoint
-	// private block of 25 nodes, twice each (the repeat must be free).
+	// Every worker resolves the shared block [0,100) plus a disjoint private
+	// block of 25 nodes, twice each (the repeat must be free).
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			c := clients[w]
+			order := make([]int32, block)
+			for i := range order {
+				order[i] = int32((i + 11*w) % block)
+			}
+			out := make([][]int32, 10)
 			for rep := 0; rep < 2; rep++ {
-				for v := 0; v < 100; v++ {
-					if len(c.Neighbors(v)) != g.Degree(v) {
-						t.Errorf("worker %d: wrong neighbor list for %d", w, v)
-						return
+				for i := 0; i < block; i += len(out) {
+					chunk := order[i : i+len(out)]
+					switch w % 3 {
+					case 0:
+						for j, v := range chunk {
+							out[j] = c.Neighbors(int(v))
+						}
+					case 1:
+						c.Prefetch(chunk[:len(chunk)/2])
+						c.NeighborsBatch(chunk, out)
+					case 2:
+						for j, v := range chunk {
+							if _, err := c.Attr("score", int(v)); err != nil {
+								t.Error(err)
+								return
+							}
+							out[j] = c.Neighbors(int(v))
+						}
+					}
+					for j, v := range chunk {
+						if len(out[j]) != g.Degree(int(v)) {
+							t.Errorf("worker %d: wrong neighbor list for %d", w, v)
+							return
+						}
+						seen[w][v] = &out[j][0]
 					}
 				}
-				for v := 100 + 25*w; v < 100+25*(w+1); v++ {
+				for v := block + 25*w; v < block+25*(w+1); v++ {
 					c.Neighbors(v)
 				}
 			}
@@ -47,7 +80,14 @@ func TestSharedCacheUniqueCharging(t *testing.T) {
 	}
 	wg.Wait()
 
-	unique := int64(100 + 25*workers)
+	for v := 0; v < block; v++ {
+		for w := 1; w < workers; w++ {
+			if seen[w][v] != seen[0][v] {
+				t.Fatalf("node %d: worker %d holds a different list than worker 0", v, w)
+			}
+		}
+	}
+	unique := int64(block + 25*workers)
 	if sc.Queries() != unique {
 		t.Errorf("shared queries = %d, want %d (each unique node charged exactly once)", sc.Queries(), unique)
 	}

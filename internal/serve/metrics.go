@@ -72,7 +72,7 @@ func formatFloat(f float64) string {
 
 // Metrics is the service's metric registry. All counters are atomic; the
 // cache/meter counters surfaced from internal/osn are read as atomic
-// snapshots at scrape time, so a scrape never takes a shard lock.
+// snapshots at scrape time, so a scrape never takes a lock.
 type Metrics struct {
 	start time.Time
 

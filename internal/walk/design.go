@@ -264,28 +264,9 @@ func PathInto(buf []int, c View, d Design, start, steps int, rng fastrand.RNG) [
 	path := buf[:steps+1]
 	path[0] = start
 	u := start
-	// Lookahead prefetch for the sequential forward walk: before stepping
-	// from u, pull the already-paid-for entries among u's neighbors — the
-	// only nodes this step can move to — from the shared cache into the
-	// client's L1 in one batched pass. LookaheadNeighbors never issues new
-	// charged queries and consumes no RNG (it is a no-op for private clients
-	// and under type-1 restrictions), so paths, meters, and every
-	// determinism contract are unchanged; only per-step lock traffic is
-	// amortized once a fleet or a long-lived service has warmed the cache.
-	la, _ := c.(lookaheadView)
 	for i := 1; i <= steps; i++ {
-		if la != nil {
-			la.LookaheadNeighbors(u)
-		}
 		u = d.Step(c, u, rng)
 		path[i] = u
 	}
 	return path
-}
-
-// lookaheadView is the optional cost-free prefetch capability of a View
-// (implemented by *osn.Client): batch-install the cached entries among u's
-// neighbors into the caller's L1 without charging anything.
-type lookaheadView interface {
-	LookaheadNeighbors(u int) int
 }

@@ -24,7 +24,7 @@ trap 'rm -f "$RAW" "$ENTRY"' EXIT
 
 # Micro-benchmarks across the kernel packages.
 go test -run '^$' \
-  -bench 'BenchmarkBackStep$|BenchmarkHistoryRow$|BenchmarkEstimateOnce$|BenchmarkEstimateBatch$|BenchmarkNeighborsHot$|BenchmarkNeighborsHotShared$|BenchmarkNeighborsSharedMiss$|BenchmarkUint64$|BenchmarkIntn$|BenchmarkFloat64$|BenchmarkStdRandIntn$' \
+  -bench 'BenchmarkBackStep$|BenchmarkHistoryRow$|BenchmarkEstimateOnce$|BenchmarkEstimateBatch$|BenchmarkNeighborsHot$|BenchmarkNeighborsHotShared$|BenchmarkUint64$|BenchmarkIntn$|BenchmarkFloat64$|BenchmarkStdRandIntn$' \
   -benchtime "$MICROTIME" -benchmem -timeout 20m \
   ./internal/core ./internal/osn ./internal/fastrand | tee "$RAW"
 
