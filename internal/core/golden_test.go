@@ -9,11 +9,13 @@ package core
 // paste them into goldenWant when a change is meant to alter the draws.
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/fastrand"
 	"repro/internal/gen"
 	"repro/internal/osn"
 	"repro/internal/walk"
@@ -36,6 +38,29 @@ var goldenWant = map[string]goldenRun{
 	"mem-par4": goldenPar4,
 	"sim-par2": goldenPar2,
 	"sim-par4": goldenPar4,
+	// MHRW exercises the self-loop candidate slot; the restricted view
+	// (FixedK, deterministic, so cached) is not symmetric and must keep
+	// the full WS-BW gather on every step.
+	"mhrw-seq": {
+		Nodes:   []int{130, 988, 599, 314, 1986, 1279, 1284, 953, 67, 534, 1100, 1265, 1001, 1340, 899, 1196},
+		Steps:   []int{58, 58, 30, 116, 232, 58, 58, 468, 58, 232, 37, 232, 58, 232, 146, 116},
+		Queries: 1430, Back: 1820,
+	},
+	"mhrw-par2": {
+		Nodes:   []int{945, 1120, 1020, 1968, 1717, 1666, 575, 1888, 660, 697, 584, 24, 1034, 1667, 1012, 1579},
+		Steps:   []int{58, 58, 58, 30, 58, 320, 58, 116, 566, 58, 232, 232, 174, 204, 58, 146},
+		Queries: 1529, Back: 2149,
+	},
+	"restricted-seq": {
+		Nodes:   []int{1624, 1035, 87, 399, 16, 317, 951, 215, 704, 1369, 1145, 495, 1706, 98, 1281, 1037},
+		Steps:   []int{29, 30, 33, 18, 30, 29, 30, 46, 31, 35, 32, 38, 26, 35, 48, 28},
+		Queries: 245, Back: 374,
+	},
+	"restricted-par2": {
+		Nodes:   []int{201, 152, 181, 690, 1486, 1131, 27, 1356, 791, 1875, 343, 522, 5, 317, 1134, 198},
+		Steps:   []int{25, 41, 39, 37, 29, 49, 35, 24, 48, 39, 23, 27, 29, 33, 24, 26},
+		Queries: 235, Back: 384,
+	},
 }
 
 var goldenPar2 = goldenRun{
@@ -52,12 +77,12 @@ var goldenPar4 = goldenRun{
 
 func TestGoldenSampleStreams(t *testing.T) {
 	g := gen.BarabasiAlbert(2000, 3, rand.New(rand.NewSource(42)))
-	run := func(be osn.Backend, workers int) goldenRun {
+	run := func(be osn.Backend, workers int, d walk.Design, opts ...osn.Option) goldenRun {
 		t.Helper()
 		rng := rand.New(rand.NewSource(11))
-		c := osn.NewClient(osn.NewNetworkOn(be), osn.CostUniqueNodes, rng)
+		c := osn.NewClient(osn.NewNetworkOn(be, opts...), osn.CostUniqueNodes, rng)
 		s, err := NewSampler(c, Config{
-			Design:         walk.SRW{},
+			Design:         d,
 			Start:          0,
 			WalkLength:     9,
 			UseCrawl:       true,
@@ -82,16 +107,59 @@ func TestGoldenSampleStreams(t *testing.T) {
 	sim := func() osn.Backend {
 		return osn.NewRemoteSim(osn.NewMemBackend(g), 20*time.Microsecond, 5*time.Microsecond, 64)
 	}
+	mem := func() osn.Backend { return osn.NewMemBackend(g) }
+	srw, mhrw := walk.SRW{}, walk.MHRW{}
+	restricted := osn.WithRestriction(osn.FixedK{K: 5, Seed: 99})
 	got := map[string]goldenRun{
-		"seq":      run(osn.NewMemBackend(g), 0),
-		"mem-par2": run(osn.NewMemBackend(g), 2),
-		"mem-par4": run(osn.NewMemBackend(g), 4),
-		"sim-par2": run(sim(), 2),
-		"sim-par4": run(sim(), 4),
+		"seq":             run(mem(), 0, srw),
+		"mem-par2":        run(mem(), 2, srw),
+		"mem-par4":        run(mem(), 4, srw),
+		"sim-par2":        run(sim(), 2, srw),
+		"sim-par4":        run(sim(), 4, srw),
+		"mhrw-seq":        run(mem(), 0, mhrw),
+		"mhrw-par2":       run(mem(), 2, mhrw),
+		"restricted-seq":  run(mem(), 0, srw, restricted),
+		"restricted-par2": run(mem(), 2, srw, restricted),
 	}
-	for _, name := range []string{"seq", "mem-par2", "mem-par4", "sim-par2", "sim-par4"} {
+	for _, name := range []string{"seq", "mem-par2", "mem-par4", "sim-par2", "sim-par4",
+		"mhrw-seq", "mhrw-par2", "restricted-seq", "restricted-par2"} {
 		if !reflect.DeepEqual(got[name], goldenWant[name]) {
 			t.Errorf("%s: got %#v\nwant %#v", name, got[name], goldenWant[name])
+		}
+	}
+}
+
+// TestGoldenRecordWalkHistory pins the WS-BW picks over a history filled
+// only through the public RecordWalk(path), which carries no neighbor
+// lists: such a history must keep the full gather on every step. The test
+// folds every (node, step) pick of a sweep into one hash, so any change
+// to which candidate is drawn, or with what probability, moves it.
+func TestGoldenRecordWalkHistory(t *testing.T) {
+	g := gen.BarabasiAlbert(2000, 3, rand.New(rand.NewSource(42)))
+	want := map[string]uint64{"SRW": 0xf0923dafd2092d05, "MHRW": 0x43c66440ff7560a4}
+	for _, d := range []walk.Design{walk.SRW{}, walk.MHRW{}} {
+		rng := rand.New(rand.NewSource(5))
+		c := osn.NewClient(osn.NewNetwork(g), osn.CostUniqueNodes, rng)
+		h := NewHistory()
+		for i := 0; i < 60; i++ {
+			h.RecordWalk(walk.Path(c, d, 0, 9, rng))
+		}
+		e := &Estimator{Client: c, Design: d, Start: 0, Hist: h}
+		frng := fastrand.New(9)
+		var sum uint64 = 14695981039346656037
+		for v := 0; v < g.NumNodes(); v++ {
+			nbr := c.Neighbors(v)
+			for step := 1; step <= 9; step++ {
+				w, pick, err := e.backStep(v, step, nbr, frng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum = (sum ^ uint64(w)) * 1099511628211
+				sum = (sum ^ math.Float64bits(pick)) * 1099511628211
+			}
+		}
+		if sum != want[d.Name()] {
+			t.Errorf("%s: pick hash %#x, want %#x", d.Name(), sum, want[d.Name()])
 		}
 	}
 }
