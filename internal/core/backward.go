@@ -52,11 +52,12 @@ type Estimator struct {
 	// give each worker its own Estimator, so no synchronization is needed.
 	scratch []float64
 
-	// probKind/fastEdge/selfLoops/eps cache per-(Design, Client) constants
-	// so the step kernel makes no interface calls for them: initialized on
-	// the first EstimateOnce.
+	// probKind/symmetric/fastEdge/selfLoops/eps cache per-(Design, Client)
+	// constants so the step kernel makes no interface calls for them:
+	// initialized on the first EstimateOnce.
 	probKind  walk.EdgeProbKind
 	probInit  bool
+	symmetric bool
 	fastEdge  bool
 	selfLoops bool
 	eps       float64
@@ -75,7 +76,8 @@ func (e *Estimator) epsilon() float64 {
 
 func (e *Estimator) initProbKind() {
 	e.probKind = walk.EdgeProbKindOf(e.Design)
-	e.fastEdge = e.probKind != walk.EdgeProbNone && e.Client.SymmetricView()
+	e.symmetric = e.Client.SymmetricView()
+	e.fastEdge = e.probKind != walk.EdgeProbNone && e.symmetric
 	e.selfLoops = e.Design.SelfLoops()
 	e.eps = e.epsilon()
 	e.probInit = true
@@ -152,11 +154,9 @@ func (e *Estimator) EstimateOnce(u, t int, rng fastrand.RNG) (float64, error) {
 
 // backStep samples the predecessor candidate w for the current node and
 // returns it with its pick probability. Candidates are nbr = N(node), plus
-// node itself (the last slot) for designs with self-loops. The WS-BW path is
-// a two-pass kernel over the paged history row — gather the candidates' hit
-// counts into the scratch buffer, then select by an add-and-compare scan of
-// the smoothed mix — with no per-candidate function values and no
-// allocation.
+// node itself (the last slot) for designs with self-loops. Without history
+// evidence at the predecessor step the pick is uniform; otherwise it is
+// WS-BW's weighted pick (weightedPick).
 func (e *Estimator) backStep(node, step int, nbr []int32, rng fastrand.RNG) (w int, pick float64, err error) {
 	if !e.probInit {
 		e.initProbKind()
@@ -168,51 +168,63 @@ func (e *Estimator) backStep(node, step int, nbr []int32, rng fastrand.RNG) (w i
 	if total == 0 {
 		return 0, 0, fmt.Errorf("core: node %d has no predecessor candidates", node)
 	}
-	uniform := 1 / float64(total)
-
-	if e.Hist == nil || e.Hist.Walks() == 0 {
-		// UNBIASED-ESTIMATE: uniform pick.
-		i := rng.Intn(total)
-		if i < len(nbr) {
-			return int(nbr[i]), uniform, nil
+	if h := e.Hist; h != nil && h.walks > 0 {
+		row := h.Row(step - 1)
+		// Evidence gate: on a symmetric view a clear bit within evRows
+		// proves every candidate's hit count is 0 — the gather below would
+		// find z = 0 and fall through to the same uniform draw, so skip it.
+		if !e.symmetric || step > h.evRows || row.evident(node) {
+			if w, pick, ok := e.weightedPick(row, node, nbr, total, rng); ok {
+				return w, pick, nil
+			}
 		}
-		return node, uniform, nil // self-loop slot
 	}
+	// UNBIASED-ESTIMATE: uniform pick (also WS-BW with no evidence, z = 0).
+	uniform := 1 / float64(total)
+	i := rng.Intn(total)
+	if i < len(nbr) {
+		return int(nbr[i]), uniform, nil
+	}
+	return node, uniform, nil // self-loop slot
+}
 
-	// WS-BW: mix the uniform distribution with the (Laplace-smoothed)
-	// historic hit distribution at the predecessor step. Two tempering
-	// measures keep the importance weights bounded — a necessity the
-	// paper's Algorithm 2 glosses over (its raw (1−ε)·n/n_hw tilt makes
-	// the weight products explode combinatorially on dense graphs):
-	//
-	//   1. Laplace smoothing (+1 per candidate) so sparse evidence cannot
-	//      concentrate the pick distribution;
-	//   2. evidence-adaptive mixing: the history component's share grows
-	//      with the observed hit mass z as (1−ε)·z/(z+|C|), so with little
-	//      evidence the pick stays near uniform.
-	//
-	// Any full-support pick distribution keeps the estimator unbiased via
-	// the p(w→u)/π_pick(w) correction; the tempering only controls
-	// variance. The worst-case per-step weight inflation is 1/ε.
-	// Hit rows are paged and sparse in content: each candidate probe is a
-	// page-directory index plus a test of the page's cache-resident nonzero
-	// bitset, and only candidates with hits dereference the wide counter
-	// array (HistRow.Hits).
-	row := e.Hist.Row(step - 1)
-	// Dense gather. A history row holds exactly one hit per recorded walk,
-	// so against any one candidate list the row is almost entirely zeros;
-	// the common probe dies in the page's cache-resident nonzero bitset and
-	// the loop tail (store and accumulate) stays branch-free, exactly the
-	// shape that predicts well. Attempts to skip work here — a per-row
-	// visited filter, sparse gathers, hoisted page pointers — all measured
-	// slower than this flat loop on the mem backend; see DESIGN.md.
+// weightedPick is WS-BW's pick over the candidates of backStep. It mixes
+// the uniform distribution with the (Laplace-smoothed) historic hit
+// distribution at the predecessor step. Two tempering measures keep the
+// importance weights bounded — a necessity the paper's Algorithm 2 glosses
+// over (its raw (1−ε)·n/n_hw tilt makes the weight products explode
+// combinatorially on dense graphs):
+//
+//  1. Laplace smoothing (+1 per candidate) so sparse evidence cannot
+//     concentrate the pick distribution;
+//  2. evidence-adaptive mixing: the history component's share grows with
+//     the observed hit mass z as (1−ε)·z/(z+|C|), so with little evidence
+//     the pick stays near uniform.
+//
+// Any full-support pick distribution keeps the estimator unbiased via the
+// p(w→u)/π_pick(w) correction; the tempering only controls variance. The
+// worst-case per-step weight inflation is 1/ε.
+//
+// It is a two-pass kernel — gather the candidates' hit counts into the
+// scratch buffer, then select by an add-and-compare scan of the smoothed
+// mix — with no allocation. When no candidate has a hit (z = 0) it returns
+// ok = false without drawing, and backStep draws the uniform pick.
+func (e *Estimator) weightedPick(row HistRow, node int, nbr []int32, total int, rng fastrand.RNG) (w int, pick float64, ok bool) {
+	// Dense gather: the common probe dies in the page's nonzero bitset and
+	// the loop tail (store and accumulate) stays branch-free. Attempts to
+	// skip work per candidate — a visited filter, sparse gathers, hoisted
+	// page pointers — all measured slower than this flat loop on the mem
+	// backend; see DESIGN.md.
 	if cap(e.scratch) < total {
 		e.scratch = make([]float64, total+total/2)
 	}
 	hits := e.scratch[:total]
 	var z float64
 	for i, nb := range nbr {
-		h := float64(row.Hits(int(nb)))
+		h := 0.0
+		if pg, o := row.hit(int(nb)); pg != nil {
+			h = float64(pg.count(o))
+		}
 		hits[i] = h
 		z += h
 	}
@@ -222,12 +234,9 @@ func (e *Estimator) backStep(node, step int, nbr []int32, rng fastrand.RNG) (w i
 		z += h
 	}
 	if z == 0 {
-		i := rng.Intn(total)
-		if i < len(nbr) {
-			return int(nbr[i]), uniform, nil
-		}
-		return node, uniform, nil
+		return 0, 0, false
 	}
+	uniform := 1 / float64(total)
 	eps := e.eps
 	smoothZ := z + float64(total) // Laplace: +1 per candidate
 	beta := (1 - eps) * z / smoothZ
@@ -247,9 +256,9 @@ func (e *Estimator) backStep(node, step int, nbr []int32, rng fastrand.RNG) (w i
 	}
 	pick = base + scale*(hits[chosen]+1)
 	if chosen < len(nbr) {
-		return int(nbr[chosen]), pick, nil
+		return int(nbr[chosen]), pick, true
 	}
-	return node, pick, nil
+	return node, pick, true
 }
 
 // Estimate runs reps independent backward walks and returns the mean

@@ -51,18 +51,16 @@ func BuildCrawlTable(c *osn.Client, d walk.Design, start, h int) (*CrawlTable, e
 	// whole frontier costs one locked cache pass and one backend round trip
 	// instead of one per node (on a simulated-latency backend this is the
 	// difference between h round trips and ball-size round trips).
-	dist := map[int32]int{int32(start): 0}
+	var seen idSet
+	seen.add(int32(start))
 	frontier := []int32{int32(start)}
 	for depth := 0; depth <= h && len(frontier) > 0; depth++ {
 		c.Prefetch(frontier)
 		var next []int32
 		for _, u := range frontier {
 			for _, w := range c.Neighbors(int(u)) {
-				if _, seen := dist[w]; !seen {
-					dist[w] = depth + 1
-					if depth+1 <= h {
-						next = append(next, w)
-					}
+				if seen.add(w) && depth+1 <= h {
+					next = append(next, w)
 				}
 			}
 		}
@@ -134,3 +132,27 @@ func (ct *CrawlTable) Lookup(v, tau int) (p float64, ok bool) {
 // Size returns the number of nonzero (step, node) probabilities stored, for
 // diagnostics.
 func (ct *CrawlTable) Size() int { return ct.size }
+
+// idSet is a set of node ids kept in bitset pages of histPageSize ids,
+// allocated on first touch, so its memory follows the visited mass rather
+// than the id space.
+type idSet []*[histPageWords]uint64
+
+// add inserts v and reports whether it was absent.
+func (s *idSet) add(v int32) bool {
+	pi := int(v >> histPageShift)
+	for pi >= len(*s) {
+		*s = append(*s, nil)
+	}
+	pg := (*s)[pi]
+	if pg == nil {
+		pg = new([histPageWords]uint64)
+		(*s)[pi] = pg
+	}
+	o := uint(v) & histPageMask
+	if pg[o>>6]&(1<<(o&63)) != 0 {
+		return false
+	}
+	pg[o>>6] |= 1 << (o & 63)
+	return true
+}

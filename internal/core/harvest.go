@@ -89,12 +89,9 @@ func (s *HarvestSampler) boot(step int) *ScaleBootstrap {
 // along the path (possibly none). Queries are charged to the client.
 func (s *HarvestSampler) Harvest() ([]int, error) {
 	t := s.cfg.WalkLength
-	path := walk.PathInto(s.pathBuf, s.c, s.cfg.Design, s.cfg.Start, t, s.rng)
+	path := walkForward(s.pathBuf, s.c, &s.cfg, s.hist, s.rng)
 	s.pathBuf = path
 	s.forwardSteps += int64(t)
-	if s.hist != nil {
-		s.hist.RecordWalk(path)
-	}
 	var out []int
 	for tau := s.minStep; tau <= t; tau++ {
 		s.attempts++

@@ -1,6 +1,11 @@
 package core
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+
+	"repro/internal/osn"
+)
 
 // History accumulates, per (node, step) pair, how many of the forward walks
 // performed so far visited that node at that step. It feeds the weighted
@@ -8,36 +13,36 @@ import "sync"
 // biased toward neighbors that forward walks actually reach, because those
 // carry most of the probability mass being estimated.
 //
-// Counters are stored in fixed-size pages of histPageSize node ids, indexed
-// by a per-step page directory (pages[step][node>>histPageShift]) that grows
-// on demand. A page is allocated — from a PagePool, so a long-lived service
-// recycles them across jobs — the first time a walk visits its id range at
-// that step, so per-walk memory is bounded by the visited mass (plus one
-// directory pointer per histPageSize ids up to the maximum visited id),
-// never by the graph's id space: on a multi-million-node graph a walk that
-// touches 10k nodes holds KBs of directory and a few MB of pages instead of
-// the O(maxId · walkLength) counters of the dense layout this replaces.
+// State lives in fixed-size pages of histPageSize node ids, indexed by a
+// per-step page directory (pages[step][node>>histPageShift]) that grows on
+// demand. A page is allocated — from a PagePool, so a long-lived service
+// recycles them across jobs — the first time a walk touches its id range at
+// that step, so memory is bounded by the visited mass, never by the graph's
+// id space. A page stores only its nonzero counters, in id order, behind a
+// nonzero bitset that answers the common "no hit" probe on its own.
+//
+// Evidence rows let WS-BW skip the gather of a backward step that can find
+// no hit (see backStep). Recording a walk that is at w on step i < t sets
+// evidence bits (i, w) and (i, u) for every u ∈ N(w), from the list the
+// forward step just fetched. On a symmetric view a walk at a candidate
+// c ∈ N(node) therefore set (i, node), so a clear bit proves z = 0 for
+// every candidate of node. evRows is the number of leading rows where that
+// proof holds; one walk recorded without neighbor lists (RecordWalk) drops
+// it to 0.
 //
 // Snapshot is copy-on-write: it copies only the page directories and shares
-// the pages themselves (refcounted), so snapshot cost is bounded the same
-// way. The recorder clones a shared page the next time it writes into it,
-// so snapshots are immutable without locks on either side.
-//
-// Each page carries a nonzero bitset over its counters. Hit pages are
-// extremely sparse (at most one nonzero per recorded walk), so the WS-BW
-// candidate scan tests the 64×-denser, cache-resident bitset word first and
-// touches the wide counter array only for the few candidates that actually
-// have hits.
+// the pages themselves (refcounted). The recorder clones a shared page the
+// next time it writes into it, so snapshots are immutable without locks on
+// either side.
 type History struct {
-	pages [][]*histPage // pages[step][node>>histPageShift]
-	walks int
-	pool  *PagePool
+	pages  [][]*histPage // pages[step][node>>histPageShift]
+	walks  int
+	evRows int
+	pool   *PagePool
 }
 
-// Page geometry: 4096 ids per page — 16 KiB of counters plus a 512 B
-// nonzero bitset, a few cache pages. Small enough that sparse visits waste
-// little, large enough that hub-centric walks stay within a handful of
-// pages per step.
+// Page geometry: 4096 ids per page, three bitset-sized arrays plus the
+// nonzero counters — ~1.2 KiB where a 50k-id row spreads over 13 pages.
 const (
 	histPageShift = 12
 	histPageSize  = 1 << histPageShift
@@ -45,20 +50,42 @@ const (
 	histPageWords = histPageSize / 64
 )
 
-// histPage holds the hit counters for one histPageSize-id range at one
-// step. refs counts the directories (live history plus snapshots) that
+// histPage holds one histPageSize-id range of one step: the nonzero
+// counters of that range, compacted in id order, and the evidence bits.
+// rank[w] is the number of nonzero counters in the words before w, so the
+// counter of offset o is counts[rank[o>>6] + (nonzero bits below o in its
+// word)]. refs counts the directories (live history plus snapshots) that
 // reference the page; the recorder may write into a page only while
 // refs == 1 and clones it otherwise (copy-on-write). refs is only touched
 // by the goroutine that owns the live history and by quiesced Release
-// calls, never by concurrent snapshot readers — readers touch only counts
-// and nz.
+// calls, never by concurrent snapshot readers.
 type histPage struct {
 	refs   int32
 	nz     [histPageWords]uint64
-	counts [histPageSize]int32
+	ev     [histPageWords]uint64
+	rank   [histPageWords]uint16
+	counts []int32
 }
 
-// PagePool recycles history pages. Allocating a page is the only steady-
+// inc increments the counter at offset o and reports whether it was zero.
+func (pg *histPage) inc(o uint) (first bool) {
+	w, bit := o>>6, uint64(1)<<(o&63)
+	r := int(pg.rank[w]) + bits.OnesCount64(pg.nz[w]&(bit-1))
+	if pg.nz[w]&bit != 0 {
+		pg.counts[r]++
+		return false
+	}
+	pg.nz[w] |= bit
+	pg.counts = append(pg.counts, 0)
+	copy(pg.counts[r+1:], pg.counts[r:])
+	pg.counts[r] = 1
+	for i := w + 1; i < histPageWords; i++ {
+		pg.rank[i]++
+	}
+	return true
+}
+
+// PagePool recycles history pages. Allocating pages is the only steady-
 // state allocation of the WS-BW history, and a sampling service churns one
 // history per job; drawing pages from a shared pool bounds that churn by
 // the pages actually dirtied instead of regrowing from zero each time.
@@ -82,9 +109,10 @@ func (pp *PagePool) get() *histPage {
 	return pg
 }
 
-// put zeroes a page and returns it to the pool.
+// put zeroes a page and returns it to the pool, keeping the counters'
+// backing array for the next owner.
 func (pp *PagePool) put(pg *histPage) {
-	*pg = histPage{}
+	*pg = histPage{counts: pg.counts[:0]}
 	pp.p.Put(pg)
 }
 
@@ -108,7 +136,7 @@ func NewHistoryIn(pool *PagePool) *History {
 }
 
 // writablePage returns the page covering node at step, allocating or
-// cloning (copy-on-write) as needed so the caller may increment counters.
+// cloning (copy-on-write) as needed so the caller may write into it.
 func (h *History) writablePage(step, node int) *histPage {
 	pi := node >> histPageShift
 	row := h.pages[step]
@@ -126,8 +154,10 @@ func (h *History) writablePage(step, node int) *histPage {
 	case pg.refs > 1:
 		// Shared with one or more snapshots: clone before writing.
 		cl := h.pool.get()
-		cl.nz = pg.nz
-		cl.counts = pg.counts
+		counts := cl.counts
+		*cl = *pg
+		cl.refs = 1
+		cl.counts = append(counts, pg.counts...)
 		pg.refs--
 		pg = cl
 		row[pi] = pg
@@ -135,46 +165,113 @@ func (h *History) writablePage(step, node int) *histPage {
 	return pg
 }
 
-// RecordWalk registers a forward walk path (path[i] = node visited at step i).
-func (h *History) RecordWalk(path []int) {
+// RecordWalk registers a forward walk path (path[i] = node visited at step
+// i). It carries no neighbor lists, so the history's evidence rows stop
+// proving anything (evRows = 0) and WS-BW gathers on every step.
+func (h *History) RecordWalk(path []int) { h.record(path, nil) }
+
+// record registers path; with a client it also sets evidence rows 0..t-1
+// (t = len(path)-1) from the client's cached neighbor lists. The sampler
+// passes its client only when the walk fetched every list it stepped from
+// on a symmetric view, so the lists read here are the ones already paid
+// for. Only a node's first visit at a step sets evidence: the walk that
+// counted it first recorded its list, or evRows already excludes the row.
+func (h *History) record(path []int, c *osn.Client) {
 	for len(h.pages) < len(path) {
 		h.pages = append(h.pages, nil)
 	}
+	rows := 0
+	if c != nil {
+		rows = len(path) - 1
+	}
+	if h.walks == 0 || rows < h.evRows {
+		h.evRows = rows
+	}
 	for step, node := range path {
 		pg := h.writablePage(step, node)
-		o := uint(node) & histPageMask
-		pg.counts[o]++
-		pg.nz[o>>6] |= 1 << (o & 63)
+		if !pg.inc(uint(node)&histPageMask) || step >= rows {
+			continue
+		}
+		h.setEvidence(step, []int32{int32(node)})
+		h.setEvidence(step, c.Neighbors(node))
 	}
 	h.walks++
 }
 
-// HistRow is the per-step hit-counter accessor: a view over one step's page
-// directory. Row hands it to the WS-BW kernel once per backward step; the
+// setEvidence sets evidence bits (step, v) for every v in vs. A bit already
+// set is not written again, so a page shared with a snapshot is cloned only
+// for a new bit.
+func (h *History) setEvidence(step int, vs []int32) {
+	row := h.pages[step]
+	for _, v := range vs {
+		pi, o := uint(v)>>histPageShift, uint(v)&histPageMask
+		w, bit := o>>6, uint64(1)<<(o&63)
+		if pi < uint(len(row)) && row[pi] != nil {
+			pg := row[pi]
+			if pg.ev[w]&bit != 0 {
+				continue
+			}
+			if pg.refs == 1 {
+				pg.ev[w] |= bit
+				continue
+			}
+		}
+		h.writablePage(step, int(v)).ev[w] |= bit
+		row = h.pages[step]
+	}
+}
+
+// count returns the counter at offset o, whose nonzero bit is set.
+func (pg *histPage) count(o uint) int32 {
+	w := o >> 6
+	return pg.counts[int(pg.rank[w])+bits.OnesCount64(pg.nz[w]&(1<<(o&63)-1))]
+}
+
+// HistRow is the per-step accessor: a view over one step's page directory.
+// Row hands it to the WS-BW kernel once per backward step; the
 // per-candidate Hits probe is a directory index, a bitset word test, and —
-// only for candidates with hits — one counter load. It aliases live state
-// (immutable against a Snapshot), must be treated as read-only, and
-// involves no allocation.
+// only for candidates with hits — a popcount and one counter load. It
+// aliases live state (immutable against a Snapshot), must be treated as
+// read-only, and involves no allocation.
 type HistRow struct {
 	pages []*histPage
 }
 
+// page returns the page covering v, or nil for ids beyond the directory or
+// in never-touched pages.
+func (r HistRow) page(v int) *histPage {
+	if pi := uint(v) >> histPageShift; pi < uint(len(r.pages)) {
+		return r.pages[pi]
+	}
+	return nil
+}
+
 // Hits returns the number of recorded walks that visited v at this row's
-// step (0 for ids beyond the directory or in never-touched pages).
+// step.
 func (r HistRow) Hits(v int) int32 {
-	pi := uint(v) >> histPageShift
-	if pi >= uint(len(r.pages)) {
-		return 0
+	if pg, o := r.hit(v); pg != nil {
+		return pg.count(o)
 	}
-	pg := r.pages[pi]
-	if pg == nil {
-		return 0
-	}
+	return 0
+}
+
+// hit returns v's page and offset when v's counter is nonzero, else a nil
+// page: the probe WS-BW's gather inlines per candidate.
+func (r HistRow) hit(v int) (*histPage, uint) {
+	pg := r.page(v)
 	o := uint(v) & histPageMask
-	if pg.nz[o>>6]&(1<<(o&63)) == 0 {
-		return 0
+	if pg == nil || pg.nz[o>>6]&(1<<(o&63)) == 0 {
+		return nil, 0
 	}
-	return pg.counts[o]
+	return pg, o
+}
+
+// evident reports evidence bit (row, v): false proves, within the history's
+// evRows, that no recorded walk visited v or a neighbor of v at this step.
+func (r HistRow) evident(v int) bool {
+	pg := r.page(v)
+	o := uint(v) & histPageMask
+	return pg != nil && pg.ev[o>>6]&(1<<(o&63)) != 0
 }
 
 // Row returns the hit-counter row for one step. Out-of-range steps yield an
@@ -206,7 +303,7 @@ func (h *History) Walks() int { return h.walks }
 // so snapshot cost is bounded by the visited mass, not the graph's id
 // space.
 func (h *History) Snapshot() *History {
-	s := &History{walks: h.walks, pool: h.pool}
+	s := &History{walks: h.walks, evRows: h.evRows, pool: h.pool}
 	if len(h.pages) > 0 {
 		s.pages = make([][]*histPage, len(h.pages))
 		for i, row := range h.pages {
@@ -247,5 +344,5 @@ func (h *History) Release() {
 		}
 	}
 	h.pages = h.pages[:0]
-	h.walks = 0
+	h.walks, h.evRows = 0, 0
 }

@@ -10,6 +10,12 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"unsafe"
+
+	"repro/internal/fastrand"
+	"repro/internal/gen"
+	"repro/internal/osn"
+	"repro/internal/walk"
 )
 
 // denseHistory is the pre-paging reference implementation: step-indexed
@@ -263,4 +269,56 @@ func BenchmarkHistorySnapshotSparseDense(b *testing.B) {
 		sink += s.walks
 	}
 	_ = sink
+}
+
+// historyBytes is the memory a history holds: its page directories, its
+// pages and their counter arrays.
+func historyBytes(h *History) int {
+	n := 0
+	for _, row := range h.pages {
+		n += cap(row) * int(unsafe.Sizeof((*histPage)(nil)))
+		for _, pg := range row {
+			if pg != nil {
+				n += int(unsafe.Sizeof(*pg)) + cap(pg.counts)*4
+			}
+		}
+	}
+	return n
+}
+
+// TestHistoryJobFootprint is the lean-history regression test on the
+// benchmark's job shape: BA 50k/5, SRW, t = 13, 2-hop crawl, WS-BW, one
+// fresh sampler drawing 24 samples. Its 67 walks leave at most 938
+// nonzero counters, yet each row spreads over up to all 13 pages of the id
+// space: pages of 4096 dense int32 counters held 2.66 MB (157 pages) on
+// this job. The history must hold ≤ 512 KiB, with its evidence rows in use.
+func TestHistoryJobFootprint(t *testing.T) {
+	g := gen.BarabasiAlbert(50000, 5, fastrand.New(7))
+	rng := fastrand.New(11)
+	c := osn.NewClient(osn.NewNetwork(g), osn.CostUniqueNodes, rng)
+	s, err := NewSampler(c, Config{Design: walk.SRW{}, WalkLength: 13, UseCrawl: true, CrawlHops: 2,
+		UseWeighted: true, BackwardReps: 4, VarianceBudget: 8, Pages: NewPagePool()}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SampleN(24); err != nil {
+		t.Fatal(err)
+	}
+	if s.hist.evRows != 13 {
+		t.Fatalf("evRows = %d, want 13", s.hist.evRows)
+	}
+	pages := 0
+	for _, row := range s.hist.pages {
+		for _, pg := range row {
+			if pg != nil {
+				pages++
+			}
+		}
+	}
+	got := historyBytes(s.hist)
+	t.Logf("%d walks: %d pages, %d B of history", s.hist.Walks(), pages, got)
+	const budget = 512 << 10
+	if got > budget {
+		t.Fatalf("job history holds %d B, want <= %d B", got, budget)
+	}
 }

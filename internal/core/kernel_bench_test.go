@@ -1,9 +1,10 @@
 package core
 
 // Micro-benchmarks and allocation-regression guards for the dense hot-path
-// kernels: backStep (the WS-BW inner loop, ~90% of all walk steps per
-// DESIGN.md), History.Row, and the full EstimateOnce backward walk.
-// scripts/bench_kernels.sh records these in BENCH_kernels.json.
+// kernels: backStep (the WS-BW pick taken on every backward step, with and
+// without history evidence at the predecessor step), History.Row, and the
+// full EstimateOnce backward walk. scripts/bench_kernels.sh records these
+// in BENCH_kernels.json.
 
 import (
 	"math/rand"
@@ -16,7 +17,8 @@ import (
 )
 
 // kernelFixture builds a warm estimator with a populated WS-BW history over
-// a 20k-node BA graph, mirroring the state of a mid-run sampler. The
+// a 20k-node BA graph, mirroring the state of a mid-run sampler: walks are
+// recorded with their evidence rows, as the samplers record them. The
 // estimator reads a snapshot of the history — the parallel pipeline's
 // worker view.
 func kernelFixture(tb testing.TB, t int) (*Estimator, int) {
@@ -29,7 +31,7 @@ func kernelFixture(tb testing.TB, t int) (*Estimator, int) {
 	var v int
 	for i := 0; i < 200; i++ {
 		path := walk.Path(c, walk.SRW{}, 0, t, rng)
-		hist.RecordWalk(path)
+		hist.record(path, c)
 		v = path[len(path)-1]
 	}
 	e := &Estimator{Client: c, Design: walk.SRW{}, Start: 0, Hist: hist.Snapshot()}
@@ -54,6 +56,42 @@ func BenchmarkBackStep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkBackStepNoEvidence measures a backward step whose evidence bit
+// is clear — no recorded walk visited any candidate at the predecessor
+// step — so the gate skips the gather and draws the uniform pick. It must
+// report 0 allocs/op.
+func BenchmarkBackStepNoEvidence(b *testing.B) {
+	const t = 13
+	e, _ := kernelFixture(b, t)
+	v := noEvidenceNode(b, e, t)
+	rng := fastrand.New(7)
+	nbr := e.Client.Neighbors(v)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := e.backStep(v, t, nbr, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// noEvidenceNode returns the highest-degree node among the first 2,000
+// whose evidence bit at the predecessor row of step t is clear.
+func noEvidenceNode(tb testing.TB, e *Estimator, t int) int {
+	tb.Helper()
+	row := e.Hist.Row(t - 1)
+	best := -1
+	for v := 0; v < 2000; v++ {
+		if !row.evident(v) && (best < 0 || e.Client.Degree(v) > e.Client.Degree(best)) {
+			best = v
+		}
+	}
+	if best < 0 {
+		tb.Fatal("fixture has no node without evidence")
+	}
+	return best
 }
 
 // BenchmarkHistoryRow measures the per-step row handoff plus one candidate
@@ -136,7 +174,7 @@ func TestEstimateBatchWarmAllocs(t *testing.T) {
 
 // TestBackStepAllocs is the allocation-regression guard for the WS-BW inner
 // loop: after the scratch buffer's first growth, a backward step must not
-// allocate — uniform path (no history) and weighted path alike.
+// allocate — weighted, evidence-gated and uniform (no history) alike.
 func TestBackStepAllocs(t *testing.T) {
 	const steps = 13
 	e, v := kernelFixture(t, steps)
@@ -151,6 +189,16 @@ func TestBackStepAllocs(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("weighted backStep allocates %v/op, want 0", avg)
+	}
+
+	u := noEvidenceNode(t, e, steps) // gated: no evidence, no gather
+	unbr := e.Client.Neighbors(u)
+	if avg := testing.AllocsPerRun(1000, func() {
+		if _, _, err := e.backStep(u, steps, unbr, rng); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("gated backStep allocates %v/op, want 0", avg)
 	}
 
 	e.Hist = nil // UNBIASED-ESTIMATE uniform path

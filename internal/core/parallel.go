@@ -200,12 +200,9 @@ func (s *Sampler) SampleNParallelCtx(ctx context.Context, n, workers int) (walk.
 		out := make([]*pcand, size)
 		s.frontier = s.frontier[:0]
 		for i := range out {
-			path := walk.PathInto(s.pathBuf, s.c, s.cfg.Design, s.cfg.Start, t, s.rng)
+			path := walkForward(s.pathBuf, s.c, &s.cfg, s.hist, s.rng)
 			s.pathBuf = path
 			s.forwardSteps += int64(t)
-			if s.hist != nil {
-				s.hist.RecordWalk(path)
-			}
 			out[i] = &pcand{
 				v:       path[len(path)-1],
 				estSeed: s.rng.Int63(),

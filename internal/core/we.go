@@ -234,12 +234,9 @@ func (s *Sampler) sample(ctx context.Context) (int, error) {
 			return 0, context.Cause(ctx)
 		}
 		s.attempts++
-		path := walk.PathInto(s.pathBuf, s.c, s.cfg.Design, s.cfg.Start, t, s.rng)
+		path := walkForward(s.pathBuf, s.c, &s.cfg, s.hist, s.rng)
 		s.pathBuf = path
 		s.forwardSteps += int64(t)
-		if s.hist != nil {
-			s.hist.RecordWalk(path)
-		}
 		v := path[len(path)-1]
 
 		pHat, err := s.estimateCandidate(v, t)
@@ -261,6 +258,24 @@ func (s *Sampler) sample(ctx context.Context) (int, error) {
 		}
 	}
 	return 0, fmt.Errorf("core: no candidate accepted after %d attempts (walk length %d likely far too short for this graph)", s.cfg.maxAttempts(), t)
+}
+
+// walkForward runs one forward walk of cfg.WalkLength steps into buf and,
+// when h is non-nil, records it. The walk's evidence rows are recorded only
+// on a symmetric view and only when every list the walk stepped from was
+// fetched: a failed fetch is not cached, and re-reading its list would go
+// back to the backend.
+func walkForward(buf []int, c *osn.Client, cfg *Config, h *History, rng fastrand.RNG) []int {
+	failed := c.FailedFetches()
+	path := walk.PathInto(buf, c, cfg.Design, cfg.Start, cfg.WalkLength, rng)
+	if h != nil {
+		if c.SymmetricView() && c.FailedFetches() == failed {
+			h.record(path, c)
+		} else {
+			h.record(path, nil)
+		}
+	}
+	return path
 }
 
 // estimateCandidate runs the base backward repetitions plus the adaptive

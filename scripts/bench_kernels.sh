@@ -6,7 +6,7 @@
 # profile of the end-to-end run as bench_cpu.pprof for the CI artifact.
 #
 # The allocs/op entries double as a coarse regression tripwire in review:
-# BenchmarkBackStep, BenchmarkNeighborsHot* and BenchmarkHistoryRow must
+# BenchmarkBackStep*, BenchmarkNeighborsHot* and BenchmarkHistoryRow must
 # stay at 0 (the same contract testing.AllocsPerRun enforces in the tests),
 # and the sparse-visit memory benches must stay bounded by visited mass
 # (paged History snapshots >= 100x smaller than the dense baseline).
@@ -24,7 +24,7 @@ trap 'rm -f "$RAW" "$ENTRY"' EXIT
 
 # Micro-benchmarks across the kernel packages.
 go test -run '^$' \
-  -bench 'BenchmarkBackStep$|BenchmarkHistoryRow$|BenchmarkEstimateOnce$|BenchmarkEstimateBatch$|BenchmarkNeighborsHot$|BenchmarkNeighborsHotShared$|BenchmarkUint64$|BenchmarkIntn$|BenchmarkFloat64$|BenchmarkStdRandIntn$' \
+  -bench 'BenchmarkBackStep$|BenchmarkBackStepNoEvidence$|BenchmarkHistoryRow$|BenchmarkEstimateOnce$|BenchmarkEstimateBatch$|BenchmarkNeighborsHot$|BenchmarkNeighborsHotShared$|BenchmarkUint64$|BenchmarkIntn$|BenchmarkFloat64$|BenchmarkStdRandIntn$' \
   -benchtime "$MICROTIME" -benchmem -timeout 20m \
   ./internal/core ./internal/osn ./internal/fastrand | tee "$RAW"
 
