@@ -41,8 +41,8 @@ type History struct {
 	pool   *PagePool
 }
 
-// Page geometry: 4096 ids per page, three bitset-sized arrays plus the
-// nonzero counters — ~1.2 KiB where a 50k-id row spreads over 13 pages.
+// Page geometry: 4096 ids per page — two 512 B bitsets, a 128 B rank and
+// the nonzero counters, ~1.2 KiB a page.
 const (
 	histPageShift = 12
 	histPageSize  = 1 << histPageShift
@@ -83,6 +83,12 @@ func (pg *histPage) inc(o uint) (first bool) {
 		pg.rank[i]++
 	}
 	return true
+}
+
+// count returns the counter at offset o, whose nonzero bit is set.
+func (pg *histPage) count(o uint) int32 {
+	w := o >> 6
+	return pg.counts[int(pg.rank[w])+bits.OnesCount64(pg.nz[w]&(1<<(o&63)-1))]
 }
 
 // PagePool recycles history pages. Allocating pages is the only steady-
@@ -219,12 +225,6 @@ func (h *History) setEvidence(step int, vs []int32) {
 		h.writablePage(step, int(v)).ev[w] |= bit
 		row = h.pages[step]
 	}
-}
-
-// count returns the counter at offset o, whose nonzero bit is set.
-func (pg *histPage) count(o uint) int32 {
-	w := o >> 6
-	return pg.counts[int(pg.rank[w])+bits.OnesCount64(pg.nz[w]&(1<<(o&63)-1))]
 }
 
 // HistRow is the per-step accessor: a view over one step's page directory.

@@ -269,11 +269,10 @@ func walkForward(buf []int, c *osn.Client, cfg *Config, h *History, rng fastrand
 	failed := c.FailedFetches()
 	path := walk.PathInto(buf, c, cfg.Design, cfg.Start, cfg.WalkLength, rng)
 	if h != nil {
-		if c.SymmetricView() && c.FailedFetches() == failed {
-			h.record(path, c)
-		} else {
-			h.record(path, nil)
+		if !c.SymmetricView() || c.FailedFetches() != failed {
+			c = nil // no evidence rows
 		}
+		h.record(path, c)
 	}
 	return path
 }

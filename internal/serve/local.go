@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -228,6 +229,14 @@ func (m *Manager) run(job *Job) (*JobResult, error) {
 		defer s.ReleasePages()
 		s.OnSample = func(ev core.SampleEvent) {
 			job.Publish(Sample{Index: ev.Index, Node: ev.Node, Steps: ev.Steps, Cost: ev.CostAfter})
+			if ev.Index == 0 {
+				// A stream writer woken by the first row is queued on this
+				// P behind the rest of the job and runs only when another
+				// P steals it; once the host is not busy enough to keep a P
+				// spinning, that waits on a thread wake-up. Yield so the
+				// first row goes out now.
+				runtime.Gosched()
+			}
 		}
 		var res walk.Result
 		if spec.Workers > 1 {
