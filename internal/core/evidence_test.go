@@ -65,7 +65,7 @@ func TestEvidenceSoundness(t *testing.T) {
 		for _, d := range []walk.Design{walk.SRW{}, walk.MHRW{}} {
 			name := gname + "/" + d.Name()
 			const tlen = 7
-			cfg := Config{Design: d, WalkLength: tlen, UseCrawl: true, UseWeighted: true, MaxAttempts: 1 << 20}
+			cfg := Config{Design: d, WalkLength: tlen, UseCrawl: true, UseWeighted: true}
 			newClient := func(seed int64) *osn.Client {
 				return osn.NewClient(osn.NewNetwork(g), osn.CostUniqueNodes, fastrand.New(seed))
 			}
