@@ -61,6 +61,13 @@ var goldenWant = map[string]goldenRun{
 		Steps:   []int{25, 41, 39, 37, 29, 49, 35, 24, 48, 39, 23, 27, 29, 33, 24, 26},
 		Queries: 235, Back: 384,
 	},
+	"mixed": {
+		Nodes: []int{1027, 3, 177, 243, 300, 127, 385, 1455, 14, 56, 65, 385, 815, 236, 233, 118,
+			1374, 939, 984, 777, 69, 732, 904, 469},
+		Steps: []int{58, 30, 58, 58, 30, 95, 102, 37, 176, 37, 116, 58, 116, 58, 183, 204,
+			116, 58, 58, 204, 167, 436, 174, 116},
+		Queries: 1462, Back: 2317,
+	},
 }
 
 var goldenPar2 = goldenRun{
@@ -77,7 +84,9 @@ var goldenPar4 = goldenRun{
 
 func TestGoldenSampleStreams(t *testing.T) {
 	g := gen.BarabasiAlbert(2000, 3, rand.New(rand.NewSource(42)))
-	run := func(be osn.Backend, workers int, d walk.Design, opts ...osn.Option) goldenRun {
+	// calls runs SampleN (workers 0) or SampleNParallel calls in turn on
+	// one sampler and concatenates their streams.
+	calls := func(be osn.Backend, d walk.Design, opts []osn.Option, seq ...[2]int) goldenRun {
 		t.Helper()
 		rng := rand.New(rand.NewSource(11))
 		c := osn.NewClient(osn.NewNetworkOn(be, opts...), osn.CostUniqueNodes, rng)
@@ -93,16 +102,27 @@ func TestGoldenSampleStreams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var res walk.Result
-		if workers == 0 {
-			res, err = s.SampleN(16)
-		} else {
-			res, err = s.SampleNParallel(16, workers)
+		var out goldenRun
+		for _, call := range seq {
+			n, workers := call[0], call[1]
+			var res walk.Result
+			if workers == 0 {
+				res, err = s.SampleN(n)
+			} else {
+				res, err = s.SampleNParallel(n, workers)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.Nodes = append(out.Nodes, res.Nodes...)
+			out.Steps = append(out.Steps, res.Steps...)
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return goldenRun{res.Nodes, res.Steps, c.TotalQueries(), s.BackwardSteps()}
+		out.Queries, out.Back = c.TotalQueries(), s.BackwardSteps()
+		return out
+	}
+	run := func(be osn.Backend, workers int, d walk.Design, opts ...osn.Option) goldenRun {
+		t.Helper()
+		return calls(be, d, opts, [2]int{16, workers})
 	}
 	sim := func() osn.Backend {
 		return osn.NewRemoteSim(osn.NewMemBackend(g), 20*time.Microsecond, 5*time.Microsecond, 64)
@@ -120,9 +140,13 @@ func TestGoldenSampleStreams(t *testing.T) {
 		"mhrw-par2":       run(mem(), 2, mhrw),
 		"restricted-seq":  run(mem(), 0, srw, restricted),
 		"restricted-par2": run(mem(), 2, srw, restricted),
+		// One sampler alternating sequential and parallel calls: the
+		// workers' frozen history must include the walks the sequential
+		// calls recorded.
+		"mixed": calls(mem(), srw, nil, [2]int{8, 0}, [2]int{8, 2}, [2]int{4, 0}, [2]int{4, 2}),
 	}
 	for _, name := range []string{"seq", "mem-par2", "mem-par4", "sim-par2", "sim-par4",
-		"mhrw-seq", "mhrw-par2", "restricted-seq", "restricted-par2"} {
+		"mhrw-seq", "mhrw-par2", "restricted-seq", "restricted-par2", "mixed"} {
 		if !reflect.DeepEqual(got[name], goldenWant[name]) {
 			t.Errorf("%s: got %#v\nwant %#v", name, got[name], goldenWant[name])
 		}
