@@ -174,7 +174,6 @@ func BenchmarkBatchedStep(b *testing.B) {
 			hist.RecordWalk(path)
 			nodes[i] = path[len(path)-1]
 		}
-		snap := hist.Snapshot()
 		for _, batched := range []bool{false, true} {
 			name := fmt.Sprintf("latency=%dms/scalar", latency.Milliseconds())
 			if batched {
@@ -185,7 +184,7 @@ func BenchmarkBatchedStep(b *testing.B) {
 					// Fresh client per op: cold L1, so the op pays the
 					// backend round trips the kernel is meant to batch.
 					c := wnw.NewClient(net, wnw.CostUniqueNodes, wnw.NewFastRNG(int64(i)))
-					e := &wnw.Estimator{Client: c, Design: d, Start: 0, Hist: snap}
+					e := &wnw.Estimator{Client: c, Design: d, Start: 0, Hist: hist}
 					if batched {
 						cands := make([]*wnw.WEBatchCand, width)
 						for k, v := range nodes {

@@ -27,8 +27,9 @@ import (
 //
 // Configuration freeze: Client, Design and Epsilon must be set before the
 // first estimate and not mutated afterwards — the step kernel caches values
-// derived from them on first use. Crawl and Hist may be swapped between
-// estimates (the parallel pipeline re-points Hist at fresh snapshots).
+// derived from them on first use. Crawl and Hist, and Hist's contents, may
+// change between estimates (the parallel pipeline refreshes its workers'
+// frozen history in place between batches).
 type Estimator struct {
 	Client *osn.Client
 	Design walk.Design

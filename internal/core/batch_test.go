@@ -50,7 +50,7 @@ func batchFixture(t *testing.T, d walk.Design, useCrawl bool) (scalar, vec *Esti
 		hv.RecordWalk(path)
 		cands = append(cands, path[len(path)-1])
 	}
-	scalar.Hist, vec.Hist = hs.Snapshot(), hv.Snapshot()
+	scalar.Hist, vec.Hist = hs, hv
 	return scalar, vec, cands
 }
 

@@ -68,6 +68,11 @@ var goldenWant = map[string]goldenRun{
 			116, 58, 58, 204, 167, 436, 174, 116},
 		Queries: 1462, Back: 2317,
 	},
+	"mixed-refresh": {
+		Nodes:   []int{1263, 823, 563, 508, 103, 1357, 1242, 485, 234},
+		Steps:   []int{58, 58, 58, 58, 58, 58, 58, 174, 116},
+		Queries: 1120, Back: 686,
+	},
 }
 
 var goldenPar2 = goldenRun{
@@ -144,9 +149,14 @@ func TestGoldenSampleStreams(t *testing.T) {
 		// workers' frozen history must include the walks the sequential
 		// calls recorded.
 		"mixed": calls(mem(), srw, nil, [2]int{8, 0}, [2]int{8, 2}, [2]int{4, 0}, [2]int{4, 2}),
+		// The first parallel call ends with a frozen-history refresh
+		// decided for a speculative batch it never dispatches; the next
+		// parallel call must still start from that refresh, not from one
+		// taken after the sequential call's walks.
+		"mixed-refresh": calls(mem(), srw, nil, [2]int{6, 2}, [2]int{1, 0}, [2]int{2, 2}),
 	}
 	for _, name := range []string{"seq", "mem-par2", "mem-par4", "sim-par2", "sim-par4",
-		"mhrw-seq", "mhrw-par2", "restricted-seq", "restricted-par2", "mixed"} {
+		"mhrw-seq", "mhrw-par2", "restricted-seq", "restricted-par2", "mixed", "mixed-refresh"} {
 		if !reflect.DeepEqual(got[name], goldenWant[name]) {
 			t.Errorf("%s: got %#v\nwant %#v", name, got[name], goldenWant[name])
 		}

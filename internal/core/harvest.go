@@ -63,7 +63,7 @@ func NewHarvestSampler(c *osn.Client, cfg Config, minStep int, rng fastrand.RNG)
 		}
 	}
 	if cfg.UseWeighted {
-		s.hist = NewHistoryIn(cfg.Pages)
+		s.hist = NewHistory()
 	}
 	s.est = &Estimator{
 		Client:  c,

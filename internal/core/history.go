@@ -15,11 +15,12 @@ import (
 //
 // State lives in fixed-size pages of histPageSize node ids, indexed by a
 // per-step page directory (pages[step][node>>histPageShift]) that grows on
-// demand. A page is allocated — from a PagePool, so a long-lived service
-// recycles them across jobs — the first time a walk touches its id range at
-// that step, so memory is bounded by the visited mass, never by the graph's
-// id space. A page stores only its nonzero counters, in id order, behind a
-// nonzero bitset that answers the common "no hit" probe on its own.
+// demand. A page is allocated — from a process-wide pool, so a long-lived
+// service recycles them across jobs — the first time a walk touches its id
+// range at that step, so memory is bounded by the visited mass, never by
+// the graph's id space. A page stores only its nonzero counters, in id
+// order, behind a nonzero bitset that answers the common "no hit" probe on
+// its own.
 //
 // Evidence rows let WS-BW skip the gather of a backward step that can find
 // no hit (see backStep). Recording a walk that is at w on step i < t sets
@@ -30,15 +31,13 @@ import (
 // proof holds; one walk recorded without neighbor lists (RecordWalk) drops
 // it to 0.
 //
-// Snapshot is copy-on-write: it copies only the page directories and shares
-// the pages themselves (refcounted). The recorder clones a shared page the
-// next time it writes into it, so snapshots are immutable without locks on
-// either side.
+// A History is written by one goroutine. The parallel pipeline gives its
+// estimation workers a second, frozen History that syncTo rewrites at the
+// batch barrier, while no worker reads it.
 type History struct {
 	pages  [][]*histPage // pages[step][node>>histPageShift]
 	walks  int
 	evRows int
-	pool   *PagePool
 }
 
 // Page geometry: 4096 ids per page — two 512 B bitsets, a 128 B rank and
@@ -54,13 +53,8 @@ const (
 // counters of that range, compacted in id order, and the evidence bits.
 // rank[w] is the number of nonzero counters in the words before w, so the
 // counter of offset o is counts[rank[o>>6] + (nonzero bits below o in its
-// word)]. refs counts the directories (live history plus snapshots) that
-// reference the page; the recorder may write into a page only while
-// refs == 1 and clones it otherwise (copy-on-write). refs is only touched
-// by the goroutine that owns the live history and by quiesced Release
-// calls, never by concurrent snapshot readers.
+// word)].
 type histPage struct {
-	refs   int32
 	nz     [histPageWords]uint64
 	ev     [histPageWords]uint64
 	rank   [histPageWords]uint16
@@ -91,58 +85,24 @@ func (pg *histPage) count(o uint) int32 {
 	return pg.counts[int(pg.rank[w])+bits.OnesCount64(pg.nz[w]&(1<<(o&63)-1))]
 }
 
-// PagePool recycles history pages. Allocating pages is the only steady-
+// pagePool recycles history pages. Allocating pages is the only steady-
 // state allocation of the WS-BW history, and a sampling service churns one
-// history per job; drawing pages from a shared pool bounds that churn by
-// the pages actually dirtied instead of regrowing from zero each time.
-// Safe for concurrent use (it wraps a sync.Pool). The zero value is NOT
-// usable; construct with NewPagePool.
-type PagePool struct {
-	p sync.Pool
-}
-
-// NewPagePool returns an empty page pool.
-func NewPagePool() *PagePool {
-	pp := &PagePool{}
-	pp.p.New = func() any { return new(histPage) }
-	return pp
-}
-
-// get returns a zeroed page with refs = 1 (pages are zeroed on put).
-func (pp *PagePool) get() *histPage {
-	pg := pp.p.Get().(*histPage)
-	pg.refs = 1
-	return pg
-}
-
-// put zeroes a page and returns it to the pool, keeping the counters'
+// history per job; Release returns a finished history's pages here, so that
+// churn is bounded by the pages a job dirties instead of regrowing from
+// zero each time. Pages are zeroed on the way in, keeping the counters'
 // backing array for the next owner.
-func (pp *PagePool) put(pg *histPage) {
+var pagePool = sync.Pool{New: func() any { return new(histPage) }}
+
+func putPage(pg *histPage) {
 	*pg = histPage{counts: pg.counts[:0]}
-	pp.p.Put(pg)
+	pagePool.Put(pg)
 }
 
-// defaultPagePool backs histories constructed without an explicit pool.
-var defaultPagePool = NewPagePool()
+// NewHistory returns an empty history.
+func NewHistory() *History { return &History{} }
 
-// NewHistory returns an empty history over the process-wide default page
-// pool.
-func NewHistory() *History {
-	return NewHistoryIn(nil)
-}
-
-// NewHistoryIn returns an empty history allocating its pages from pool
-// (nil selects the process-wide default). A service passes one shared pool
-// so every job's history reuses the pages released by finished jobs.
-func NewHistoryIn(pool *PagePool) *History {
-	if pool == nil {
-		pool = defaultPagePool
-	}
-	return &History{pool: pool}
-}
-
-// writablePage returns the page covering node at step, allocating or
-// cloning (copy-on-write) as needed so the caller may write into it.
+// writablePage returns the page covering node at step, allocating it if
+// needed.
 func (h *History) writablePage(step, node int) *histPage {
 	pi := node >> histPageShift
 	row := h.pages[step]
@@ -153,19 +113,8 @@ func (h *History) writablePage(step, node int) *histPage {
 		h.pages[step] = row
 	}
 	pg := row[pi]
-	switch {
-	case pg == nil:
-		pg = h.pool.get()
-		row[pi] = pg
-	case pg.refs > 1:
-		// Shared with one or more snapshots: clone before writing.
-		cl := h.pool.get()
-		counts := cl.counts
-		*cl = *pg
-		cl.refs = 1
-		cl.counts = append(counts, pg.counts...)
-		pg.refs--
-		pg = cl
+	if pg == nil {
+		pg = pagePool.Get().(*histPage)
 		row[pi] = pg
 	}
 	return pg
@@ -204,23 +153,15 @@ func (h *History) record(path []int, c *osn.Client) {
 	h.walks++
 }
 
-// setEvidence sets evidence bits (step, v) for every v in vs. A bit already
-// set is not written again, so a page shared with a snapshot is cloned only
-// for a new bit.
+// setEvidence sets evidence bits (step, v) for every v in vs.
 func (h *History) setEvidence(step int, vs []int32) {
 	row := h.pages[step]
 	for _, v := range vs {
 		pi, o := uint(v)>>histPageShift, uint(v)&histPageMask
 		w, bit := o>>6, uint64(1)<<(o&63)
 		if pi < uint(len(row)) && row[pi] != nil {
-			pg := row[pi]
-			if pg.ev[w]&bit != 0 {
-				continue
-			}
-			if pg.refs == 1 {
-				pg.ev[w] |= bit
-				continue
-			}
+			row[pi].ev[w] |= bit
+			continue
 		}
 		h.writablePage(step, int(v)).ev[w] |= bit
 		row = h.pages[step]
@@ -231,8 +172,8 @@ func (h *History) setEvidence(step int, vs []int32) {
 // Row hands it to the WS-BW kernel once per backward step; the
 // per-candidate Hits probe is a directory index, a bitset word test, and —
 // only for candidates with hits — a popcount and one counter load. It
-// aliases live state (immutable against a Snapshot), must be treated as
-// read-only, and involves no allocation.
+// aliases the history's state, must be treated as read-only, and involves
+// no allocation.
 type HistRow struct {
 	pages []*histPage
 }
@@ -294,52 +235,51 @@ func (h *History) Hits(node, step int) int {
 // Walks returns n_hw, the number of recorded forward walks.
 func (h *History) Walks() int { return h.walks }
 
-// Snapshot returns an immutable copy-on-write view of the history. The
-// parallel sampling pipeline hands snapshots to its estimation workers so
-// WS-BW reads never race the recorder: the recorder keeps mutating the live
-// history while workers read the frozen view, with no locks on either side.
-// Only the page directories are copied; pages are shared and refcounted,
-// and the recorder clones any shared page before its next write into it —
-// so snapshot cost is bounded by the visited mass, not the graph's id
-// space.
-func (h *History) Snapshot() *History {
-	s := &History{walks: h.walks, evRows: h.evRows, pool: h.pool}
-	if len(h.pages) > 0 {
-		s.pages = make([][]*histPage, len(h.pages))
-		for i, row := range h.pages {
-			if len(row) == 0 {
-				continue
-			}
-			r := make([]*histPage, len(row))
-			copy(r, row)
-			for _, pg := range r {
-				if pg != nil {
-					pg.refs++
-				}
-			}
-			s.pages[i] = r
-		}
+// syncTo makes dst an exact copy of h. dst must be empty or hold an
+// earlier state of h — h has only recorded walks since, so it covers
+// every page dst holds. Each page of h is copied into dst's page at the
+// same place, reusing dst's directories, pages and counter arrays, so a
+// repeat sync allocates only for the pages and counters h gained since.
+// The parallel pipeline syncs its frozen history at the batch barrier,
+// while no worker reads it.
+func (h *History) syncTo(dst *History) {
+	for len(dst.pages) < len(h.pages) {
+		dst.pages = append(dst.pages, nil)
 	}
-	return s
-}
-
-// Release returns the history's pages to its pool (those not still shared
-// with a live snapshot — refcounts make sharing safe) and empties it.
-// Call it only once no goroutine can still be reading the history or any
-// snapshot sharing its pages: the parallel pipeline releases retired
-// snapshots at its batch barrier, and a service releases a job's whole
-// history tree after the run has returned. A released history is empty but
-// valid — recording into it again starts from scratch.
-func (h *History) Release() {
-	for _, row := range h.pages {
-		for j, pg := range row {
+	for step, row := range h.pages {
+		drow := dst.pages[step]
+		if len(drow) < len(row) {
+			drow = append(drow, make([]*histPage, len(row)-len(drow))...)
+			dst.pages[step] = drow
+		}
+		for pi, pg := range row {
 			if pg == nil {
 				continue
 			}
-			row[j] = nil
-			pg.refs--
-			if pg.refs == 0 {
-				h.pool.put(pg)
+			d := drow[pi]
+			if d == nil {
+				d = pagePool.Get().(*histPage)
+				drow[pi] = d
+			}
+			counts := d.counts
+			*d = *pg
+			d.counts = append(counts[:0], pg.counts...)
+		}
+	}
+	dst.walks, dst.evRows = h.walks, h.evRows
+}
+
+// Release returns the history's pages to the pool and empties it. Call it
+// only once no goroutine can still be reading the history: a service
+// releases a job's histories after the run has returned. A released
+// history is empty but valid — recording into it again starts from
+// scratch.
+func (h *History) Release() {
+	for _, row := range h.pages {
+		for j, pg := range row {
+			if pg != nil {
+				putPage(pg)
+				row[j] = nil
 			}
 		}
 	}

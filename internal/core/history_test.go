@@ -1,12 +1,14 @@
 package core
 
 // Tests for the paged History representation: agreement with a dense
-// reference on random record/read/snapshot interleavings, copy-on-write
-// snapshot semantics under the page pool, and the visited-mass memory
-// bound (sparse visits on a 5M-max-id fixture must snapshot in O(visited),
+// reference on random record/read/sync interleavings, frozen-copy
+// semantics of syncTo under the page pool, and the visited-mass memory
+// bound (sparse visits on a 5M-max-id fixture must sync in O(visited),
 // not O(maxId)).
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -54,7 +56,7 @@ func (h *denseHistory) Hits(node, step int) int {
 	return int(row[node])
 }
 
-func (h *denseHistory) Snapshot() *denseHistory {
+func (h *denseHistory) clone() *denseHistory {
 	s := &denseHistory{walks: h.walks}
 	s.counts = make([][]int32, len(h.counts))
 	for i, row := range h.counts {
@@ -63,16 +65,67 @@ func (h *denseHistory) Snapshot() *denseHistory {
 	return s
 }
 
+// agreesWithDense checks h against the dense reference: walk counts and
+// random probes (out-of-range ones included); with full, also every
+// nonzero reference cell through the Row accessor and the number of
+// nonzero cells.
+func agreesWithDense(t *testing.T, what string, h *History, ref *denseHistory, full bool, randomID func() int, rng *rand.Rand) {
+	t.Helper()
+	if h.Walks() != ref.walks {
+		t.Fatalf("%s: Walks = %d, reference %d", what, h.Walks(), ref.walks)
+	}
+	for k := 0; k < 50; k++ {
+		node, step := randomID(), rng.Intn(14)-1
+		if k%10 == 0 {
+			node = -1 - rng.Intn(3)
+		}
+		if got, want := h.Hits(node, step), ref.Hits(node, step); got != want {
+			t.Fatalf("%s: Hits(%d,%d) = %d, reference %d", what, node, step, got, want)
+		}
+	}
+	if !full {
+		return
+	}
+	cells := 0
+	for step, row := range ref.counts {
+		for node, n := range row {
+			if n == 0 {
+				continue
+			}
+			cells++
+			if got := h.Row(step).Hits(node); got != n {
+				t.Fatalf("%s: Row(%d).Hits(%d) = %d, reference %d", what, step, node, got, n)
+			}
+		}
+	}
+	nonzero := 0
+	for _, row := range h.pages {
+		for _, pg := range row {
+			if pg != nil {
+				for _, w := range pg.nz {
+					nonzero += bits.OnesCount64(w)
+				}
+			}
+		}
+	}
+	if nonzero != cells {
+		t.Fatalf("%s: %d nonzero cells, reference %d", what, nonzero, cells)
+	}
+}
+
 // TestHistoryMatchesDenseReference drives the paged history and the dense
 // reference through identical random interleavings of walk recording,
-// point reads, and snapshotting, and checks full agreement — both of the
-// live histories and of every (snapshot, reference-snapshot) pair at the
-// end, after further mutation of the live side.
+// point reads, releases, and syncs into one frozen history. After every
+// op the live history must agree with the reference and the frozen one
+// with the reference copy taken at its last sync, so later live writes
+// (into the same pages, or growing the directories) stay invisible to it.
+// Every cell is compared at each sync, release and trial end; random
+// probes in between.
 func TestHistoryMatchesDenseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 20; trial++ {
-		paged := NewHistory()
-		dense := &denseHistory{}
+		paged, frozen := NewHistory(), NewHistory()
+		dense, frozenRef := &denseHistory{}, &denseHistory{}
 		// Id spread crosses several page boundaries; occasionally huge to
 		// exercise directory growth.
 		randomID := func() int {
@@ -87,104 +140,47 @@ func TestHistoryMatchesDenseReference(t *testing.T) {
 				return rng.Intn(200_000)
 			}
 		}
-		var snaps []*History
-		var denseSnaps []*denseHistory
 		for op := 0; op < 300; op++ {
-			switch rng.Intn(5) {
-			case 0, 1, 2: // record a walk
+			full := op == 299
+			switch rng.Intn(12) {
+			case 0: // release both, as Sampler.ReleasePages does
+				paged.Release()
+				frozen.Release()
+				dense, frozenRef = &denseHistory{}, &denseHistory{}
+				full = true
+			case 1: // sync the frozen history
+				paged.syncTo(frozen)
+				frozenRef = dense.clone()
+				full = true
+			default: // record a walk
 				path := make([]int, 1+rng.Intn(12))
 				for i := range path {
 					path[i] = randomID()
 				}
 				paged.RecordWalk(path)
 				dense.RecordWalk(path)
-			case 3: // point reads, including out-of-range probes
-				for k := 0; k < 10; k++ {
-					node, step := randomID(), rng.Intn(14)-1
-					if got, want := paged.Hits(node, step), dense.Hits(node, step); got != want {
-						t.Fatalf("trial %d op %d: Hits(%d,%d) = %d, dense reference %d",
-							trial, op, node, step, got, want)
-					}
-				}
-			case 4: // snapshot both; retire an old pair sometimes
-				snaps = append(snaps, paged.Snapshot())
-				denseSnaps = append(denseSnaps, dense.Snapshot())
-				if len(snaps) > 3 && rng.Intn(2) == 0 {
-					snaps[0].Release() // pages may go back to the pool
-					snaps = snaps[1:]
-					denseSnaps = denseSnaps[1:]
-				}
 			}
+			agreesWithDense(t, fmt.Sprintf("trial %d op %d live", trial, op), paged, dense, full, randomID, rng)
+			agreesWithDense(t, fmt.Sprintf("trial %d op %d frozen", trial, op), frozen, frozenRef, full, randomID, rng)
 		}
-		if paged.Walks() != dense.walks {
-			t.Fatalf("trial %d: Walks = %d, dense reference %d", trial, paged.Walks(), dense.walks)
-		}
-		for si, snap := range snaps {
-			ref := denseSnaps[si]
-			if snap.Walks() != ref.walks {
-				t.Fatalf("trial %d snapshot %d: Walks = %d, reference %d", trial, si, snap.Walks(), ref.walks)
-			}
-			for k := 0; k < 200; k++ {
-				node, step := randomID(), rng.Intn(14)-1
-				if got, want := snap.Hits(node, step), ref.Hits(node, step); got != want {
-					t.Fatalf("trial %d snapshot %d: Hits(%d,%d) = %d, reference %d",
-						trial, si, node, step, got, want)
-				}
-			}
-		}
-		for _, snap := range snaps {
-			snap.Release()
-		}
+		frozen.Release()
 		paged.Release()
 	}
 }
 
-// TestHistoryRowAgainstSnapshot checks that the Row accessor over a
-// snapshot is frozen: recording into the live history (forcing
-// copy-on-write page clones) must not change what the snapshot's rows
-// report.
-func TestHistoryRowAgainstSnapshot(t *testing.T) {
-	h := NewHistory()
-	h.RecordWalk([]int{1, histPageSize + 5, 9})
-	snap := h.Snapshot()
-	row := snap.Row(1)
-	if got := row.Hits(histPageSize + 5); got != 1 {
-		t.Fatalf("snapshot row hit = %d, want 1", got)
-	}
-	// Write into the same page of the same step: must clone, not mutate.
-	h.RecordWalk([]int{1, histPageSize + 5, 9})
-	h.RecordWalk([]int{1, histPageSize + 6, 9})
-	if got := row.Hits(histPageSize + 5); got != 1 {
-		t.Fatalf("snapshot row mutated to %d after live writes, want 1", got)
-	}
-	if got := row.Hits(histPageSize + 6); got != 0 {
-		t.Fatalf("snapshot row sees new id: %d, want 0", got)
-	}
-	if got := h.Hits(histPageSize+5, 1); got != 2 {
-		t.Fatalf("live history hit = %d, want 2", got)
-	}
-	snap.Release()
-	// Released snapshot's pages are writable again by the live side.
-	h.RecordWalk([]int{1, histPageSize + 5, 9})
-	if got := h.Hits(histPageSize+5, 1); got != 3 {
-		t.Fatalf("live history hit after release = %d, want 3", got)
-	}
-}
-
 // TestHistoryPoolReuse checks that Release returns pages to the pool and
-// that a subsequent history drawn from the same pool starts empty — stale
-// counters from the previous owner must never leak through.
+// that a subsequent history drawing from it starts empty — stale counters
+// from the previous owner, live or frozen, must never leak through.
 func TestHistoryPoolReuse(t *testing.T) {
-	pool := NewPagePool()
-	h := NewHistoryIn(pool)
+	h, frozen := NewHistory(), NewHistory()
 	h.RecordWalk([]int{7, 8, 9})
-	snap := h.Snapshot()
-	snap.Release()
+	h.syncTo(frozen)
+	frozen.Release()
 	h.Release()
-	if h.Walks() != 0 || h.Hits(7, 0) != 0 {
-		t.Fatalf("released history not empty: walks=%d hits=%d", h.Walks(), h.Hits(7, 0))
+	if h.Walks() != 0 || h.Hits(7, 0) != 0 || frozen.Walks() != 0 || frozen.Hits(8, 1) != 0 {
+		t.Fatalf("released histories not empty: walks=%d/%d", h.Walks(), frozen.Walks())
 	}
-	h2 := NewHistoryIn(pool)
+	h2 := NewHistory()
 	h2.RecordWalk([]int{7, 100, 9})
 	if got := h2.Hits(8, 1); got != 0 {
 		t.Fatalf("recycled page leaked stale counter: Hits(8,1) = %d, want 0", got)
@@ -208,64 +204,69 @@ func sparseFixture(h interface{ RecordWalk([]int) }) {
 	}
 }
 
-// TestHistorySnapshotMemoryBound is the visited-mass regression test:
-// snapshotting a sparse 5M-max-id history must allocate O(visited) —
-// page directories plus nothing per untouched id — far under the
-// O(maxId · walkLength) of the dense layout (~320 MB for this fixture).
-func TestHistorySnapshotMemoryBound(t *testing.T) {
+// TestHistorySyncMemoryBound is the visited-mass regression test: the
+// first sync of a sparse 5M-max-id history into an empty one must
+// allocate O(visited) — a copy of its pages and page directories, nothing
+// per untouched id — far under the O(maxId · walkLength) of the dense
+// layout (~320 MB for this fixture). A repeat sync with no new walks
+// reuses every page and allocates nothing.
+func TestHistorySyncMemoryBound(t *testing.T) {
 	h := NewHistory()
 	sparseFixture(h)
+	// Each page copy costs at most its struct rounded up to the 1280 B
+	// size class plus a small counter array; directories at most their
+	// live capacity. Twice the live history's bytes bounds both.
+	budget := uint64(2 * historyBytes(h))
 	var before, after runtime.MemStats
+	frozen := NewHistory()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	const rounds = 10
-	snaps := make([]*History, rounds)
-	for i := range snaps {
-		snaps[i] = h.Snapshot()
-	}
+	h.syncTo(frozen)
 	runtime.ReadMemStats(&after)
-	perSnap := (after.TotalAlloc - before.TotalAlloc) / rounds
-	// Directory cost: ≤ ~1.5·(5M/4096) pointers per step × 16 steps ≈ 235 KB.
-	// Give 4× headroom; the dense layout would need ~320 MB.
-	const budget = 1 << 20
-	if perSnap > budget {
-		t.Fatalf("sparse snapshot allocates %d B, want <= %d B (visited-mass bound)", perSnap, budget)
+	first := after.TotalAlloc - before.TotalAlloc
+	if first > budget {
+		t.Fatalf("first sparse sync allocates %d B, want <= %d B (visited-mass bound)", first, budget)
 	}
-	for _, s := range snaps {
-		s.Release()
+	if repeat := testing.AllocsPerRun(10, func() { h.syncTo(frozen) }); repeat != 0 {
+		t.Fatalf("repeat sync allocates %.0f times, want 0", repeat)
 	}
-	t.Logf("sparse 5M-max-id snapshot: %d B/op", perSnap)
+	for step := 0; step < 16; step++ {
+		for _, v := range []int{0, 4_999_999} {
+			if frozen.Hits(v, step) != h.Hits(v, step) {
+				t.Fatalf("frozen Hits(%d,%d) = %d, live %d", v, step, frozen.Hits(v, step), h.Hits(v, step))
+			}
+		}
+	}
+	t.Logf("sparse 5M-max-id first sync: %d B (budget %d B)", first, budget)
 }
 
-// BenchmarkHistorySnapshotSparse records the snapshot cost of the paged
-// representation on the sparse 5M-max-id fixture. bytes/op is the
-// quantity BENCH_kernels.json tracks for the visited-mass memory
-// contract (CI asserts a ≥100× reduction vs the dense baseline below).
-func BenchmarkHistorySnapshotSparse(b *testing.B) {
+// BenchmarkHistorySyncSparse records the cost of a first sync of the
+// sparse 5M-max-id fixture into an empty history: a full copy of its
+// pages and directories. bytes/op is the quantity BENCH_kernels.json
+// tracks for the visited-mass memory contract (CI asserts a ≥100×
+// reduction vs the dense baseline below).
+func BenchmarkHistorySyncSparse(b *testing.B) {
 	h := NewHistory()
 	sparseFixture(h)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := h.Snapshot()
-		b.StopTimer()
-		s.Release()
-		b.StartTimer()
+		h.syncTo(&History{})
 	}
 }
 
-// BenchmarkHistorySnapshotSparseDense is the dense-layout baseline for the
-// same fixture: rows dense by max visited id, deep-copied per snapshot —
-// the O(maxId · walkLength) cost the paged representation replaces. Run
-// with a small -benchtime (each op copies ~320 MB).
-func BenchmarkHistorySnapshotSparseDense(b *testing.B) {
+// BenchmarkHistorySyncSparseDense is the dense-layout baseline for the
+// same fixture: rows dense by max visited id, deep-copied per op — the
+// O(maxId · walkLength) cost the paged representation replaces. Run with
+// a small -benchtime (each op copies ~320 MB).
+func BenchmarkHistorySyncSparseDense(b *testing.B) {
 	h := &denseHistory{}
 	sparseFixture(h)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink int
 	for i := 0; i < b.N; i++ {
-		s := h.Snapshot()
+		s := h.clone()
 		sink += s.walks
 	}
 	_ = sink
@@ -297,7 +298,7 @@ func TestHistoryJobFootprint(t *testing.T) {
 	rng := fastrand.New(11)
 	c := osn.NewClient(osn.NewNetwork(g), osn.CostUniqueNodes, rng)
 	s, err := NewSampler(c, Config{Design: walk.SRW{}, WalkLength: 13, UseCrawl: true, CrawlHops: 2,
-		UseWeighted: true, BackwardReps: 4, VarianceBudget: 8, Pages: NewPagePool()}, rng)
+		UseWeighted: true, BackwardReps: 4, VarianceBudget: 8}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func kernelFixture(tb testing.TB, t int) (*Estimator, int) {
 		hist.record(path, c)
 		v = path[len(path)-1]
 	}
-	e := &Estimator{Client: c, Design: walk.SRW{}, Start: 0, Hist: hist.Snapshot()}
+	e := &Estimator{Client: c, Design: walk.SRW{}, Start: 0, Hist: hist}
 	return e, v
 }
 

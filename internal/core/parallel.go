@@ -15,7 +15,7 @@ import (
 // documented in DESIGN.md.
 //
 // Shared across workers: the osn.SharedCache (neighbor lists + unique-node
-// accounting), the immutable CrawlTable, and immutable History snapshots.
+// accounting), the immutable CrawlTable, and the frozen WS-BW history.
 // Per worker: an osn.Client (own cost meter, reading the shared cache), an
 // Estimator (own scratch buffer, own StepsTaken meter), and job-derived RNGs.
 
@@ -24,10 +24,9 @@ import (
 // fills the second; the consumer reads both after the batch barrier, so no
 // field is ever written and read concurrently.
 type pcand struct {
-	v       int      // forward-walk endpoint (the candidate)
-	estSeed int64    // seed of the candidate's private estimation RNG
-	acceptU float64  // pre-drawn uniform for the acceptance test
-	hist    *History // immutable WS-BW snapshot (nil without the heuristic)
+	v       int     // forward-walk endpoint (the candidate)
+	estSeed int64   // seed of the candidate's private estimation RNG
+	acceptU float64 // pre-drawn uniform for the acceptance test
 
 	pHat      float64 // estimated sampling probability p̂_t(v)
 	q         float64 // target weight q(v)
@@ -104,6 +103,7 @@ func (s *Sampler) SampleNParallelCtx(ctx context.Context, n, workers int) (walk.
 				Design:  s.cfg.Design,
 				Start:   s.cfg.Start,
 				Crawl:   s.est.Crawl,
+				Hist:    s.snapHist,
 				Epsilon: s.cfg.Epsilon,
 			}
 		}
@@ -153,7 +153,6 @@ func (s *Sampler) SampleNParallelCtx(ctx context.Context, n, workers int) (walk.
 					wg.Done()
 					continue
 				}
-				e.Hist = chunk[0].hist // one snapshot per dispatched batch
 				if useScalar {
 					for _, cd := range chunk {
 						pre := e.StepsTaken
@@ -195,7 +194,8 @@ func (s *Sampler) SampleNParallelCtx(ctx context.Context, n, workers int) (walk.
 
 	// generate runs the forward walks for one batch on the producer
 	// goroutine, recording WS-BW history and pre-drawing all per-candidate
-	// randomness, then freezes one history snapshot for the whole batch.
+	// randomness, then decides whether the batch sees a refreshed frozen
+	// history.
 	generate := func(size int) []*pcand {
 		out := make([]*pcand, size)
 		s.frontier = s.frontier[:0]
@@ -209,30 +209,32 @@ func (s *Sampler) SampleNParallelCtx(ctx context.Context, n, workers int) (walk.
 				acceptU: s.rng.Float64(),
 			}
 		}
-		if s.hist != nil {
-			// Throttled snapshot: refresh only when the live history has
-			// grown ≥ 50% since the last one (re-copying the page
-			// directories every batch would serialize the pipeline).
-			// Estimating against a slightly stale snapshot is still
-			// unbiased — any full-support pick distribution is (see the
-			// WS-BW note in backward.go) — and the refresh schedule depends
-			// only on walk counts, so determinism is preserved. The
-			// replaced snapshot may still be referenced by the batch in
-			// flight, so it is retired here and its pages released at the
-			// next batch barrier, once the workers have joined.
-			if s.snapHist == nil || s.hist.Walks() >= s.snapWalks+s.snapWalks/2 {
-				if s.snapHist != nil {
-					s.retired = append(s.retired, s.snapHist)
-				}
-				s.snapHist = s.hist.Snapshot()
-				s.snapWalks = s.hist.Walks()
-			}
-			for _, cd := range out {
-				cd.hist = s.snapHist
-			}
+		// Throttled refresh: only when the live history has grown ≥ 50%
+		// since the last one (copying it every batch would serialize the
+		// pipeline). Estimating against a slightly stale history is still
+		// unbiased — any full-support pick distribution is (see the WS-BW
+		// note in backward.go) — and the schedule depends only on walk
+		// counts, so determinism is preserved. Workers may still be
+		// reading the frozen history, so the copy waits for syncFrozen.
+		if s.hist != nil && s.hist.Walks() >= s.snapWalks+s.snapWalks/2 {
+			s.snapWalks = s.hist.Walks()
 		}
 		return out
 	}
+
+	// syncFrozen performs a refresh generate decided, copying the live
+	// history into the frozen one. It runs only while no worker reads the
+	// frozen history: before a batch is dispatched, and on the way out, so
+	// a refresh decided for a speculative batch that is never dispatched
+	// still lands before a later call (or a sequential one in between)
+	// records more walks. Both are points where the live history holds
+	// exactly the walks it held when the refresh was decided.
+	syncFrozen := func() {
+		if s.hist != nil && s.snapHist.Walks() != s.snapWalks {
+			s.hist.syncTo(s.snapHist)
+		}
+	}
+	defer syncFrozen()
 
 	attemptsSince := 0   // attempts since the last accepted sample
 	var stepsSince int64 // walk steps since the last accepted sample
@@ -336,6 +338,7 @@ func (s *Sampler) SampleNParallelCtx(ctx context.Context, n, workers int) (walk.
 			s.frontier = append(s.frontier, int32(cd.v))
 		}
 		s.c.Prefetch(s.frontier)
+		syncFrozen()
 		// One contiguous chunk per worker: wide lanes amortize the batched
 		// frontier resolutions without idling workers.
 		chunkSz := (len(cur) + workers - 1) / workers
@@ -362,10 +365,6 @@ func (s *Sampler) SampleNParallelCtx(ctx context.Context, n, workers int) (walk.
 			next = generate(batchSize())
 		}
 		wg.Wait()
-		// Batch barrier: every worker has joined, so no candidate can still
-		// be reading a snapshot retired when the pipeline refreshed — return
-		// the retired snapshots' pages to the pool.
-		s.releaseRetired()
 		done, err := consume(cur)
 		if err != nil {
 			return res, err

@@ -106,28 +106,3 @@ func TestSampleNParallelArgs(t *testing.T) {
 		t.Errorf("workers=1: %v, %d samples", err, res.Len())
 	}
 }
-
-// TestHistorySnapshotIsolation checks the History snapshot contract:
-// snapshots are immune to further recording (copy-on-write pages), and
-// out-of-range lookups are 0.
-func TestHistorySnapshotIsolation(t *testing.T) {
-	h := NewHistory()
-	h.RecordWalk([]int{3, 1, 4})
-	snap := h.Snapshot()
-	h.RecordWalk([]int{3, 1, 4})
-	h.RecordWalk([]int{3, 500, 4}) // forces row regrowth at step 1
-
-	if snap.Walks() != 1 || snap.Hits(3, 0) != 1 || snap.Hits(1, 1) != 1 {
-		t.Errorf("snapshot mutated: walks=%d hits(3,0)=%d hits(1,1)=%d", snap.Walks(), snap.Hits(3, 0), snap.Hits(1, 1))
-	}
-	if h.Walks() != 3 || h.Hits(3, 0) != 3 || h.Hits(500, 1) != 1 {
-		t.Errorf("live history wrong: walks=%d hits(3,0)=%d hits(500,1)=%d", h.Walks(), h.Hits(3, 0), h.Hits(500, 1))
-	}
-	if h.Hits(500, 0) != 0 || h.Hits(0, 9) != 0 || h.Hits(-1, 1) != 0 || h.Hits(1, -1) != 0 {
-		t.Error("out-of-range lookups must be 0")
-	}
-	empty := NewHistory().Snapshot()
-	if empty.Walks() != 0 || empty.Hits(0, 0) != 0 {
-		t.Error("empty snapshot not empty")
-	}
-}

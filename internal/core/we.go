@@ -54,13 +54,6 @@ type Config struct {
 	ScalePercentile float64
 	// MaxAttempts bounds rejection rounds per sample; zero means 10000.
 	MaxAttempts int
-	// Pages, when non-nil, is the page pool the WS-BW history allocates
-	// its counter pages from (nil selects a process-wide default). A
-	// long-lived service passes one shared pool so each job's history
-	// reuses the pages released by finished jobs (see Sampler.ReleasePages)
-	// instead of growing fresh ones. Purely an allocation concern: sample
-	// sequences are identical for any pool.
-	Pages *PagePool
 }
 
 func (c *Config) validate() error {
@@ -133,13 +126,12 @@ type Sampler struct {
 	pathBuf []int
 
 	// Parallel-engine state (see parallel.go): the persistent worker pool,
-	// the throttled WS-BW history snapshot handed to estimation workers,
-	// retired snapshots awaiting page release at the next batch barrier,
-	// and the reusable candidate-frontier buffer for batched prefetch.
+	// the frozen WS-BW history the estimation workers read (nil without
+	// the heuristic), the live walk count its latest refresh was decided
+	// at, and the reusable candidate-frontier buffer for batched prefetch.
 	workerEsts []*Estimator
 	snapHist   *History
 	snapWalks  int
-	retired    []*History
 	frontier   []int32
 }
 
@@ -161,7 +153,7 @@ func NewSampler(c *osn.Client, cfg Config, rng fastrand.RNG) (*Sampler, error) {
 		}
 	}
 	if cfg.UseWeighted {
-		s.hist = NewHistoryIn(cfg.Pages)
+		s.hist, s.snapHist = NewHistory(), NewHistory()
 	}
 	s.est = &Estimator{
 		Client:  c,
@@ -175,33 +167,18 @@ func NewSampler(c *osn.Client, cfg Config, rng fastrand.RNG) (*Sampler, error) {
 }
 
 // ReleasePages returns every history page the sampler still holds — the
-// live WS-BW history, the current snapshot, and any retired snapshots — to
-// the page pool, so a service recycles them into the next job's history.
+// live WS-BW history and the workers' frozen copy — to the page pool, so a
+// service recycles them into the next job's history.
 // Call it only after the sampling calls have returned (SampleN* quiesce
 // their workers before returning, so nothing can still be reading the
 // pages) and treat it as terminal: drawing further samples afterwards is
 // valid but restarts the weighted heuristic from an empty history.
 func (s *Sampler) ReleasePages() {
-	s.releaseRetired()
-	if s.snapHist != nil {
-		s.snapHist.Release()
-		s.snapHist = nil
-		s.snapWalks = 0
-	}
 	if s.hist != nil {
 		s.hist.Release()
+		s.snapHist.Release()
+		s.snapWalks = 0
 	}
-}
-
-// releaseRetired returns the pages of snapshots retired by the parallel
-// pipeline. Only called at points where no estimation worker can still hold
-// one: the pipeline's batch barrier, or after the run has returned.
-func (s *Sampler) releaseRetired() {
-	for i, h := range s.retired {
-		h.Release()
-		s.retired[i] = nil
-	}
-	s.retired = s.retired[:0]
 }
 
 // SampleEvent describes one accepted sample, in the shape of one row of a

@@ -249,6 +249,12 @@ func parseCSR(data []byte) (*MappedCSR, error) {
 		if attrOff < arraysEnd || attrOff > size {
 			return nil, fmt.Errorf("graph: binary CSR attribute offset %d outside file", attrOff)
 		}
+		// Every table takes at least 8 bytes (its name length, padded), so
+		// a count the section cannot hold is rejected before it sizes the
+		// map below.
+		if attrCount > (size-attrOff)/8 {
+			return nil, fmt.Errorf("graph: binary CSR claims %d attribute tables in a %d-byte section", attrCount, size-attrOff)
+		}
 		m.attrs = make(map[string][]float64, attrCount)
 		pos := attrOff
 		for i := uint64(0); i < attrCount; i++ {

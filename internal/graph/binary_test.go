@@ -2,13 +2,15 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
-func csrTestGraph(t *testing.T) *Graph {
+func csrTestGraph(t testing.TB) *Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	b := NewBuilder(200)
@@ -215,4 +217,85 @@ func TestCSRRejectsCraftedHeaders(t *testing.T) {
 	}); err == nil {
 		t.Error("wrapping attrOff accepted")
 	}
+}
+
+// hugeAttrCountCSR is a 152-byte CSR file of the complete graph K5 whose
+// header claims attrCount attribute tables in an empty attribute section.
+func hugeAttrCountCSR(t testing.TB, attrCount uint64) []byte {
+	t.Helper()
+	b := NewBuilder(5)
+	for u := 0; u < 5; u++ {
+		for v := u + 1; v < 5; v++ {
+			b.AddEdge(u, v)
+		}
+	}
+	var buf bytes.Buffer
+	if err := WriteCSR(&buf, b.Build(), nil); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	binary.LittleEndian.PutUint64(data[32:], attrCount)
+	binary.LittleEndian.PutUint64(data[40:], uint64(len(data)))
+	return data
+}
+
+// TestCSRRejectsHugeAttrCount: a header's attribute count must not size
+// any allocation before it is checked against the file. Unchecked, 2^26
+// tables pre-sized a 6 GB map before the parse failed.
+func TestCSRRejectsHugeAttrCount(t *testing.T) {
+	for _, count := range []uint64{1, 1 << 26, 1 << 30, 1<<64 - 1} {
+		data := hugeAttrCountCSR(t, count)
+		if len(data) != 152 {
+			t.Fatalf("fixture is %d bytes, want 152", len(data))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := parseCSR(data)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("attrCount %d in an empty section accepted", count)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("attrCount %d: parse allocated %d B before failing, want < 1 MiB", count, alloc)
+		}
+	}
+}
+
+// FuzzParseCSR feeds arbitrary bytes to the CSR parser: it must return an
+// error or a view whose neighbor lists and attribute tables all lie inside
+// the file, never panic or allocate by an unchecked header field.
+func FuzzParseCSR(f *testing.F) {
+	var buf bytes.Buffer
+	g := csrTestGraph(f)
+	attrs := map[string][]float64{"deg": make([]float64, g.NumNodes()), "x": make([]float64, g.NumNodes())}
+	if err := WriteCSR(&buf, g, attrs); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(hugeAttrCountCSR(f, 1<<26))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// A fresh heap copy keeps the typed views 8-byte aligned, as a
+		// mapped or read file is.
+		data = append([]byte(nil), data...)
+		m, err := parseCSR(data)
+		if err != nil {
+			return
+		}
+		n := m.view.NumNodes()
+		degrees := 0
+		for v := 0; v < n; v++ {
+			degrees += len(m.view.Neighbors(v))
+		}
+		if degrees != len(m.view.adj) {
+			t.Fatalf("degrees sum to %d, adjacency holds %d", degrees, len(m.view.adj))
+		}
+		if len(m.attrs) > len(m.attrNames) {
+			t.Fatalf("%d attribute tables, %d names", len(m.attrs), len(m.attrNames))
+		}
+		for name, vals := range m.attrs {
+			if len(vals) != n {
+				t.Fatalf("attribute %q has %d values for %d nodes", name, len(vals), n)
+			}
+		}
+	})
 }

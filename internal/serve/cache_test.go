@@ -40,7 +40,7 @@ func TestSpecDigestEquivalentVariants(t *testing.T) {
 		"explicit defaults": {Type: TypeSample, Design: "srw", Count: 10,
 			Seed: 1, Workers: 1, Start: &start,
 			WalkLength: env.DefaultWalkLen, CrawlHops: 2, Attr: "degree"},
-		"design case alias": {Design: "SRW"},
+		"design case alias":      {Design: "SRW"},
 		"deadline elided vs set": {DeadlineMS: 120000},
 	}
 	var want string

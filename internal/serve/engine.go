@@ -57,12 +57,6 @@ type Engine struct {
 	// readiness) and the fault injector (fault meters, outage control).
 	res    *osn.ResilientBackend
 	faults *osn.FaultSim
-	// pages is the shared WS-BW history page pool: each job's sampler
-	// allocates its hit-counter pages from it and releases them when the
-	// job finishes, so a long-lived daemon's per-job history churn is
-	// bounded by the pages a job actually dirties (its visited mass), not
-	// by regrowing counters from zero per job.
-	pages *core.PagePool
 
 	// defaultStart is the max-degree node (the paper's usual seed choice),
 	// -1 when the backend exposes no ground-truth view to compute it from.
@@ -92,7 +86,6 @@ func NewEngine(net *osn.Network) *Engine {
 		net:            net,
 		cache:          osn.NewSharedCache(),
 		mode:           osn.CostUniqueNodes,
-		pages:          core.NewPagePool(),
 		defaultStart:   -1,
 		defaultWalkLen: 15, // the paper's Google Plus setting, as a fallback
 		crawls:         make(map[crawlKey]*core.CrawlTable),
@@ -178,9 +171,6 @@ func (e *Engine) CacheStats() osn.CacheStats { return e.cache.Stats() }
 // wiring (partition installation, owner-side shard resolution). Job code
 // should keep going through NewClient.
 func (e *Engine) Cache() *osn.SharedCache { return e.cache }
-
-// PagePool returns the engine's shared history page pool.
-func (e *Engine) PagePool() *core.PagePool { return e.pages }
 
 // NewClient returns a metered client attached to the service's shared cache;
 // each job (and each of its forked estimation workers) charges the fleet

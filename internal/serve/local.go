@@ -205,11 +205,6 @@ func (m *Manager) run(job *Job) (*JobResult, error) {
 			UseWeighted:    !spec.NoWeighted,
 			BackwardReps:   spec.BackwardReps,
 			VarianceBudget: spec.VarianceBudget,
-			// Allocate WS-BW history pages from the engine's shared pool
-			// and release them when this job is done (the deferred
-			// ReleasePages below), so per-job history churn is bounded by
-			// the job's visited mass instead of regrown from zero.
-			Pages: m.eng.pages,
 		}
 		if !spec.NoCrawl {
 			// Reuse (or build-and-memoize) the crawl table instead of
@@ -224,8 +219,11 @@ func (m *Manager) run(job *Job) (*JobResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Safe on every path out of run: SampleN*Ctx quiesce their workers
-		// before returning, so nothing can still read the pages.
+		// Return the WS-BW history pages to the process-wide pool for the
+		// next job, so per-job history churn is bounded by the job's
+		// visited mass instead of regrown from zero. Safe on every path
+		// out of run: SampleN*Ctx quiesce their workers before returning,
+		// so nothing can still read the pages.
 		defer s.ReleasePages()
 		s.OnSample = func(ev core.SampleEvent) {
 			job.Publish(Sample{Index: ev.Index, Node: ev.Node, Steps: ev.Steps, Cost: ev.CostAfter})

@@ -125,21 +125,13 @@ func BuildCrawlTable(c *Client, d Design, start, h int) (*CrawlTable, error) {
 }
 
 // History records forward-walk hits for the weighted backward sampling
-// heuristic (Section 5.3). Counters are paged and snapshots are
-// copy-on-write, so per-walk memory is bounded by the visited mass, not
-// the graph's id space.
+// heuristic (Section 5.3). Counters are paged, so its memory is bounded by
+// the visited mass, not the graph's id space, and pages are recycled
+// through a process-wide pool (History.Release, WESampler.ReleasePages).
 type History = core.History
 
 // NewHistory returns an empty forward-walk history.
 func NewHistory() *History { return core.NewHistory() }
-
-// PagePool recycles History counter pages across samplers. A long-lived
-// service sets WEConfig.Pages to one shared pool so each job's history
-// reuses pages released by finished jobs (WESampler.ReleasePages).
-type PagePool = core.PagePool
-
-// NewPagePool returns an empty history page pool.
-func NewPagePool() *PagePool { return core.NewPagePool() }
 
 // Theorem1 bundles the closed forms of the paper's Theorem 1: optimal walk
 // length (Lambert W), plain-walk cost, and the guaranteed saving bound.

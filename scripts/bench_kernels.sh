@@ -9,7 +9,7 @@
 # BenchmarkBackStep*, BenchmarkNeighborsHot* and BenchmarkHistoryRow must
 # stay at 0 (the same contract testing.AllocsPerRun enforces in the tests),
 # and the sparse-visit memory benches must stay bounded by visited mass
-# (paged History snapshots >= 100x smaller than the dense baseline).
+# (a first paged History sync >= 100x smaller than the dense baseline).
 #
 # Usage: scripts/bench_kernels.sh [benchtime]   (default 100000x for micro,
 #        10x for the end-to-end benchmark)
@@ -31,13 +31,13 @@ go test -run '^$' \
 go test -run '^$' -bench 'BenchmarkBuilderBuild$' -benchtime 5x -benchmem \
   -timeout 20m ./internal/graph | tee -a "$RAW"
 
-# Visited-mass memory contract benches: the paged History snapshot and the
-# paged client L1 on sparse visits over a 5M-id space, plus the dense
-# snapshot baseline (one op copies ~320 MB, so it gets a tiny benchtime).
-# CI asserts a >= 100x bytes/op reduction of paged vs dense snapshots.
-go test -run '^$' -bench 'BenchmarkHistorySnapshotSparse$' -benchtime 200x \
+# Visited-mass memory contract benches: a first paged History sync and the
+# paged client L1 on sparse visits over a 5M-id space, plus the dense copy
+# baseline (one op copies ~320 MB, so it gets a tiny benchtime).
+# CI asserts a >= 100x bytes/op reduction of paged vs dense copies.
+go test -run '^$' -bench 'BenchmarkHistorySyncSparse$' -benchtime 200x \
   -benchmem -timeout 20m ./internal/core | tee -a "$RAW"
-go test -run '^$' -bench 'BenchmarkHistorySnapshotSparseDense$' -benchtime 3x \
+go test -run '^$' -bench 'BenchmarkHistorySyncSparseDense$' -benchtime 3x \
   -benchmem -timeout 20m ./internal/core | tee -a "$RAW"
 go test -run '^$' -bench 'BenchmarkClientSparseL1Footprint$' -benchtime 100x \
   -benchmem -timeout 20m ./internal/osn | tee -a "$RAW"
