@@ -21,7 +21,7 @@ import (
 )
 
 // batchFixture builds two identically-configured estimators (private
-// clients over one shared network, identical frozen history snapshots,
+// clients over one shared network, identical WS-BW histories,
 // shared crawl table) plus a candidate set drawn from walk endpoints.
 func batchFixture(t *testing.T, d walk.Design, useCrawl bool) (scalar, vec *Estimator, cands []int) {
 	t.Helper()

@@ -3,8 +3,8 @@ package core
 // Tests for the WS-BW evidence rows: a clear evidence bit must prove z = 0
 // on every history the samplers record, the gate must stay off where that
 // proof does not hold (restricted views, RecordWalk-only histories), and
-// the parallel pipeline's snapshots must carry exactly the producer's
-// evidence.
+// the parallel pipeline's frozen history must carry exactly the
+// producer's evidence.
 
 import (
 	"math"
@@ -52,7 +52,7 @@ func checkEvidenceSound(t *testing.T, name string, g *graph.Graph, d walk.Design
 }
 
 // TestEvidenceSoundness records histories through every sampler path —
-// sequential, parallel (live history and the workers' snapshot) and
+// sequential, parallel (live history and the workers' frozen copy) and
 // harvest — on a scale-free, a bipartite and a low-conductance graph under
 // SRW and MHRW (whose self-loop slot the evidence must cover too).
 func TestEvidenceSoundness(t *testing.T) {
@@ -87,7 +87,7 @@ func TestEvidenceSoundness(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkEvidenceSound(t, name+"/par-live", g, d, p.hist, tlen)
-			checkEvidenceSound(t, name+"/par-snapshot", g, d, p.snapHist, tlen)
+			checkEvidenceSound(t, name+"/par-frozen", g, d, p.snapHist, tlen)
 
 			hs, err := NewHarvestSampler(newClient(3), cfg, 0, fastrand.New(3))
 			if err != nil {
@@ -166,7 +166,7 @@ func TestEvidenceGateScope(t *testing.T) {
 
 // TestEvidenceParallelGolden runs the golden mem-par4 stream on its own, so
 // it can be repeated under -race: the producer records walks (and their
-// evidence) into the live history while four workers read snapshots.
+// evidence) into the live history while four workers read the frozen copy.
 func TestEvidenceParallelGolden(t *testing.T) {
 	g := gen.BarabasiAlbert(2000, 3, rand.New(rand.NewSource(42)))
 	rng := rand.New(rand.NewSource(11))
@@ -185,6 +185,6 @@ func TestEvidenceParallelGolden(t *testing.T) {
 		t.Fatalf("got %#v\nwant %#v", got, goldenPar4)
 	}
 	if s.snapHist.evRows != 9 {
-		t.Fatalf("snapshot evRows = %d, want 9", s.snapHist.evRows)
+		t.Fatalf("frozen evRows = %d, want 9", s.snapHist.evRows)
 	}
 }

@@ -18,9 +18,7 @@ import (
 
 // kernelFixture builds a warm estimator with a populated WS-BW history over
 // a 20k-node BA graph, mirroring the state of a mid-run sampler: walks are
-// recorded with their evidence rows, as the samplers record them. The
-// estimator reads a snapshot of the history — the parallel pipeline's
-// worker view.
+// recorded with their evidence rows, as the samplers record them.
 func kernelFixture(tb testing.TB, t int) (*Estimator, int) {
 	tb.Helper()
 	g := gen.BarabasiAlbert(20000, 5, rand.New(rand.NewSource(2)))
@@ -141,7 +139,7 @@ func batchKernelFixture(tb testing.TB, t, width int) (*Estimator, []*BatchCand) 
 }
 
 // BenchmarkEstimateBatch measures the vectorized backward kernel on the
-// warm snapshot fixture: a 16-wide candidate vector advanced in lockstep,
+// warm kernel fixture: a 16-wide candidate vector advanced in lockstep,
 // adaptive rule identical to the scalar EstimateAdaptive. ns/op covers the
 // whole 16-candidate batch. CI requires 0 allocs/op.
 func BenchmarkEstimateBatch(b *testing.B) {

@@ -33,7 +33,7 @@ func parallelTestSampler(t *testing.T, seed int64) *Sampler {
 // TestSampleNParallelDeterministic is the determinism contract: identical
 // (seed, workers) must yield the identical sample sequence, regardless of
 // goroutine scheduling. Run under -race this also exercises the pipeline's
-// snapshot handoff and shared-cache locking.
+// frozen-history handoff and shared-cache locking.
 func TestSampleNParallelDeterministic(t *testing.T) {
 	const n, workers = 30, 4
 	var first []int
