@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/linalg"
-	"repro/internal/stats"
 )
 
 // EstimateMean estimates the population AVG of an attribute from sampled
@@ -23,22 +22,6 @@ func RelativeError(estimate, truth float64) float64 { return agg.RelativeError(e
 // samples: M = h / (1 + 2·Σ ρ_k).
 func EffectiveSampleSize(xs []float64, maxLag int) (float64, error) {
 	return agg.EffectiveSampleSize(xs, maxLag)
-}
-
-// Autocorrelation returns the lag-k sample autocorrelation of a series.
-func Autocorrelation(xs []float64, lag int) (float64, error) {
-	return agg.Autocorrelation(xs, lag)
-}
-
-// EstimateNumNodes estimates the network size from degree-biased samples via
-// the Katzir–Liberty–Somekh collision estimator (the paper's citation [20]).
-func EstimateNumNodes(nodes []int, degrees []float64) (float64, error) {
-	return agg.EstimateNumNodes(nodes, degrees)
-}
-
-// EstimateNumEdges estimates the edge count from degree-biased samples.
-func EstimateNumEdges(nodes []int, degrees []float64) (float64, error) {
-	return agg.EstimateNumEdges(nodes, degrees)
 }
 
 // TransitionMatrix is a sparse row-stochastic Markov transition matrix over
@@ -64,22 +47,6 @@ func SRWStationary(g *Graph) ([]float64, error) { return linalg.SRWStationary(g)
 
 // UniformStationary returns the uniform distribution over n nodes.
 func UniformStationary(n int) []float64 { return linalg.UniformStationary(n) }
-
-// LInfDistance returns the ℓ∞ distance between two distributions.
-func LInfDistance(p, q []float64) (float64, error) { return stats.LInf(p, q) }
-
-// TotalVariation returns the total-variation distance between two
-// distributions.
-func TotalVariation(p, q []float64) (float64, error) { return stats.TotalVariation(p, q) }
-
-// KLDivergence returns D(p‖q) in nats.
-func KLDivergence(p, q []float64) (float64, error) { return stats.KL(p, q) }
-
-// EmpiricalDistribution converts sampled node ids into an empirical
-// distribution over n nodes.
-func EmpiricalDistribution(samples []int, n int) ([]float64, error) {
-	return stats.Empirical(samples, n)
-}
 
 // SpectralGap computes λ = 1 − s₂ of a reversible transition matrix with
 // stationary distribution pi, by deflated power iteration.

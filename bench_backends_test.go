@@ -16,7 +16,12 @@ import (
 	"testing"
 	"time"
 
-	wnw "repro"
+	"repro/internal/core"
+	"repro/internal/fastrand"
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/osn"
+	"repro/internal/walk"
 )
 
 // BenchmarkFrontierFetch fills a cold 64-node frontier through a RemoteSim
@@ -27,7 +32,7 @@ import (
 // factor — queries saved become seconds saved.
 func BenchmarkFrontierFetch(b *testing.B) {
 	const frontierSize = 64
-	g := wnw.NewBarabasiAlbert(4000, 3, rand.New(rand.NewSource(3)))
+	g := gen.BarabasiAlbert(4000, 3, rand.New(rand.NewSource(3)))
 	for _, latency := range []time.Duration{0, 10 * time.Millisecond, 50 * time.Millisecond} {
 		for _, batched := range []bool{false, true} {
 			name := fmt.Sprintf("latency=%dms/pernode", latency.Milliseconds())
@@ -35,14 +40,14 @@ func BenchmarkFrontierFetch(b *testing.B) {
 				name = fmt.Sprintf("latency=%dms/batched", latency.Milliseconds())
 			}
 			b.Run(name, func(b *testing.B) {
-				net := wnw.NewNetworkOn(wnw.NewRemoteSim(wnw.NewMemBackend(g), latency, 0, 0))
+				net := osn.NewNetworkOn(osn.NewRemoteSim(osn.NewMemBackend(g), latency, 0, 0))
 				frontier := make([]int32, frontierSize)
 				out := make([][]int32, frontierSize)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					// A fresh client (cold caches) and a disjoint frontier
 					// per op, so every fill pays its round trips.
-					c := wnw.NewClient(net, wnw.CostUniqueNodes, wnw.NewFastRNG(int64(i)))
+					c := osn.NewClient(net, osn.CostUniqueNodes, fastrand.New(int64(i)))
 					base := (i * frontierSize) % (g.NumNodes() - frontierSize)
 					for j := range frontier {
 						frontier[j] = int32(base + j)
@@ -82,9 +87,9 @@ func BenchmarkDiskMillionNode(b *testing.B) {
 	path := filepath.Join(dir, "million.csr")
 
 	genStart := time.Now()
-	g := wnw.NewBarabasiAlbert(nodes, m, wnw.NewFastRNG(9))
+	g := gen.BarabasiAlbert(nodes, m, fastrand.New(9))
 	genSecs := time.Since(genStart).Seconds()
-	if err := wnw.SaveCSR(path, g, nil); err != nil {
+	if err := graph.SaveCSR(path, g, nil); err != nil {
 		b.Fatal(err)
 	}
 	g = nil
@@ -97,7 +102,7 @@ func BenchmarkDiskMillionNode(b *testing.B) {
 	}
 
 	before := heapMB()
-	loaded, _, err := wnw.LoadCSR(path)
+	loaded, _, err := graph.LoadCSR(path)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -108,21 +113,21 @@ func BenchmarkDiskMillionNode(b *testing.B) {
 	loaded = nil
 
 	before = heapMB()
-	mapped, err := wnw.OpenCSR(path)
+	be, mapped, err := osn.OpenDiskBackend(path)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer mapped.Close()
 	heapOpen := heapMB() - before
 
-	net := wnw.NewNetworkOn(wnw.NewDiskBackend(mapped))
+	net := osn.NewNetworkOn(be)
 	b.ResetTimer()
 	var queriesPerSample float64
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(int64(i) + 1))
-		c := wnw.NewClient(net, wnw.CostUniqueNodes, rng)
-		s, err := wnw.NewWalkEstimate(c, wnw.WEConfig{
-			Design:      wnw.SimpleRandomWalk(),
+		c := osn.NewClient(net, osn.CostUniqueNodes, rng)
+		s, err := core.NewSampler(c, core.Config{
+			Design:      walk.SRW{},
 			Start:       0,
 			WalkLength:  15,
 			UseCrawl:    true,
@@ -159,18 +164,18 @@ func BenchmarkBatchedStep(b *testing.B) {
 		baseReps = 2
 		budget   = 2
 	)
-	d := wnw.SimpleRandomWalk()
-	g := wnw.NewBarabasiAlbert(3000, 3, rand.New(rand.NewSource(5)))
+	d := walk.SRW{}
+	g := gen.BarabasiAlbert(3000, 3, rand.New(rand.NewSource(5)))
 	for _, latency := range []time.Duration{0, 10 * time.Millisecond} {
-		net := wnw.NewNetworkOn(wnw.NewRemoteSim(wnw.NewMemBackend(g), latency, 0, 64))
+		net := osn.NewNetworkOn(osn.NewRemoteSim(osn.NewMemBackend(g), latency, 0, 64))
 		// Forward-walk setup (shared by both variants, outside the timer):
 		// record a WS-BW history and collect the candidate endpoints.
-		setupC := wnw.NewClient(net, wnw.CostUniqueNodes, wnw.NewFastRNG(1))
-		hist := wnw.NewHistory()
-		walkRNG := wnw.NewFastRNG(2)
+		setupC := osn.NewClient(net, osn.CostUniqueNodes, fastrand.New(1))
+		hist := core.NewHistory()
+		walkRNG := fastrand.New(2)
 		nodes := make([]int, width)
 		for i := range nodes {
-			path := wnw.WalkPath(setupC, d, 0, tSteps, walkRNG)
+			path := walk.Path(setupC, d, 0, tSteps, walkRNG)
 			hist.RecordWalk(path)
 			nodes[i] = path[len(path)-1]
 		}
@@ -183,14 +188,14 @@ func BenchmarkBatchedStep(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					// Fresh client per op: cold L1, so the op pays the
 					// backend round trips the kernel is meant to batch.
-					c := wnw.NewClient(net, wnw.CostUniqueNodes, wnw.NewFastRNG(int64(i)))
-					e := &wnw.Estimator{Client: c, Design: d, Start: 0, Hist: hist}
+					c := osn.NewClient(net, osn.CostUniqueNodes, fastrand.New(int64(i)))
+					e := &core.Estimator{Client: c, Design: d, Start: 0, Hist: hist}
 					if batched {
-						cands := make([]*wnw.WEBatchCand, width)
+						cands := make([]*core.BatchCand, width)
 						for k, v := range nodes {
-							cands[k] = &wnw.WEBatchCand{V: v, RNG: wnw.NewFastRNG(int64(1000 + k))}
+							cands[k] = &core.BatchCand{V: v, RNG: fastrand.New(int64(1000 + k))}
 						}
-						wnw.EstimateAdaptiveBatch(e, cands, tSteps, baseReps, budget)
+						core.EstimateAdaptiveBatch(e, cands, tSteps, baseReps, budget)
 						for _, cd := range cands {
 							if cd.Err != nil {
 								b.Fatal(cd.Err)
@@ -198,7 +203,7 @@ func BenchmarkBatchedStep(b *testing.B) {
 						}
 					} else {
 						for k, v := range nodes {
-							if _, err := wnw.EstimateAdaptive(e, v, tSteps, baseReps, budget, wnw.NewFastRNG(int64(1000+k))); err != nil {
+							if _, err := core.EstimateAdaptive(e, v, tSteps, baseReps, budget, fastrand.New(int64(1000+k))); err != nil {
 								b.Fatal(err)
 							}
 						}

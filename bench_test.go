@@ -12,6 +12,8 @@ import (
 	"testing"
 
 	wnw "repro"
+	"repro/internal/core"
+	"repro/internal/walk"
 )
 
 // benchOptions are the reduced budgets used by the figure benches.
@@ -165,13 +167,13 @@ func BenchmarkMHRWStep(b *testing.B) {
 
 func BenchmarkBackwardEstimate(b *testing.B) {
 	g, c, rng := benchGraphAndClient(b, 5000, 5)
-	ct, err := wnw.BuildCrawlTable(c, wnw.SimpleRandomWalk(), 0, 2)
+	ct, err := core.BuildCrawlTable(c, walk.SRW{}, 0, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
-	est := &wnw.Estimator{Client: c, Design: wnw.SimpleRandomWalk(), Start: 0, Crawl: ct}
+	est := &core.Estimator{Client: c, Design: walk.SRW{}, Start: 0, Crawl: ct}
 	t := 2*g.EstimateDiameter(2, rng) + 1
-	v := wnw.WalkPath(c, wnw.SimpleRandomWalk(), 0, t, rng)[t]
+	v := walk.Path(c, walk.SRW{}, 0, t, rng)[t]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := est.EstimateOnce(v, t, rng); err != nil {
@@ -217,7 +219,7 @@ func BenchmarkCrawlTable(b *testing.B) {
 	_ = rng
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := wnw.BuildCrawlTable(c, wnw.SimpleRandomWalk(), 0, 2); err != nil {
+		if _, err := core.BuildCrawlTable(c, walk.SRW{}, 0, 2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -264,8 +266,8 @@ func BenchmarkAblationWEVariants(b *testing.B) {
 // the concurrent engine (SampleNParallel) on a 50k-node Barabási–Albert
 // graph, the scale of the paper's synthetic experiments. Each op draws a
 // fixed block of samples; queries/sample reports the fleet-wide unique-node
-// cost per accepted sample (scripts/bench.sh records the trajectory in
-// BENCH_walkestimate.json). No parallel speed-up is asserted here; the
+// cost per accepted sample (scripts/bench_kernels.sh profiles the Sequential
+// variant). No parallel speed-up is asserted here; the
 // measured parallel-vs-sequential throughput is cmd/webench's lib-mem-par2
 // and lib-mem-seq workloads (cmd/webench/README.md).
 func BenchmarkParallelWE(b *testing.B) {

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	wnw "repro"
+	"repro/internal/graph"
 )
 
 func TestRunAllModels(t *testing.T) {
@@ -34,7 +34,7 @@ func TestRunAllModels(t *testing.T) {
 		if err := run(c.model, c.n, c.m, c.p, 0.1, 1, out, "txt", false); err != nil {
 			t.Fatalf("%s: %v", c.model, err)
 		}
-		g, err := wnw.LoadEdgeList(out)
+		g, err := graph.LoadEdgeList(out)
 		if err != nil {
 			t.Fatalf("%s: load: %v", c.model, err)
 		}
@@ -81,10 +81,10 @@ func TestRunCSRFormat(t *testing.T) {
 	if err := run("ba", 300, 3, 0, 0.1, 1, out, "csr", true); err != nil {
 		t.Fatal(err)
 	}
-	if !wnw.IsCSRFile(out) {
+	if !graph.IsCSRFile(out) {
 		t.Fatal("output is not a binary CSR file")
 	}
-	m, err := wnw.OpenCSR(out)
+	m, err := graph.OpenCSR(out)
 	if err != nil {
 		t.Fatal(err)
 	}

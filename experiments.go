@@ -43,12 +43,6 @@ func TwitterDataset(scale float64, seed int64) (*Dataset, error) {
 // 6951 edges).
 func SmallScaleFreeDataset(seed int64) *Dataset { return dataset.SmallScaleFree(seed) }
 
-// SyntheticBADataset builds a Barabási–Albert (m=5) dataset of n nodes —
-// the Figure 11 workload.
-func SyntheticBADataset(n int, seed int64) (*Dataset, error) {
-	return dataset.SyntheticBA(n, seed)
-}
-
 // ExperimentOptions tunes the budgets of the paper-reproduction experiment
 // runners (trials, samples, dataset scale, seeds).
 type ExperimentOptions = exp.Options

@@ -28,11 +28,11 @@ type WorkerConfig struct {
 	// the hand-off trigger, so the period stays well under the
 	// coordinator's timeout).
 	HeartbeatEvery time.Duration
-	// ResolveTimeout bounds one shard-owner RPC (default 5s). On expiry the
-	// client falls back to its local backend (see osn.SharedCache
-	// RemoteFallbacks).
-	ResolveTimeout time.Duration
 }
+
+// resolveTimeout bounds one shard-owner RPC. On expiry the client falls back
+// to its local backend (see osn.SharedCache RemoteFallbacks).
+const resolveTimeout = 5 * time.Second
 
 func (c WorkerConfig) withDefaults() (WorkerConfig, error) {
 	if c.Coordinator == "" {
@@ -43,9 +43,6 @@ func (c WorkerConfig) withDefaults() (WorkerConfig, error) {
 	}
 	if c.HeartbeatEvery <= 0 {
 		c.HeartbeatEvery = 300 * time.Millisecond
-	}
-	if c.ResolveTimeout <= 0 {
-		c.ResolveTimeout = 5 * time.Second
 	}
 	return c, nil
 }
@@ -84,7 +81,7 @@ func NewWorker(mgr *serve.Manager, cfg WorkerConfig) (*Worker, error) {
 	return &Worker{
 		mgr:  mgr,
 		cfg:  cfg,
-		hc:   &http.Client{Timeout: cfg.ResolveTimeout},
+		hc:   &http.Client{Timeout: resolveTimeout},
 		stop: make(chan struct{}),
 	}, nil
 }
@@ -268,7 +265,7 @@ func (w *Worker) ResolveShards(ctx context.Context, ids []int32, lists [][]int32
 	for i, v := range ids {
 		groups[p.OwnerOf(v)] = append(groups[p.OwnerOf(v)], i)
 	}
-	rctx, cancel := context.WithTimeout(ctx, w.cfg.ResolveTimeout)
+	rctx, cancel := context.WithTimeout(ctx, resolveTimeout)
 	defer cancel()
 	var wg sync.WaitGroup
 	errs := make([]error, 0, len(groups))

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/fastrand"
 	"repro/internal/mathx"
@@ -25,7 +24,7 @@ import (
 // under any pick distribution with full support (guaranteed by the ε-mixing
 // of Equation line 4 in Algorithm 2).
 //
-// Configuration freeze: Client, Design and Epsilon must be set before the
+// Configuration freeze: Client and Design must be set before the
 // first estimate and not mutated afterwards — the step kernel caches values
 // derived from them on first use. Crawl and Hist, and Hist's contents, may
 // change between estimates (the parallel pipeline refreshes its workers'
@@ -40,9 +39,6 @@ type Estimator struct {
 	// Hist, when non-nil, enables weighted backward sampling from recorded
 	// forward walks.
 	Hist *History
-	// Epsilon is the minimum-probability mass of WS-BW (paper default 0.1).
-	// Only used when Hist != nil. Zero means 0.1.
-	Epsilon float64
 
 	// StepsTaken accumulates the total number of backward steps walked, for
 	// the cost accounting of Figure 5.
@@ -53,7 +49,7 @@ type Estimator struct {
 	// give each worker its own Estimator, so no synchronization is needed.
 	scratch []float64
 
-	// probKind/symmetric/fastEdge/selfLoops/eps cache per-(Design, Client)
+	// probKind/symmetric/fastEdge/selfLoops cache per-(Design, Client)
 	// constants so the step kernel makes no interface calls for them:
 	// initialized on the first EstimateOnce.
 	probKind  walk.EdgeProbKind
@@ -61,26 +57,21 @@ type Estimator struct {
 	symmetric bool
 	fastEdge  bool
 	selfLoops bool
-	eps       float64
 
 	// vec is the lazily built scratch state of the vectorized backward
 	// kernel (batch.go).
 	vec *vecState
 }
 
-func (e *Estimator) epsilon() float64 {
-	if e.Epsilon <= 0 || e.Epsilon > 1 {
-		return 0.1
-	}
-	return e.Epsilon
-}
+// epsilon is WS-BW's minimum uniform mixing mass (Algorithm 2, line 4): the
+// paper's ε = 0.1.
+const epsilon = 0.1
 
 func (e *Estimator) initProbKind() {
 	e.probKind = walk.EdgeProbKindOf(e.Design)
 	e.symmetric = e.Client.SymmetricView()
 	e.fastEdge = e.probKind != walk.EdgeProbNone && e.symmetric
 	e.selfLoops = e.Design.SelfLoops()
-	e.eps = e.epsilon()
 	e.probInit = true
 }
 
@@ -238,9 +229,8 @@ func (e *Estimator) weightedPick(row HistRow, node int, nbr []int32, total int, 
 		return 0, 0, false
 	}
 	uniform := 1 / float64(total)
-	eps := e.eps
 	smoothZ := z + float64(total) // Laplace: +1 per candidate
-	beta := (1 - eps) * z / smoothZ
+	beta := (1 - epsilon) * z / smoothZ
 	// prob(i) = (1-beta)*uniform + beta*(hits[i]+1)/smoothZ, precomputed as
 	// base + scale*(hits[i]+1) so the selection loop is add-and-compare.
 	base := (1 - beta) * uniform
@@ -278,52 +268,4 @@ func (e *Estimator) Estimate(u, t, reps int, rng fastrand.RNG) (mean, variance f
 		m.Add(v)
 	}
 	return m.Mean(), m.Variance(), nil
-}
-
-// AllocateByVariance distributes extra repetitions across estimation targets
-// proportionally to their current variance (the budget rule at the end of
-// Algorithm 3). variances must be non-negative; targets with zero variance
-// receive nothing unless all are zero, in which case the budget is spread
-// evenly. The returned slice sums to budget.
-func AllocateByVariance(variances []float64, budget int) []int {
-	n := len(variances)
-	alloc := make([]int, n)
-	if n == 0 || budget <= 0 {
-		return alloc
-	}
-	total := 0.0
-	for _, v := range variances {
-		if v > 0 {
-			total += v
-		}
-	}
-	if total == 0 {
-		for i := 0; i < budget; i++ {
-			alloc[i%n]++
-		}
-		return alloc
-	}
-	// Largest-remainder apportionment.
-	assigned := 0
-	type rem struct {
-		i    int
-		frac float64
-	}
-	rems := make([]rem, 0, n)
-	for i, v := range variances {
-		if v <= 0 {
-			continue
-		}
-		exact := float64(budget) * v / total
-		share := int(exact)
-		alloc[i] = share
-		assigned += share
-		rems = append(rems, rem{i, exact - float64(share)})
-	}
-	sort.Slice(rems, func(a, b int) bool { return rems[a].frac > rems[b].frac })
-	for k := 0; assigned < budget; k++ {
-		alloc[rems[k%len(rems)].i]++
-		assigned++
-	}
-	return alloc
 }

@@ -96,7 +96,7 @@ func TestUnbiasedEstimateWithWeightedSampling(t *testing.T) {
 		hist.RecordWalk(walk.Path(c, walk.SRW{}, start, steps, rng))
 	}
 	m := linalg.NewSRW(g)
-	e := &Estimator{Client: c, Design: walk.SRW{}, Start: start, Hist: hist, Epsilon: 0.1}
+	e := &Estimator{Client: c, Design: walk.SRW{}, Start: start, Hist: hist}
 	for _, u := range []int{2, 6, 11} {
 		exact := m.DistFrom(start, steps)[u]
 		checkUnbiased(t, e, exact, u, steps, 60000, rng)
@@ -205,33 +205,6 @@ func TestEstimateT0(t *testing.T) {
 	}
 	if v, err := e.EstimateOnce(1, 0, rng); err != nil || v != 0 {
 		t.Fatalf("p_0(other) = %v, %v", v, err)
-	}
-}
-
-func TestAllocateByVariance(t *testing.T) {
-	alloc := AllocateByVariance([]float64{3, 1, 0}, 8)
-	if sum := alloc[0] + alloc[1] + alloc[2]; sum != 8 {
-		t.Fatalf("allocation sums to %d, want 8", sum)
-	}
-	if alloc[0] <= alloc[1] {
-		t.Fatalf("higher variance must get more: %v", alloc)
-	}
-	if alloc[2] != 0 {
-		t.Fatalf("zero variance should get nothing: %v", alloc)
-	}
-	// All-zero variances spread evenly.
-	even := AllocateByVariance([]float64{0, 0, 0, 0}, 6)
-	for _, a := range even {
-		if a < 1 || a > 2 {
-			t.Fatalf("even spread broken: %v", even)
-		}
-	}
-	// Degenerate budgets.
-	if got := AllocateByVariance([]float64{1, 2}, 0); got[0] != 0 || got[1] != 0 {
-		t.Fatal("zero budget should allocate nothing")
-	}
-	if got := AllocateByVariance(nil, 5); len(got) != 0 {
-		t.Fatal("empty targets")
 	}
 }
 

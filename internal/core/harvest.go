@@ -66,12 +66,11 @@ func NewHarvestSampler(c *osn.Client, cfg Config, minStep int, rng fastrand.RNG)
 		s.hist = NewHistory()
 	}
 	s.est = &Estimator{
-		Client:  c,
-		Design:  cfg.Design,
-		Start:   cfg.Start,
-		Crawl:   crawl,
-		Hist:    s.hist,
-		Epsilon: cfg.Epsilon,
+		Client: c,
+		Design: cfg.Design,
+		Start:  cfg.Start,
+		Crawl:  crawl,
+		Hist:   s.hist,
 	}
 	return s, nil
 }
@@ -79,7 +78,7 @@ func NewHarvestSampler(c *osn.Client, cfg Config, minStep int, rng fastrand.RNG)
 func (s *HarvestSampler) boot(step int) *ScaleBootstrap {
 	b, ok := s.boots[step]
 	if !ok {
-		b = &ScaleBootstrap{Percentile: s.cfg.ScalePercentile}
+		b = &ScaleBootstrap{}
 		s.boots[step] = b
 	}
 	return b

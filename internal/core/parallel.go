@@ -99,12 +99,11 @@ func (s *Sampler) SampleNParallelCtx(ctx context.Context, n, workers int) (walk.
 		for w := range s.workerEsts {
 			wc := s.c.Fork(fastrand.New(s.rng.Int63()))
 			s.workerEsts[w] = &Estimator{
-				Client:  wc,
-				Design:  s.cfg.Design,
-				Start:   s.cfg.Start,
-				Crawl:   s.est.Crawl,
-				Hist:    s.snapHist,
-				Epsilon: s.cfg.Epsilon,
+				Client: wc,
+				Design: s.cfg.Design,
+				Start:  s.cfg.Start,
+				Crawl:  s.est.Crawl,
+				Hist:   s.snapHist,
 			}
 		}
 	}

@@ -168,47 +168,3 @@ func TestPropertyCrawlTableIsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestPropertyAllocationSumsToBudget fuzzes the variance-budget allocator.
-func TestPropertyAllocationSumsToBudget(t *testing.T) {
-	prop := func(raw []float64, budgetRaw uint8) bool {
-		budget := int(budgetRaw)
-		vars := make([]float64, len(raw))
-		for i, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				v = 1
-			}
-			vars[i] = math.Mod(math.Abs(v), 100)
-		}
-		alloc := AllocateByVariance(vars, budget)
-		if len(alloc) != len(vars) {
-			return false
-		}
-		sum := 0
-		for i, a := range alloc {
-			if a < 0 {
-				return false
-			}
-			if vars[i] <= 0 && a > 0 {
-				// zero-variance targets only receive when everything is zero
-				allZero := true
-				for _, v := range vars {
-					if v > 0 {
-						allZero = false
-					}
-				}
-				if !allZero {
-					return false
-				}
-			}
-			sum += a
-		}
-		if len(vars) == 0 {
-			return sum == 0
-		}
-		return sum == budget
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}

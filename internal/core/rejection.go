@@ -5,27 +5,20 @@ import (
 	"sort"
 )
 
+// scalePercentile is the order statistic ScaleBootstrap reports: the paper's
+// 10th percentile of the observed ratios (Section 6.3.2).
+const scalePercentile = 0.10
+
 // ScaleBootstrap approximates the rejection-sampling scale factor
 // min_v p(v)/q(v) from the stream of observed ratios p̂_t(v)/q(v), as
 // described in Section 6.3.2: the paper takes the 10th percentile of the
-// estimated sampling probabilities (we keep the percentile configurable;
-// lower is more conservative/less biased, higher is more query-efficient).
+// estimated sampling probabilities. The zero value is ready to use.
 type ScaleBootstrap struct {
-	// Percentile in (0,1]; zero means the paper's default 0.10.
-	Percentile float64
-
 	// ratios is kept sorted by insertion, so Observe is O(n) memmove and
 	// Scale is O(1) — Scale runs once per candidate on the sampling hot
 	// path (and in the serial consumer of the parallel pipeline), where a
 	// full re-sort per call dominated profiles.
 	ratios []float64
-}
-
-func (s *ScaleBootstrap) percentile() float64 {
-	if s.Percentile <= 0 || s.Percentile > 1 {
-		return 0.10
-	}
-	return s.Percentile
 }
 
 // Observe records a p̂/q ratio. Non-positive ratios (e.g. a backward
@@ -50,7 +43,7 @@ func (s *ScaleBootstrap) Scale() float64 {
 	if len(s.ratios) == 0 {
 		return 0
 	}
-	idx := int(s.percentile() * float64(len(s.ratios)-1))
+	idx := int(scalePercentile * float64(len(s.ratios)-1))
 	return s.ratios[idx]
 }
 

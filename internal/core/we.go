@@ -39,19 +39,15 @@ type Config struct {
 	// UseWeighted enables the weighted backward sampling heuristic
 	// (Section 5.3).
 	UseWeighted bool
-	// Epsilon is WS-BW's uniform mixing mass; zero means 0.1.
-	Epsilon float64
 	// BackwardReps is the base number of backward walks per candidate
 	// estimate; zero means 3.
 	BackwardReps int
 	// VarianceBudget caps the extra adaptive backward walks spent when an
 	// estimate is still noisy (relative standard error above 1); zero
 	// disables the top-up. This realizes Algorithm 3's variance-driven
-	// budget allocation in the per-candidate sampling loop; EstimateAll is
-	// the batch form.
+	// budget allocation in the per-candidate sampling loop (EstimateAdaptive
+	// and its vectorized form EstimateAdaptiveBatch).
 	VarianceBudget int
-	// ScalePercentile feeds ScaleBootstrap; zero means 0.10.
-	ScalePercentile float64
 	// MaxAttempts bounds rejection rounds per sample; zero means 10000.
 	MaxAttempts int
 }
@@ -143,7 +139,6 @@ func NewSampler(c *osn.Client, cfg Config, rng fastrand.RNG) (*Sampler, error) {
 		return nil, err
 	}
 	s := &Sampler{cfg: cfg, c: c, rng: rng}
-	s.boot.Percentile = cfg.ScalePercentile
 	crawl := cfg.Crawl
 	if crawl == nil && cfg.UseCrawl {
 		var err error
@@ -156,12 +151,11 @@ func NewSampler(c *osn.Client, cfg Config, rng fastrand.RNG) (*Sampler, error) {
 		s.hist, s.snapHist = NewHistory(), NewHistory()
 	}
 	s.est = &Estimator{
-		Client:  c,
-		Design:  cfg.Design,
-		Start:   cfg.Start,
-		Crawl:   crawl,
-		Hist:    s.hist,
-		Epsilon: cfg.Epsilon,
+		Client: c,
+		Design: cfg.Design,
+		Start:  cfg.Start,
+		Crawl:  crawl,
+		Hist:   s.hist,
 	}
 	return s, nil
 }
@@ -344,57 +338,3 @@ func (s *Sampler) ForwardSteps() int64 { return s.forwardSteps }
 
 // BackwardSteps returns the backward-walk steps taken so far.
 func (s *Sampler) BackwardSteps() int64 { return s.est.StepsTaken }
-
-// EstimateAll is the batch form of Algorithm 3 (ESTIMATE): it estimates
-// p_t(u) for every node in nodes with baseReps backward walks each, then
-// spends extraBudget additional walks allocated proportionally to the
-// per-node estimation variances, and returns the merged estimates.
-func EstimateAll(e *Estimator, nodes []int, t, baseReps, extraBudget int, rng fastrand.RNG) (map[int]float64, error) {
-	if baseReps < 1 {
-		return nil, fmt.Errorf("core: baseReps must be >= 1, got %d", baseReps)
-	}
-	prefetchCandidates(e.Client, nodes)
-	moments := make([]mathx.Moments, len(nodes))
-	variances := make([]float64, len(nodes))
-	for i, u := range nodes {
-		for r := 0; r < baseReps; r++ {
-			v, err := e.EstimateOnce(u, t, rng)
-			if err != nil {
-				return nil, err
-			}
-			moments[i].Add(v)
-		}
-		variances[i] = moments[i].Variance()
-	}
-	for i, extra := range AllocateByVariance(variances, extraBudget) {
-		for r := 0; r < extra; r++ {
-			v, err := e.EstimateOnce(nodes[i], t, rng)
-			if err != nil {
-				return nil, err
-			}
-			moments[i].Add(v)
-		}
-	}
-	out := make(map[int]float64, len(nodes))
-	for i, u := range nodes {
-		out[u] = moments[i].Mean()
-	}
-	return out, nil
-}
-
-// prefetchCandidates warms the client's caches for an estimation candidate
-// set in one batched pass. Every candidate's neighbor list is the first
-// thing its backward walks query, so the prefetch never touches a node the
-// estimate would not, keeping the query-cost axis unchanged; it only
-// replaces per-node cache fills (and, on a remote backend, per-node round
-// trips) with one batched pass.
-func prefetchCandidates(c *osn.Client, nodes []int) {
-	if len(nodes) < 2 {
-		return
-	}
-	vs := make([]int32, len(nodes))
-	for i, u := range nodes {
-		vs[i] = int32(u)
-	}
-	c.Prefetch(vs)
-}

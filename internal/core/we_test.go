@@ -25,12 +25,14 @@ func TestScaleBootstrap(t *testing.T) {
 	if got := b.Scale(); got != 1 {
 		t.Fatalf("Scale = %v, want 1", got)
 	}
-	b50 := ScaleBootstrap{Percentile: 0.5}
-	for i := 1; i <= 9; i++ {
-		b50.Observe(float64(i))
+	// 21 ratios observed out of order: index floor(0.1·20)=2 of the sorted
+	// stream, the third smallest.
+	var b21 ScaleBootstrap
+	for i := 0; i < 21; i++ {
+		b21.Observe(float64((i*8)%21 + 1)) // a permutation of 1..21
 	}
-	if got := b50.Scale(); got != 5 {
-		t.Fatalf("median scale = %v, want 5", got)
+	if got := b21.Scale(); got != 3 {
+		t.Fatalf("10th-percentile scale = %v, want 3", got)
 	}
 }
 
@@ -216,28 +218,31 @@ func TestSamplerFailsWhenWalkTooShort(t *testing.T) {
 	}
 }
 
-func TestEstimateAll(t *testing.T) {
-	rng := rand.New(rand.NewSource(40))
-	g := gen.BarabasiAlbert(20, 2, rng)
-	c := newClient(g, 41)
-	const start, steps = 0, 4
-	e := &Estimator{Client: c, Design: walk.SRW{}, Start: start}
-	m := linalg.NewSRW(g)
-	exact := m.DistFrom(start, steps)
-	nodes := []int{1, 5, 9, 13}
-	got, err := EstimateAll(e, nodes, steps, 400, 800, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(nodes) {
-		t.Fatalf("estimates for %d nodes, want %d", len(got), len(nodes))
-	}
-	for _, u := range nodes {
-		if math.Abs(got[u]-exact[u]) > 0.05+0.5*exact[u] {
-			t.Errorf("EstimateAll p_%d(%d) = %v, exact %v", steps, u, got[u], exact[u])
+// TestEstimateAdaptiveTopUpMatchesExact checks the variance-driven extra
+// backward walks (Algorithm 3's budget rule, as the sampler runs it per
+// candidate) against the exact p_t: the top-up must draw beyond the base
+// repetitions, and the topped-up estimate must match the oracle.
+func TestEstimateAdaptiveTopUpMatchesExact(t *testing.T) {
+	g := gen.BarabasiAlbert(20, 2, rand.New(rand.NewSource(40)))
+	const start, steps, baseReps, budget = 0, 4, 4, 800
+	exact := linalg.NewSRW(g).DistFrom(start, steps)
+	for _, u := range []int{1, 5, 9, 13} {
+		base := &Estimator{Client: newClient(g, 41), Design: walk.SRW{}, Start: start}
+		if _, err := EstimateAdaptive(base, u, steps, baseReps, 0, rand.New(rand.NewSource(int64(u)))); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := EstimateAll(e, nodes, steps, 0, 0, rng); err == nil {
-		t.Fatal("baseReps 0 should error")
+		e := &Estimator{Client: newClient(g, 41), Design: walk.SRW{}, Start: start}
+		got, err := EstimateAdaptive(e, u, steps, baseReps, budget, rand.New(rand.NewSource(int64(u))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Same seed, so the base walks are identical: any extra step is
+		// the top-up's.
+		if e.StepsTaken <= base.StepsTaken {
+			t.Errorf("node %d: top-up drew no extra walk (%d steps, base %d)", u, e.StepsTaken, base.StepsTaken)
+		}
+		if math.Abs(got-exact[u]) > 0.05+0.5*exact[u] {
+			t.Errorf("EstimateAdaptive p_%d(%d) = %v, exact %v", steps, u, got, exact[u])
+		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package gen provides deterministic generators for every graph model the
 // paper evaluates on — Barabási–Albert scale-free networks, cycles,
 // hypercubes, barbells, balanced binary trees — plus auxiliary models
-// (complete, path, star, grid, Erdős–Rényi, random regular) used by tests and
+// (complete, path, star, Erdős–Rényi, random regular) used by tests and
 // extension experiments.
 //
 // All random generators take an explicit RNG so experiments are reproducible
@@ -143,26 +143,6 @@ func binaryTreeN(n int) *graph.Graph {
 	b := graph.NewBuilder(n)
 	for v := 1; v < n; v++ {
 		b.AddEdge(v, (v-1)/2)
-	}
-	return b.Build()
-}
-
-// Grid2D returns the rows×cols grid graph with 4-neighbor connectivity.
-func Grid2D(rows, cols int) *graph.Graph {
-	if rows < 1 || cols < 1 {
-		panic(fmt.Sprintf("gen: Grid2D(%d,%d): need positive dims", rows, cols))
-	}
-	id := func(r, c int) int { return r*cols + c }
-	b := graph.NewBuilder(rows * cols)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if c+1 < cols {
-				b.AddEdge(id(r, c), id(r, c+1))
-			}
-			if r+1 < rows {
-				b.AddEdge(id(r, c), id(r+1, c))
-			}
-		}
 	}
 	return b.Build()
 }

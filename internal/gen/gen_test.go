@@ -90,20 +90,6 @@ func TestBalancedBinaryTree(t *testing.T) {
 	}
 }
 
-func TestGrid2D(t *testing.T) {
-	g := Grid2D(3, 4)
-	if g.NumNodes() != 12 {
-		t.Fatalf("grid nodes = %d", g.NumNodes())
-	}
-	// edges: 3*3 horizontal + 2*4 vertical = 17
-	if g.NumEdges() != 17 {
-		t.Errorf("grid edges = %d, want 17", g.NumEdges())
-	}
-	if d := g.Diameter(); d != 5 {
-		t.Errorf("grid diameter = %d, want 5", d)
-	}
-}
-
 func TestBarabasiAlbert(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	n, m := 1000, 7
@@ -218,7 +204,6 @@ func TestGeneratorPanics(t *testing.T) {
 		{"ba m>=n", func() { BarabasiAlbert(3, 3, rand.New(rand.NewSource(1))) }},
 		{"gnm too many", func() { ErdosRenyiGNM(3, 10, rand.New(rand.NewSource(1))) }},
 		{"regular odd", func() { RandomRegular(5, 3, rand.New(rand.NewSource(1))) }},
-		{"grid zero", func() { Grid2D(0, 5) }},
 	}
 	for _, c := range cases {
 		func() {

@@ -1,47 +1,14 @@
 // Package mathx provides the numeric kernels the walknotwait library needs
-// beyond the standard math package: the Lambert W function (both real
-// branches, used by the paper's Theorem 1 closed form for the optimal walk
-// length), compensated summation, streaming moment accumulators, and
-// quantiles.
+// beyond the standard math package: the secondary real branch W−1 of the
+// Lambert W function (used by the paper's Theorem 1 closed form for the
+// optimal walk length), compensated summation and streaming moment
+// accumulators.
 package mathx
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // OneOverE is 1/e, the left endpoint -1/e of Lambert W's real domain negated.
 const OneOverE = 1.0 / math.E
-
-// LambertW0 evaluates the principal branch W0 of the Lambert W function,
-// the solution w >= -1 of w·e^w = x, for x >= -1/e. It returns NaN outside
-// the domain. Accuracy is ~1e-14 via Halley iteration.
-func LambertW0(x float64) float64 {
-	switch {
-	case math.IsNaN(x), x < -OneOverE-1e-15:
-		return math.NaN()
-	case x <= -OneOverE:
-		return -1
-	case x == 0:
-		return 0
-	}
-	// Initial guess.
-	var w float64
-	switch {
-	case x < -0.25:
-		// Series around the branch point x = -1/e.
-		p := math.Sqrt(2 * (math.E*x + 1))
-		w = -1 + p - p*p/3 + 11.0/72.0*p*p*p
-	case x < 1:
-		w = x * (1 - x + 1.5*x*x) // Taylor at 0
-	default:
-		l1 := math.Log(x)
-		l2 := math.Log(l1)
-		w = l1 - l2 + l2/l1
-	}
-	return halley(x, w)
-}
 
 // LambertWm1 evaluates the secondary real branch W−1, the solution w <= -1 of
 // w·e^w = x, defined for x in [-1/e, 0). It returns NaN outside the domain.
@@ -156,64 +123,6 @@ func Mean(xs []float64) float64 {
 		k.Add(x)
 	}
 	return k.Sum() / float64(len(xs))
-}
-
-// HarmonicMean returns len(xs) / sum(1/x). All entries must be positive;
-// it returns NaN for empty input or non-positive entries.
-func HarmonicMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var k KahanSum
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		k.Add(1 / x)
-	}
-	return float64(len(xs)) / k.Sum()
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics (numpy's default / Hyndman-Fan
-// type 7). The input is not modified. It panics for empty input or q outside
-// [0,1].
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic("mathx: Quantile of empty slice")
-	}
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		panic(fmt.Sprintf("mathx: Quantile q=%v outside [0,1]", q))
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	return quantileSorted(s, q)
-}
-
-// QuantileSorted is Quantile for already-sorted input, without copying.
-func QuantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		panic("mathx: QuantileSorted of empty slice")
-	}
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		panic(fmt.Sprintf("mathx: QuantileSorted q=%v outside [0,1]", q))
-	}
-	return quantileSorted(sorted, q)
-}
-
-func quantileSorted(s []float64, q float64) float64 {
-	if len(s) == 1 {
-		return s[0]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
 }
 
 // Clamp limits v to [lo, hi].

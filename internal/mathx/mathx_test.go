@@ -6,23 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestLambertW0KnownValues(t *testing.T) {
-	cases := []struct{ x, want float64 }{
-		{0, 0},
-		{math.E, 1},              // W(e) = 1
-		{2 * math.E * math.E, 2}, // W(2e^2) = 2
-		{-OneOverE, -1},
-		{1, 0.5671432904097838}, // omega constant
-		{-0.2, -0.25917110181907377},
-	}
-	for _, c := range cases {
-		got := LambertW0(c.x)
-		if math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("LambertW0(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-}
-
 func TestLambertWm1KnownValues(t *testing.T) {
 	cases := []struct{ x, want float64 }{
 		{-OneOverE, -1},
@@ -38,8 +21,8 @@ func TestLambertWm1KnownValues(t *testing.T) {
 }
 
 func TestLambertWDomains(t *testing.T) {
-	if !math.IsNaN(LambertW0(-1)) {
-		t.Error("W0(-1) should be NaN")
+	if !math.IsNaN(LambertWm1(-1)) {
+		t.Error("W-1(-1) should be NaN")
 	}
 	if !math.IsNaN(LambertWm1(0.5)) {
 		t.Error("W-1(0.5) should be NaN")
@@ -47,22 +30,12 @@ func TestLambertWDomains(t *testing.T) {
 	if !math.IsNaN(LambertWm1(0)) {
 		t.Error("W-1(0) should be NaN")
 	}
-	if !math.IsNaN(LambertW0(math.NaN())) {
-		t.Error("W0(NaN) should be NaN")
+	if !math.IsNaN(LambertWm1(math.NaN())) {
+		t.Error("W-1(NaN) should be NaN")
 	}
 }
 
 func TestPropertyLambertWInverse(t *testing.T) {
-	// W0: for any w >= -1, LambertW0(w e^w) == w.
-	prop0 := func(raw float64) bool {
-		w := math.Mod(math.Abs(raw), 20) - 1 // w in [-1, 19)
-		x := w * math.Exp(w)
-		got := LambertW0(x)
-		return math.Abs(got-w) <= 1e-9*(1+math.Abs(w))
-	}
-	if err := quick.Check(prop0, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
 	// W-1: for any w <= -1, LambertWm1(w e^w) == w.
 	prop1 := func(raw float64) bool {
 		w := -1 - math.Mod(math.Abs(raw), 30) // w in (-31, -1]
@@ -123,60 +96,6 @@ func TestMeanHarmonicMean(t *testing.T) {
 	}
 	if !math.IsNaN(Mean(nil)) {
 		t.Error("Mean(nil) should be NaN")
-	}
-	// Harmonic mean of {1,2,4}: 3/(1+0.5+0.25) = 12/7.
-	if got := HarmonicMean([]float64{1, 2, 4}); math.Abs(got-12.0/7.0) > 1e-12 {
-		t.Errorf("HarmonicMean = %v, want %v", got, 12.0/7.0)
-	}
-	if !math.IsNaN(HarmonicMean([]float64{1, 0})) {
-		t.Error("HarmonicMean with zero should be NaN")
-	}
-	if !math.IsNaN(HarmonicMean(nil)) {
-		t.Error("HarmonicMean(nil) should be NaN")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	if got := Quantile(xs, 0); got != 1 {
-		t.Errorf("q0 = %v", got)
-	}
-	if got := Quantile(xs, 1); got != 9 {
-		t.Errorf("q1 = %v", got)
-	}
-	// median of sorted [1 1 2 3 4 5 6 9] = (3+4)/2
-	if got := Quantile(xs, 0.5); math.Abs(got-3.5) > 1e-12 {
-		t.Errorf("median = %v, want 3.5", got)
-	}
-	// Input must not be modified.
-	if xs[0] != 3 {
-		t.Error("Quantile modified its input")
-	}
-	if got := Quantile([]float64{7}, 0.3); got != 7 {
-		t.Errorf("singleton quantile = %v", got)
-	}
-	// 10th percentile of 0..10 = 1.0 under type-7.
-	seq := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if got := QuantileSorted(seq, 0.1); math.Abs(got-1.0) > 1e-12 {
-		t.Errorf("p10 = %v, want 1", got)
-	}
-}
-
-func TestQuantilePanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { Quantile(nil, 0.5) },
-		func() { Quantile([]float64{1}, -0.1) },
-		func() { Quantile([]float64{1}, 1.1) },
-		func() { QuantileSorted(nil, 0.5) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
 	}
 }
 

@@ -122,10 +122,6 @@ type DiskBackend struct {
 	m *graph.MappedCSR
 }
 
-// NewDiskBackend wraps an opened CSR mapping as a Backend. The caller
-// retains ownership of m (and must keep it open while the backend is used).
-func NewDiskBackend(m *graph.MappedCSR) DiskBackend { return DiskBackend{m: m} }
-
 // OpenDiskBackend opens the named binary CSR file as a backend. Close the
 // returned mapping when done.
 func OpenDiskBackend(path string) (DiskBackend, *graph.MappedCSR, error) {

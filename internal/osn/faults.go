@@ -160,9 +160,6 @@ type FaultConfig struct {
 	RateLimitRate float64
 	// RetryAfter is the hint attached to rate-limit faults (default 1ms).
 	RetryAfter time.Duration
-	// TimeoutWait is the wall-clock a timed-out request burns before
-	// failing (default 0: timeouts are instant, only their error differs).
-	TimeoutWait time.Duration
 	// Outages are deterministic full-outage windows over the attempt
 	// sequence counter.
 	Outages []SeqWindow
@@ -309,9 +306,6 @@ func (f *FaultSim) decide(v int32) *FaultError {
 		return &FaultError{Kind: FaultTransient, Node: v}
 	case u < tr+to:
 		f.injected[FaultTimeout].Add(1)
-		if f.cfg.TimeoutWait > 0 {
-			time.Sleep(f.cfg.TimeoutWait)
-		}
 		return &FaultError{Kind: FaultTimeout, Node: v}
 	case u < tr+to+rl:
 		f.injected[FaultRateLimit].Add(1)

@@ -25,29 +25,24 @@ type ResilientPolicy struct {
 	// RetryBudget is the per-backend pool of retry tokens: every retry
 	// round trip (across all callers; a batched subset retry is one round
 	// trip, whatever its width) spends one, and every successfully
-	// resolved element refunds BudgetRefund, capped at RetryBudget.
+	// resolved element refunds budgetRefund, capped at RetryBudget.
 	// Against a dead backend nothing resolves, so the pool drains and the
 	// fleet stops retrying long before each caller's MaxRetries would —
 	// the classic retry-budget guard against retry storms (default 512) —
 	// while under any absorbable fault rate resolved elements keep the
 	// pool topped up indefinitely.
 	RetryBudget float64
-	// BudgetRefund is the fraction of a token each successfully resolved
-	// element returns to the budget (default 0.1).
-	BudgetRefund float64
 	// BreakerThreshold is the consecutive-failure count that opens the
 	// circuit breaker (default 8).
 	BreakerThreshold int
 	// BreakerCooldown is how long the breaker stays open before letting a
 	// half-open probe through (default 250ms).
 	BreakerCooldown time.Duration
-	// RateLimit, when > 0, paces outgoing requests to this many per second
-	// (a client-side token bucket with RateBurst burst capacity), on top of
-	// honoring the platform's retry-after hints.
-	RateLimit float64
-	// RateBurst is the token-bucket burst size (default 16).
-	RateBurst int
 }
+
+// budgetRefund is the fraction of a retry token each successfully resolved
+// element returns to the budget.
+const budgetRefund = 0.1
 
 func (p ResilientPolicy) withDefaults() ResilientPolicy {
 	if p.MaxRetries <= 0 {
@@ -62,17 +57,11 @@ func (p ResilientPolicy) withDefaults() ResilientPolicy {
 	if p.RetryBudget <= 0 {
 		p.RetryBudget = 512
 	}
-	if p.BudgetRefund <= 0 {
-		p.BudgetRefund = 0.1
-	}
 	if p.BreakerThreshold <= 0 {
 		p.BreakerThreshold = 8
 	}
 	if p.BreakerCooldown <= 0 {
 		p.BreakerCooldown = 250 * time.Millisecond
-	}
-	if p.RateBurst <= 0 {
-		p.RateBurst = 16
 	}
 	return p
 }
@@ -161,8 +150,6 @@ type ResilientBackend struct {
 	// throttleUntil (unixnano) is the fleet-wide pause published by
 	// rate-limit retry-after hints.
 	throttleUntil atomic.Int64
-	// nextFree (unixnano) is the client-side pacing bucket's next free slot.
-	nextFree atomic.Int64
 
 	retries      atomic.Int64
 	absorbed     atomic.Int64
@@ -245,10 +232,10 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// gate runs the pre-attempt checks: context, fleet throttle, circuit
-// breaker, and client-side pacing. probe reports that this attempt is the
-// breaker's half-open probe. A *breakerOpenError return is retryable (the
-// backend was not contacted); a context cause is not.
+// gate runs the pre-attempt checks: context, fleet throttle and circuit
+// breaker. probe reports that this attempt is the breaker's half-open probe.
+// A *breakerOpenError return is retryable (the backend was not contacted); a
+// context cause is not.
 func (r *ResilientBackend) gate(ctx context.Context) (probe bool, err error) {
 	if ctx.Err() != nil {
 		return false, context.Cause(ctx)
@@ -280,36 +267,7 @@ func (r *ResilientBackend) gate(ctx context.Context) (probe bool, err error) {
 		probe = true
 	}
 	r.mu.Unlock()
-	if err := r.pace(ctx); err != nil {
-		if probe {
-			r.mu.Lock()
-			r.probing = false
-			r.mu.Unlock()
-		}
-		return false, err
-	}
 	return probe, nil
-}
-
-// pace enforces the client-side request rate (token bucket over an atomic
-// next-free-slot timestamp). No-op when RateLimit is unset.
-func (r *ResilientBackend) pace(ctx context.Context) error {
-	if r.pol.RateLimit <= 0 {
-		return nil
-	}
-	interval := time.Duration(float64(time.Second) / r.pol.RateLimit)
-	burst := time.Duration(r.pol.RateBurst) * interval
-	for {
-		now := time.Now()
-		cur := r.nextFree.Load()
-		slot := time.Unix(0, cur)
-		if earliest := now.Add(-burst); slot.Before(earliest) {
-			slot = earliest
-		}
-		if r.nextFree.CompareAndSwap(cur, slot.Add(interval).UnixNano()) {
-			return sleepCtx(ctx, time.Until(slot))
-		}
-	}
 }
 
 // noteResult feeds one backend attempt's outcome to the breaker and the
@@ -371,7 +329,7 @@ func (r *ResilientBackend) takeTokens(n int) bool {
 // absorbable fault rates sustain the pool, while a dead backend (nothing
 // resolves, rounds keep spending) still drains it.
 func (r *ResilientBackend) refundN(n int) {
-	add := int64(n) * int64(r.pol.BudgetRefund*1000)
+	add := int64(n) * int64(budgetRefund*1000)
 	for {
 		cur := r.tokens.Load()
 		if cur >= r.maxTokens {

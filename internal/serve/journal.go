@@ -504,6 +504,9 @@ func (st *replayState) apply(rec journalRecord) {
 		st.order = st.order[:0]
 		for i := range rec.Jobs {
 			r := rec.Jobs[i]
+			if _, dup := st.jobs[r.ID]; dup {
+				continue // an id listed twice keeps its first entry
+			}
 			st.jobs[r.ID] = &r
 			st.order = append(st.order, r.ID)
 			if r.Seq > st.seq {
@@ -577,6 +580,11 @@ func replaySegment(path string, st *replayState) (int64, bool, error) {
 		return 0, false, err
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, false, err
+	}
+	left := fi.Size() // bytes not yet read
 	r := bufio.NewReader(f)
 	var applied int64
 	var hdr [8]byte
@@ -588,9 +596,13 @@ func replaySegment(path string, st *replayState) (int64, bool, error) {
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
 		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if n > maxFrame {
+		left -= int64(len(hdr))
+		// A length past the end of the file is a torn frame: reject it
+		// before allocating the payload.
+		if n > maxFrame || int64(n) > left {
 			return applied, true, nil
 		}
+		left -= int64(n)
 		payload := make([]byte, n)
 		if _, err := io.ReadFull(r, payload); err != nil {
 			return applied, true, nil

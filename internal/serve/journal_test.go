@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -131,6 +134,65 @@ func TestJournalTornTailStopsReplay(t *testing.T) {
 	}
 	if st := re.Stats(); st.Corrupt != 1 {
 		t.Fatalf("corrupt count %d, want 1", st.Corrupt)
+	}
+}
+
+// A CRC-valid snapshot that lists one id twice replays to one job, and boot
+// compaction writes that job into the new snapshot once.
+func TestJournalSnapshotDuplicateIDReplaysOnce(t *testing.T) {
+	dir := t.TempDir()
+	a, b := jobRec("job-000001", 1, 20), jobRec("job-000002", 2, 30)
+	payload, err := json.Marshal(journalRecord{T: recSnapshot, Jobs: []JobRecord{a, b, a}, Seq: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seg bytes.Buffer
+	if _, err := writeFrame(&seg, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "seg-000001.wal"), seg.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for boot := 1; boot <= 2; boot++ { // the second boot replays the compacted snapshot
+		jl := openTestJournal(t, JournalConfig{Dir: dir, Fsync: FsyncOff})
+		recs, _ := jl.Recovered()
+		if err := jl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 2 || recs[0].ID != a.ID || recs[1].ID != b.ID {
+			t.Fatalf("boot %d recovered %d records %+v, want %s then %s once each", boot, len(recs), recs, a.ID, b.ID)
+		}
+	}
+}
+
+// A torn frame whose length field points past the end of the segment stops
+// replay without allocating the claimed payload.
+func TestJournalTornLengthAllocatesNothing(t *testing.T) {
+	a := jobRec("job-000001", 1, 20)
+	payload, err := json.Marshal(journalRecord{T: recAccepted, Job: &a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seg bytes.Buffer
+	if _, err := writeFrame(&seg, payload); err != nil {
+		t.Fatal(err)
+	}
+	seg.Write(binary.LittleEndian.AppendUint32(nil, maxFrame)) // length
+	seg.Write([]byte{0, 0, 0, 0, '{', '"', 't'})               // CRC, torn payload
+	path := filepath.Join(t.TempDir(), "seg-000001.wal")
+	if err := os.WriteFile(path, seg.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := newReplayState()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	applied, corrupt, err := replaySegment(path, st)
+	runtime.ReadMemStats(&after)
+	if err != nil || applied != 1 || !corrupt {
+		t.Fatalf("replay = %d applied, corrupt %v, err %v; want 1, true, nil", applied, corrupt, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("replay allocated %d B for a torn %d-byte frame, want < 1 MiB", alloc, maxFrame)
 	}
 }
 

@@ -30,18 +30,6 @@ func LInf(p, q []float64) (float64, error) {
 	return worst, nil
 }
 
-// TotalVariation returns (1/2)·Σ|p_i − q_i|.
-func TotalVariation(p, q []float64) (float64, error) {
-	if len(p) != len(q) {
-		return 0, fmt.Errorf("stats: length mismatch %d vs %d", len(p), len(q))
-	}
-	sum := 0.0
-	for i := range p {
-		sum += math.Abs(p[i] - q[i])
-	}
-	return sum / 2, nil
-}
-
 // KL returns the Kullback–Leibler divergence D(p‖q) = Σ p_i·log(p_i/q_i),
 // in nats. Terms with p_i = 0 contribute 0. If some p_i > 0 has q_i = 0 the
 // divergence is +Inf; use KLSmoothed when q is an empirical distribution
@@ -145,24 +133,4 @@ func CDF(p []float64) []float64 {
 		out[i] = acc
 	}
 	return out
-}
-
-// Normalize scales a non-negative vector to sum to 1. It errors on an
-// all-zero or negative vector.
-func Normalize(w []float64) ([]float64, error) {
-	sum := 0.0
-	for i, v := range w {
-		if v < 0 {
-			return nil, fmt.Errorf("stats: negative weight at %d", i)
-		}
-		sum += v
-	}
-	if sum == 0 {
-		return nil, errors.New("stats: cannot normalize zero vector")
-	}
-	out := make([]float64, len(w))
-	for i, v := range w {
-		out[i] = v / sum
-	}
-	return out, nil
 }

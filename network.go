@@ -69,9 +69,6 @@ func NewMemBackendWithAttrs(g *Graph, attrs map[string][]float64) MemBackend {
 	return osn.NewMemBackendWithAttrs(g, attrs)
 }
 
-// NewDiskBackend wraps an opened CSR mapping as a Backend.
-func NewDiskBackend(m *MappedCSR) DiskBackend { return osn.NewDiskBackend(m) }
-
 // OpenDiskBackend opens a binary CSR file as a disk-backed Backend. Close
 // the returned mapping when done with the network.
 func OpenDiskBackend(path string) (DiskBackend, *MappedCSR, error) {
@@ -148,9 +145,6 @@ type FaultSim = osn.FaultSim
 // FaultConfig parameterizes a FaultSim.
 type FaultConfig = osn.FaultConfig
 
-// FaultError is one injected backend failure.
-type FaultError = osn.FaultError
-
 // ResilientBackend is the retry/backoff/circuit-breaker middleware over a
 // fallible backend: transient faults are absorbed below the metered Client
 // (retries never perturb sampling RNG or query charges), and policy
@@ -164,9 +158,6 @@ type ResilientPolicy = osn.ResilientPolicy
 
 // BackendUnavailableError is the resilience layer's typed give-up error.
 type BackendUnavailableError = osn.BackendUnavailableError
-
-// BreakerState is the circuit-breaker state (closed, open, half-open).
-type BreakerState = osn.BreakerState
 
 // NewFaultSim wraps inner with a deterministic fault schedule.
 func NewFaultSim(inner Backend, cfg FaultConfig) (*FaultSim, error) {
@@ -263,32 +254,6 @@ func parseOutage(s string) (start, dur time.Duration, err error) {
 // *rand.Rand or a NewFastRNG generator.
 func NewClient(net *Network, mode CostMode, rng RNG) *Client {
 	return osn.NewClient(net, mode, rng)
-}
-
-// SharedCache is a concurrency-safe neighbor cache plus global unique-node
-// accounting that several Clients (one per worker goroutine) attach to:
-// across all attached clients each distinct node is fetched — and, under
-// CostUniqueNodes, charged — exactly once.
-type SharedCache = osn.SharedCache
-
-// NewSharedCache returns an empty shared neighbor cache.
-func NewSharedCache() *SharedCache { return osn.NewSharedCache() }
-
-// NewClientShared creates a metered client attached to a shared neighbor
-// cache. Clients of the same cache may be used from different goroutines;
-// each keeps its own cost meter while the cache meters the fleet-wide cost.
-func NewClientShared(net *Network, mode CostMode, rng RNG, sc *SharedCache) *Client {
-	return osn.NewClientShared(net, mode, rng, sc)
-}
-
-// WithAttribute attaches a numeric per-node attribute table.
-func WithAttribute(name string, values []float64) NetworkOption {
-	return osn.WithAttribute(name, values)
-}
-
-// WithAttrFunc attaches a lazily-computed, memoized per-node attribute.
-func WithAttrFunc(name string, fn func(node int) float64) NetworkOption {
-	return osn.WithAttrFunc(name, fn)
 }
 
 // WithRestriction installs a neighbor-list access restriction (§6.3.1).

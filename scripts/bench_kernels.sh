@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Benchmark smoke job for the dense hot-path kernels: runs the
 # micro-benchmarks (with allocation counting) plus the end-to-end sequential
-# WALK-ESTIMATE benchmark, records ns/op and allocs/op in BENCH_kernels.json
-# (alongside BENCH_walkestimate.json's trajectory), and captures a CPU pprof
-# profile of the end-to-end run as bench_cpu.pprof for the CI artifact.
+# WALK-ESTIMATE benchmark, records ns/op and allocs/op in BENCH_kernels.json,
+# and captures a CPU pprof profile of the end-to-end run as bench_cpu.pprof
+# for the CI artifact.
 #
 # The allocs/op entries double as a coarse regression tripwire in review:
 # BenchmarkBackStep*, BenchmarkNeighborsHot* and BenchmarkHistoryRow must

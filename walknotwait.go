@@ -53,22 +53,10 @@ type RNG = fastrand.RNG
 // reproducible) streams for the same seed.
 func NewFastRNG(seed int64) RNG { return fastrand.New(seed) }
 
-// Graph is an immutable simple undirected graph in CSR form; see
-// NewGraphBuilder and the generator functions for construction, and
-// LoadEdgeList for file input.
+// Graph is an immutable simple undirected graph in CSR form; see the
+// generator functions for construction, and LoadEdgeList and LoadCSR for
+// file input.
 type Graph = graph.Graph
-
-// GraphBuilder accumulates edges and produces an immutable Graph.
-type GraphBuilder = graph.Builder
-
-// NewGraphBuilder returns a builder for a graph on n nodes (ids 0..n-1).
-func NewGraphBuilder(n int) *GraphBuilder { return graph.NewBuilder(n) }
-
-// FromEdges builds a graph on n nodes from undirected edge pairs.
-func FromEdges(n int, edges [][2]int) *Graph { return graph.FromEdges(n, edges) }
-
-// ReadEdgeList parses a plain-text edge list ("u v" lines, '#' comments).
-func ReadEdgeList(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r) }
 
 // WriteEdgeList writes a graph as a plain-text edge list.
 func WriteEdgeList(w io.Writer, g *Graph) error { return graph.WriteEdgeList(w, g) }
@@ -93,10 +81,6 @@ func SaveCSR(path string, g *Graph, attrs map[string][]float64) error {
 // LoadCSR reads a binary CSR file fully into memory.
 func LoadCSR(path string) (*Graph, map[string][]float64, error) { return graph.LoadCSR(path) }
 
-// OpenCSR opens a binary CSR file, memory-mapping it when possible. Close
-// the result when done.
-func OpenCSR(path string) (*MappedCSR, error) { return graph.OpenCSR(path) }
-
 // IsCSRFile reports whether the named file is a binary CSR graph (as
 // opposed to a plain-text edge list).
 func IsCSRFile(path string) bool { return graph.IsCSRFile(path) }
@@ -114,9 +98,6 @@ func NewHolmeKim(n, m int, pt float64, rng RNG) *Graph { return gen.HolmeKim(n, 
 
 // NewCycle generates the cycle graph C_n.
 func NewCycle(n int) *Graph { return gen.Cycle(n) }
-
-// NewPath generates the path graph P_n.
-func NewPath(n int) *Graph { return gen.Path(n) }
 
 // NewComplete generates the complete graph K_n.
 func NewComplete(n int) *Graph { return gen.Complete(n) }

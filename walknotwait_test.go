@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	wnw "repro"
@@ -68,9 +70,6 @@ func TestPublicAPIBaselines(t *testing.T) {
 	if _, err := wnw.EffectiveSampleSize(vals, 10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wnw.Autocorrelation(vals, 1); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestPublicAPIAnalysis(t *testing.T) {
@@ -89,18 +88,11 @@ func TestPublicAPIAnalysis(t *testing.T) {
 	if math.Abs(gap-want) > 1e-6 {
 		t.Fatalf("gap = %v, want %v", gap, want)
 	}
-	u := wnw.UniformStationary(12)
-	if _, err := wnw.LInfDistance(pi, u); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wnw.TotalVariation(pi, u); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wnw.KLDivergence(u, pi); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wnw.EmpiricalDistribution([]int{0, 1, 1}, 12); err != nil {
-		t.Fatal(err)
+	// A cycle is regular: SRW's stationary distribution is uniform.
+	for v, p := range wnw.UniformStationary(12) {
+		if math.Abs(pi[v]-p) > 1e-12 {
+			t.Fatalf("pi[%d] = %v, want %v", v, pi[v], p)
+		}
 	}
 	th := wnw.Theorem1{Gamma: 1, Delta: 0.01, DMax: 10, Lambda: 0.3}
 	tOpt, err := th.TOpt()
@@ -147,21 +139,34 @@ func TestPublicAPIDatasetsAndExperiments(t *testing.T) {
 }
 
 func TestPublicAPIGraphIO(t *testing.T) {
-	g := wnw.FromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
+	g := wnw.NewCycle(4)
 	var buf bytes.Buffer
 	if err := wnw.WriteEdgeList(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := wnw.ReadEdgeList(&buf)
+	if got := strings.Count(buf.String(), "\n"); got < g.NumEdges() {
+		t.Fatalf("edge list has %d lines for %d edges", got, g.NumEdges())
+	}
+	dir := t.TempDir()
+	txt, bin := filepath.Join(dir, "g.txt"), filepath.Join(dir, "g.csr")
+	if err := wnw.SaveEdgeList(txt, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := wnw.SaveCSR(bin, g, nil); err != nil {
+		t.Fatal(err)
+	}
+	if wnw.IsCSRFile(txt) || !wnw.IsCSRFile(bin) {
+		t.Fatal("IsCSRFile misclassifies the edge list or the CSR file")
+	}
+	fromTxt, err := wnw.LoadEdgeList(txt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g2.NumEdges() != 3 {
-		t.Fatalf("edges = %d", g2.NumEdges())
+	fromBin, _, err := wnw.LoadCSR(bin)
+	if err != nil {
+		t.Fatal(err)
 	}
-	b := wnw.NewGraphBuilder(3)
-	b.AddEdge(0, 2)
-	if got := b.Build().NumEdges(); got != 1 {
-		t.Fatalf("builder edges = %d", got)
+	if fromTxt.NumEdges() != 4 || fromBin.NumEdges() != 4 {
+		t.Fatalf("edges = %d (text), %d (CSR), want 4", fromTxt.NumEdges(), fromBin.NumEdges())
 	}
 }
