@@ -266,8 +266,7 @@ func BenchmarkAblationWEVariants(b *testing.B) {
 // the concurrent engine (SampleNParallel) on a 50k-node Barabási–Albert
 // graph, the scale of the paper's synthetic experiments. Each op draws a
 // fixed block of samples; queries/sample reports the fleet-wide unique-node
-// cost per accepted sample (scripts/bench_kernels.sh profiles the Sequential
-// variant). No parallel speed-up is asserted here; the
+// cost per accepted sample. No parallel speed-up is asserted here; the
 // measured parallel-vs-sequential throughput is cmd/webench's lib-mem-par2
 // and lib-mem-seq workloads (cmd/webench/README.md).
 func BenchmarkParallelWE(b *testing.B) {

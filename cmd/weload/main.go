@@ -5,10 +5,8 @@
 // -rate R it runs open-loop instead: jobs are submitted at a fixed R jobs/s
 // regardless of completions, which is how you measure latency under a load
 // the service does not control (the classic coordinated-omission-free
-// setup). It reports throughput (jobs/s, samples/s), job- and per-sample
-// latency percentiles, and — when the daemon fronts a fault-injected
-// backend — the backend fault/retry/failure counters scraped from /metrics
-// across the run, as a JSON record, the raw material of BENCH_serve.json.
+// setup). It reports throughput (jobs/s, samples/s) and job- and
+// per-sample latency percentiles as a JSON record.
 //
 // Submissions turned away with a load-shedding 503 (queue full or draining)
 // are retried up to 5 times, honoring the daemon's Retry-After hint with a
@@ -21,29 +19,14 @@
 // Usage:
 //
 //	weload -addr 127.0.0.1:7117 -jobs 16 -concurrency 4 -count 20 -workers 2
-//	weload -addr 127.0.0.1:7117 -wait 10s -label warm -out BENCH_run.json
+//	weload -addr 127.0.0.1:7117 -wait 10s -label warm -out run.json
 //	weload -addr 127.0.0.1:7117 -rate 8 -jobs 64 -label open-loop
-//	weload -addr 127.0.0.1:7117 -dedup -zipf 1.2 -distinct 16 -jobs 200
 //
 // -wait polls /healthz until the daemon answers (for scripts that boot
 // weserve and immediately drive it). Seeds default to base+jobIndex so runs
 // are reproducible; pass -same-seed to make every job identical (the warm-
-// replay workload that isolates cache effects).
-//
-// -dedup switches to a zipfian repeat-submission mix: each job's seed is
-// drawn (deterministically, from the base seed) as base+rank with rank
-// zipf(-zipf)-distributed over -distinct values, modeling the few-hot-many-
-// cold query traffic a resident service actually sees. The record gains a
-// "dedup" section: result-cache hit rate (from the terminal lines' cached
-// marker) against the (jobs-distinct)/jobs floor, charges saved (the
-// daemon's walknotwait_queries_saved_total delta), and separate latency
-// digests for cached vs live jobs.
-//
-// The address may be a cluster coordinator (weserve -role coordinator) —
-// the API is identical. Coordinator job statuses carry a "worker" placement
-// field; weload then adds a per-worker breakdown (jobs placed, samples,
-// samples/s, plus the coordinator's hand-off count) to the JSON record
-// under "cluster".
+// replay workload that isolates cache effects). The address may be a
+// cluster coordinator (weserve -role coordinator): the API is identical.
 package main
 
 import (
@@ -54,7 +37,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"net/http"
 	"os"
 	"sort"
@@ -81,14 +63,10 @@ func main() {
 		out      = flag.String("out", "", "output path for the JSON record (default stdout)")
 		timeout  = flag.Duration("timeout", 5*time.Minute, "per-job client timeout")
 		rate     = flag.Float64("rate", 0, "open-loop submission rate in jobs/s (0 = closed-loop)")
-		dedup    = flag.Bool("dedup", false, "zipfian repeat-submission workload: draw each job's spec from -distinct seeds with zipf(-zipf) popularity and report result-cache hit rate + charges saved")
-		zipfS    = flag.Float64("zipf", 1.2, "zipf skew parameter s > 1 (-dedup)")
-		distinct = flag.Int("distinct", 16, "distinct specs in the zipfian mix (-dedup)")
 	)
 	flag.Parse()
 	if err := run(*addr, *jobs, *conc, *count, *workers, *design, *jobType,
-		*seed, *sameSeed, *wait, *label, *out, *timeout, *rate,
-		dedupOptions{on: *dedup, s: *zipfS, distinct: *distinct}); err != nil {
+		*seed, *sameSeed, *wait, *label, *out, *timeout, *rate); err != nil {
 		fmt.Fprintln(os.Stderr, "weload:", err)
 		os.Exit(1)
 	}
@@ -144,101 +122,11 @@ type record struct {
 		Max  float64 `json:"max"`
 	} `json:"sample_latency_ms"`
 	FleetQueries int64 `json:"fleet_queries_after"`
-	// Backend carries the daemon-side fault/retry counters (deltas across
-	// the run, scraped from /metrics), present when the daemon fronts a
-	// fault-injected or resilience-wrapped backend.
-	Backend *backendCounters `json:"backend,omitempty"`
-	// Cluster breaks the run down by fleet worker, present when the address
-	// is a cluster coordinator (its job statuses carry a "worker" placement
-	// field; a single daemon's do not).
-	Cluster *clusterBreakdown `json:"cluster,omitempty"`
-	// Dedup summarizes a -dedup run: the zipfian mix, the result-cache hit
-	// rate the client observed, the charges the cache saved, and how cached
-	// admissions compare to live runs latency-wise.
-	Dedup *dedupReport `json:"dedup,omitempty"`
-}
-
-// dedupOptions configures the -dedup zipfian repeat workload.
-type dedupOptions struct {
-	on       bool
-	s        float64
-	distinct int
-}
-
-// latSummary is a compact latency digest (milliseconds).
-type latSummary struct {
-	N    int     `json:"n"`
-	Mean float64 `json:"mean"`
-	P50  float64 `json:"p50"`
-	P99  float64 `json:"p99"`
-	Max  float64 `json:"max"`
-}
-
-func summarize(xs []float64) latSummary {
-	sort.Float64s(xs)
-	out := latSummary{N: len(xs)}
-	if len(xs) == 0 {
-		return out
-	}
-	sum := 0.0
-	for _, v := range xs {
-		sum += v
-	}
-	out.Mean = sum / float64(len(xs))
-	out.P50 = percentile(xs, 0.50)
-	out.P99 = percentile(xs, 0.99)
-	out.Max = xs[len(xs)-1]
-	return out
-}
-
-// dedupReport is the -dedup section of the record. Hits and misses are
-// client-observed (the terminal line's cached marker), so they count exactly
-// this run's jobs; QueriesSaved is the daemon's meter delta across the run.
-type dedupReport struct {
-	DistinctSpecs int     `json:"distinct_specs"`
-	ZipfS         float64 `json:"zipf_s"`
-	Hits          int64   `json:"hits"`
-	Misses        int64   `json:"misses"`
-	HitRate       float64 `json:"hit_rate"`
-	// PredictedFloor is the hit rate a deterministic cache must reach on
-	// this mix once warm: at most one miss per distinct spec, so
-	// (jobs - distinct)/jobs. The zipf draw usually skips tail specs,
-	// putting the observed rate above the floor.
-	PredictedFloor  float64    `json:"predicted_hit_rate_floor"`
-	QueriesSaved    int64      `json:"queries_saved"`
-	CachedLatencyMS latSummary `json:"cached_latency_ms"`
-	LiveLatencyMS   latSummary `json:"live_latency_ms"`
-}
-
-// clusterBreakdown is the per-worker view of a run driven through a
-// coordinator: where jobs landed and how throughput split across the fleet.
-type clusterBreakdown struct {
-	// Workers maps fleet index (as a string, for JSON) to that worker's
-	// share of the run.
-	Workers map[string]workerLoad `json:"workers"`
-	// Handoffs is the coordinator's re-dispatch count after the run — jobs
-	// that survived losing their worker (scraped from /v1/cluster).
-	Handoffs int64 `json:"handoffs"`
-}
-
-// workerLoad is one worker's slice of the run.
-type workerLoad struct {
-	Jobs          int     `json:"jobs"`
-	Samples       int64   `json:"samples"`
-	SamplesPerSec float64 `json:"samples_per_sec"`
-}
-
-// backendCounters are /metrics deltas across the run.
-type backendCounters struct {
-	Faults   int64 `json:"faults"`
-	Retries  int64 `json:"retries"`
-	Absorbed int64 `json:"retries_absorbed"`
-	Failures int64 `json:"failures"`
 }
 
 func run(addr string, jobs, conc, count, workers int, design, jobType string,
 	seed int64, sameSeed bool, wait time.Duration, label, out string,
-	timeout time.Duration, rate float64, dd dedupOptions) error {
+	timeout time.Duration, rate float64) error {
 	base := addr
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
@@ -260,23 +148,6 @@ func run(addr string, jobs, conc, count, workers int, design, jobType string,
 	if conc > jobs {
 		conc = jobs
 	}
-	// -dedup: pre-draw the whole zipfian seed assignment so the workload is
-	// identical regardless of goroutine interleaving — job i always runs
-	// seed+rank(i), rank drawn once from a seeded zipf over [0, distinct).
-	var assign []int64
-	if dd.on {
-		if dd.distinct < 1 || dd.distinct > jobs {
-			return fmt.Errorf("need 1 <= distinct <= jobs, got %d", dd.distinct)
-		}
-		if dd.s <= 1 {
-			return fmt.Errorf("need zipf s > 1, got %g", dd.s)
-		}
-		z := rand.NewZipf(rand.New(rand.NewSource(seed)), dd.s, 1, uint64(dd.distinct-1))
-		assign = make([]int64, jobs)
-		for i := range assign {
-			assign[i] = seed + int64(z.Uint64())
-		}
-	}
 
 	var (
 		next       atomic.Int64
@@ -285,15 +156,10 @@ func run(addr string, jobs, conc, count, workers int, design, jobType string,
 		shed       atomic.Int64
 		subRetries atomic.Int64
 		fleetQ     atomic.Int64
-		hits       atomic.Int64
-		misses     atomic.Int64
 		mu         sync.Mutex
 		latencies  []float64
 		sampleLats []float64
-		cachedLats []float64
-		liveLats   []float64
 		reasons    = make(map[string]int64)
-		placements = make(map[int]*workerLoad)
 		wg         sync.WaitGroup
 	)
 	doJob := func(i int) {
@@ -301,24 +167,10 @@ func run(addr string, jobs, conc, count, workers int, design, jobType string,
 		if sameSeed {
 			s = seed
 		}
-		if assign != nil {
-			s = assign[i]
-		}
 		t0 := time.Now()
 		res := runJob(client, base, jobType, design, count, workers, s)
 		samples.Add(res.samples)
 		subRetries.Add(res.submitRetries)
-		if res.worker != nil {
-			mu.Lock()
-			wl := placements[*res.worker]
-			if wl == nil {
-				wl = &workerLoad{}
-				placements[*res.worker] = wl
-			}
-			wl.Jobs++
-			wl.Samples += res.samples
-			mu.Unlock()
-		}
 		if res.shed {
 			// Shed jobs are the daemon saying "not now", not a failure of
 			// either side — counted apart from errors and kept out of the
@@ -343,25 +195,12 @@ func run(addr string, jobs, conc, count, workers int, design, jobType string,
 			fleetQ.Store(res.fleetQueries)
 		}
 		d := time.Since(t0)
-		lat := float64(d) / float64(time.Millisecond)
-		if res.cached {
-			hits.Add(1)
-		} else {
-			misses.Add(1)
-		}
 		mu.Lock()
-		latencies = append(latencies, lat)
+		latencies = append(latencies, float64(d)/float64(time.Millisecond))
 		sampleLats = append(sampleLats, res.stamps...)
-		if res.cached {
-			cachedLats = append(cachedLats, lat)
-		} else {
-			liveLats = append(liveLats, lat)
-		}
 		mu.Unlock()
 	}
 
-	before := scrapeBackend(client, base)
-	savedBefore := scrapeQueriesSaved(client, base)
 	began := time.Now()
 	if rate > 0 {
 		// Open-loop: one goroutine per job, launched on a fixed cadence
@@ -398,7 +237,6 @@ func run(addr string, jobs, conc, count, workers int, design, jobType string,
 	}
 	wg.Wait()
 	wall := time.Since(began)
-	after := scrapeBackend(client, base)
 
 	mode := "closed"
 	if rate > 0 {
@@ -418,42 +256,6 @@ func run(addr string, jobs, conc, count, workers int, design, jobType string,
 	}
 	if len(reasons) > 0 {
 		rec.FailureReasons = reasons
-	}
-	if before != nil && after != nil {
-		rec.Backend = &backendCounters{
-			Faults:   after.Faults - before.Faults,
-			Retries:  after.Retries - before.Retries,
-			Absorbed: after.Absorbed - before.Absorbed,
-			Failures: after.Failures - before.Failures,
-		}
-	}
-	if dd.on {
-		h, m := hits.Load(), misses.Load()
-		dr := &dedupReport{
-			DistinctSpecs:   dd.distinct,
-			ZipfS:           dd.s,
-			Hits:            h,
-			Misses:          m,
-			PredictedFloor:  float64(jobs-dd.distinct) / float64(jobs),
-			QueriesSaved:    scrapeQueriesSaved(client, base) - savedBefore,
-			CachedLatencyMS: summarize(cachedLats),
-			LiveLatencyMS:   summarize(liveLats),
-		}
-		if h+m > 0 {
-			dr.HitRate = float64(h) / float64(h+m)
-		}
-		rec.Dedup = dr
-	}
-	if len(placements) > 0 {
-		cb := &clusterBreakdown{Workers: make(map[string]workerLoad, len(placements))}
-		for idx, wl := range placements {
-			if wall > 0 {
-				wl.SamplesPerSec = float64(wl.Samples) / wall.Seconds()
-			}
-			cb.Workers[strconv.Itoa(idx)] = *wl
-		}
-		cb.Handoffs = scrapeHandoffs(client, base)
-		rec.Cluster = cb
 	}
 	if wall > 0 {
 		rec.SamplesPerSec = float64(rec.Samples) / wall.Seconds()
@@ -507,14 +309,8 @@ type jobResult struct {
 	stamps        []float64
 	submitRetries int64
 	shed          bool
-	// cached marks a job answered from the daemon's result cache (the
-	// terminal stream line carries "cached": true).
-	cached bool
-	reason string
-	err    error
-	// worker is the fleet placement index from a coordinator's job status
-	// (nil against a single daemon, whose statuses have no "worker" field).
-	worker *int
+	reason        string
+	err           error
 }
 
 // Load-shedding 503s are retried with the daemon's own backoff hint
@@ -527,33 +323,31 @@ const (
 )
 
 // submitJob POSTs the spec, retrying load-shedding 503s up to
-// maxSubmitRetries times. Returns the job id, the fleet placement (nil
-// against a single daemon), the retry count, and whether the job was shed
-// after exhausting the retries.
-func submitJob(client *http.Client, base string, body []byte) (string, *int, int64, bool, error) {
+// maxSubmitRetries times. Returns the job id, the retry count, and whether
+// the job was shed after exhausting the retries.
+func submitJob(client *http.Client, base string, body []byte) (string, int64, bool, error) {
 	var retries int64
 	for attempt := 0; ; attempt++ {
 		resp, err := client.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
 		if err != nil {
-			return "", nil, retries, false, err
+			return "", retries, false, err
 		}
 		sub, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode == http.StatusAccepted {
 			var st struct {
-				ID     string `json:"id"`
-				Worker *int   `json:"worker"`
+				ID string `json:"id"`
 			}
 			if err := json.Unmarshal(sub, &st); err != nil {
-				return "", nil, retries, false, fmt.Errorf("submit response: %v", err)
+				return "", retries, false, fmt.Errorf("submit response: %v", err)
 			}
-			return st.ID, st.Worker, retries, false, nil
+			return st.ID, retries, false, nil
 		}
 		if resp.StatusCode != http.StatusServiceUnavailable {
-			return "", nil, retries, false, fmt.Errorf("submit: %d %s", resp.StatusCode, bytes.TrimSpace(sub))
+			return "", retries, false, fmt.Errorf("submit: %d %s", resp.StatusCode, bytes.TrimSpace(sub))
 		}
 		if attempt >= maxSubmitRetries {
-			return "", nil, retries, true, fmt.Errorf("submit: %d %s (after %d retries)", resp.StatusCode, bytes.TrimSpace(sub), retries)
+			return "", retries, true, fmt.Errorf("submit: %d %s (after %d retries)", resp.StatusCode, bytes.TrimSpace(sub), retries)
 		}
 		retries++
 		time.Sleep(retryDelay(resp, sub, attempt))
@@ -593,8 +387,8 @@ func runJob(client *http.Client, base, jobType, design string, count, workers in
 	}
 	body, _ := json.Marshal(spec)
 	submitted := time.Now()
-	id, worker, retries, wasShed, err := submitJob(client, base, body)
-	res := jobResult{submitRetries: retries, shed: wasShed, worker: worker}
+	id, retries, wasShed, err := submitJob(client, base, body)
+	res := jobResult{submitRetries: retries, shed: wasShed}
 	if err != nil {
 		res.err = err
 		return res
@@ -614,7 +408,6 @@ func runJob(client *http.Client, base, jobType, design string, count, workers in
 		State         string `json:"state"`
 		Error         string `json:"error"`
 		FailureReason string `json:"failure_reason"`
-		Cached        bool   `json:"cached"`
 	}
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -637,7 +430,6 @@ func runJob(client *http.Client, base, jobType, design string, count, workers in
 		res.err = err
 		return res
 	}
-	res.cached = terminal.Cached
 	if terminal.State != "done" {
 		res.reason = terminal.FailureReason
 		if res.reason == "" {
@@ -654,115 +446,14 @@ func runJob(client *http.Client, base, jobType, design string, count, workers in
 	}
 	defer resp.Body.Close()
 	var full struct {
-		Worker *int `json:"worker"`
 		Result *struct {
 			FleetQueries int64 `json:"fleet_queries"`
 		} `json:"result"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&full); err == nil {
-		if full.Result != nil {
-			res.fleetQueries = full.Result.FleetQueries
-		}
-		if full.Worker != nil {
-			// Final placement wins: a hand-off may have moved the job since
-			// submission.
-			res.worker = full.Worker
-		}
+	if err := json.NewDecoder(resp.Body).Decode(&full); err == nil && full.Result != nil {
+		res.fleetQueries = full.Result.FleetQueries
 	}
 	return res
-}
-
-// scrapeHandoffs reads the coordinator's re-dispatch count from
-// /v1/cluster. Best-effort zero when the endpoint is absent.
-func scrapeHandoffs(client *http.Client, base string) int64 {
-	resp, err := client.Get(base + "/v1/cluster?refresh=0")
-	if err != nil {
-		return 0
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0
-	}
-	var sum struct {
-		Handoffs int64 `json:"handoffs"`
-	}
-	if json.NewDecoder(resp.Body).Decode(&sum) != nil {
-		return 0
-	}
-	return sum.Handoffs
-}
-
-// scrapeQueriesSaved reads the daemon's result-cache charges-saved counter
-// from /metrics. Best-effort zero when unreachable or absent, so the -dedup
-// delta degrades to 0 instead of failing the run.
-func scrapeQueriesSaved(client *http.Client, base string) int64 {
-	resp, err := client.Get(base + "/metrics")
-	if err != nil {
-		return 0
-	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		name, val, ok := strings.Cut(line, " ")
-		if !ok || name != "walknotwait_queries_saved_total" {
-			continue
-		}
-		var v int64
-		if _, err := fmt.Sscanf(strings.TrimSpace(val), "%d", &v); err == nil {
-			return v
-		}
-	}
-	return 0
-}
-
-// scrapeBackend reads the daemon's /metrics and extracts the backend
-// fault/retry counters; nil when the daemon has no fault-injected backend
-// (or /metrics is unreachable). Best-effort: weload must work against
-// daemons without the resilience layer.
-func scrapeBackend(client *http.Client, base string) *backendCounters {
-	resp, err := client.Get(base + "/metrics")
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	var bc backendCounters
-	found := false
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		name, val, ok := strings.Cut(line, " ")
-		if !ok {
-			continue
-		}
-		var v int64
-		if _, err := fmt.Sscanf(strings.TrimSpace(val), "%d", &v); err != nil {
-			continue
-		}
-		switch {
-		case strings.HasPrefix(name, "walknotwait_backend_faults_total"):
-			bc.Faults += v // summed across kind labels
-			found = true
-		case name == "walknotwait_backend_retries_total":
-			bc.Retries = v
-			found = true
-		case name == "walknotwait_backend_retries_absorbed_total":
-			bc.Absorbed = v
-			found = true
-		case name == "walknotwait_backend_failures_total":
-			bc.Failures = v
-			found = true
-		}
-	}
-	if !found {
-		return nil
-	}
-	return &bc
 }
 
 func waitHealthy(client *http.Client, base string, wait time.Duration) error {

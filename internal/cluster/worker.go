@@ -248,9 +248,9 @@ func (w *Worker) peerAddr(i int) string {
 
 // ResolveShards implements osn.ShardResolver: ids are grouped by shard
 // owner and resolved with one concurrent RPC per owner. An unreachable or
-// unknown owner fails the whole batch — the client then serves it from the
-// local backend (fallback), so a dying peer degrades charging accuracy,
-// never availability.
+// unknown owner, or an answer checkAnswer rejects, fails the whole batch —
+// the client then serves it from the local backend (fallback), so a dying
+// or faulty peer degrades charging accuracy, never availability.
 func (w *Worker) ResolveShards(ctx context.Context, ids []int32, lists [][]int32, first []bool) error {
 	w.mu.Lock()
 	fleet := w.fleet
@@ -260,6 +260,7 @@ func (w *Worker) ResolveShards(ctx context.Context, ids []int32, lists [][]int32
 		return errors.New("cluster: no fleet to resolve through")
 	}
 	p := osn.Partition{Index: self, Workers: fleet}
+	n := w.mgr.Engine().NumNodes()
 	// Group positions by owner.
 	groups := make(map[int][]int, fleet)
 	for i, v := range ids {
@@ -284,9 +285,10 @@ func (w *Worker) ResolveShards(ctx context.Context, ids []int32, lists [][]int32
 			}
 			var resp ResolveResponse
 			err := w.resolveCall(rctx, addr, req, &resp)
-			if err == nil && (len(resp.Lists) != len(pos) || len(resp.First) != len(pos)) {
-				err = fmt.Errorf("cluster: owner at %s answered %d/%d of %d ids",
-					addr, len(resp.Lists), len(resp.First), len(pos))
+			if err == nil {
+				if err = checkAnswer(&resp, len(pos), n); err != nil {
+					err = fmt.Errorf("cluster: owner at %s %w", addr, err)
+				}
 			}
 			if err != nil {
 				mu.Lock()
@@ -303,6 +305,24 @@ func (w *Worker) ResolveShards(ctx context.Context, ids []int32, lists [][]int32
 	wg.Wait()
 	if len(errs) > 0 {
 		return errs[0]
+	}
+	return nil
+}
+
+// checkAnswer accepts an owner's answer to a want-id request only if it
+// has one list and one verdict per id and every neighbor id lies in
+// [0, n): the lists are cached as they came and later walked to, so an id
+// off the graph would index past the backend's arrays.
+func checkAnswer(resp *ResolveResponse, want, n int) error {
+	if len(resp.Lists) != want || len(resp.First) != want {
+		return fmt.Errorf("answered %d/%d of %d ids", len(resp.Lists), len(resp.First), want)
+	}
+	for _, l := range resp.Lists {
+		for _, v := range l {
+			if v < 0 || int(v) >= n {
+				return fmt.Errorf("answered neighbor %d, out of range [0, %d)", v, n)
+			}
+		}
 	}
 	return nil
 }

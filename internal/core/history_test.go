@@ -192,27 +192,32 @@ func TestHistoryPoolReuse(t *testing.T) {
 
 // sparseFixture records sparse walks whose ids reach up to ~5M — the
 // multi-million-node regime the paged layout exists for: a few hundred
-// distinct (node, step) cells against a 5M-wide id space.
-func sparseFixture(h interface{ RecordWalk([]int) }) {
+// distinct (node, step) cells against a 5M-wide id space. It returns the
+// largest id recorded.
+func sparseFixture(h *History) (maxID int) {
 	rng := rand.New(rand.NewSource(5))
 	path := make([]int, 16)
 	for w := 0; w < 50; w++ {
 		for i := range path {
 			path[i] = rng.Intn(5_000_000)
+			maxID = max(maxID, path[i])
 		}
 		h.RecordWalk(path)
 	}
+	return maxID
 }
 
 // TestHistorySyncMemoryBound is the visited-mass regression test: the
 // first sync of a sparse 5M-max-id history into an empty one must
 // allocate O(visited) — a copy of its pages and page directories, nothing
-// per untouched id — far under the O(maxId · walkLength) of the dense
-// layout (~320 MB for this fixture). A repeat sync with no new walks
-// reuses every page and allocates nothing.
+// per untouched id — and at least 100× less than a copy of the dense
+// layout, (maxId+1) int32 counters for each of the 16 steps (~320 MB for
+// this fixture). A repeat sync with no new walks reuses every page and
+// allocates nothing.
 func TestHistorySyncMemoryBound(t *testing.T) {
 	h := NewHistory()
-	sparseFixture(h)
+	maxID := sparseFixture(h)
+	dense := uint64(maxID+1) * 16 * 4
 	// Each page copy costs at most its struct rounded up to the 1280 B
 	// size class plus a small counter array; directories at most their
 	// live capacity. Twice the live history's bytes bounds both.
@@ -227,6 +232,9 @@ func TestHistorySyncMemoryBound(t *testing.T) {
 	if first > budget {
 		t.Fatalf("first sparse sync allocates %d B, want <= %d B (visited-mass bound)", first, budget)
 	}
+	if first*100 > dense {
+		t.Fatalf("first sparse sync allocates %d B, want 100× under the %d B dense copy", first, dense)
+	}
 	if repeat := testing.AllocsPerRun(10, func() { h.syncTo(frozen) }); repeat != 0 {
 		t.Fatalf("repeat sync allocates %.0f times, want 0", repeat)
 	}
@@ -237,39 +245,8 @@ func TestHistorySyncMemoryBound(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("sparse 5M-max-id first sync: %d B (budget %d B)", first, budget)
-}
-
-// BenchmarkHistorySyncSparse records the cost of a first sync of the
-// sparse 5M-max-id fixture into an empty history: a full copy of its
-// pages and directories. bytes/op is the quantity BENCH_kernels.json
-// tracks for the visited-mass memory contract (CI asserts a ≥100×
-// reduction vs the dense baseline below).
-func BenchmarkHistorySyncSparse(b *testing.B) {
-	h := NewHistory()
-	sparseFixture(h)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.syncTo(&History{})
-	}
-}
-
-// BenchmarkHistorySyncSparseDense is the dense-layout baseline for the
-// same fixture: rows dense by max visited id, deep-copied per op — the
-// O(maxId · walkLength) cost the paged representation replaces. Run with
-// a small -benchtime (each op copies ~320 MB).
-func BenchmarkHistorySyncSparseDense(b *testing.B) {
-	h := &denseHistory{}
-	sparseFixture(h)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink int
-	for i := 0; i < b.N; i++ {
-		s := h.clone()
-		sink += s.walks
-	}
-	_ = sink
+	t.Logf("sparse 5M-max-id first sync: %d B (budget %d B, dense copy %d B, %.0f× smaller)",
+		first, budget, dense, float64(dense)/float64(first))
 }
 
 // historyBytes is the memory a history holds: its page directories, its

@@ -3,8 +3,8 @@ package core
 // Micro-benchmarks and allocation-regression guards for the dense hot-path
 // kernels: backStep (the WS-BW pick taken on every backward step, with and
 // without history evidence at the predecessor step), History.Row, and the
-// full EstimateOnce backward walk. scripts/bench_kernels.sh records these
-// in BENCH_kernels.json.
+// full EstimateOnce backward walk. The Test*Allocs functions below hold the
+// zero-allocation contract; the benchmarks time the same kernels.
 
 import (
 	"math/rand"

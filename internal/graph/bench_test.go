@@ -16,9 +16,9 @@ func randomEdges(n, m int, seed int64) [][2]int {
 	return edges
 }
 
-// BenchmarkBuilderBuild measures the O(V+E) counting-sort CSR construction.
-// scripts/bench_kernels.sh tracks it so graph-build time stays linear as
-// the synthetic graphs grow toward the million-node scale.
+// BenchmarkBuilderBuild measures the O(V+E) counting-sort CSR construction,
+// whose time should stay linear as the synthetic graphs grow toward the
+// million-node scale.
 func BenchmarkBuilderBuild(b *testing.B) {
 	const n, m = 100000, 500000
 	edges := randomEdges(n, m, 1)

@@ -161,20 +161,3 @@ func TestPagedL1BatchMatchesPerNode(t *testing.T) {
 		t.Fatalf("batch charged %d, per-node %d", a.Queries(), b.Queries())
 	}
 }
-
-// BenchmarkClientSparseL1Footprint records bytes/op for constructing a
-// client over a 5M-node backend and touching 200 scattered nodes — the
-// paged-L1 footprint figure BENCH_kernels.json tracks for the
-// visited-mass memory contract (dense headers would be ~120 MB/op).
-func BenchmarkClientSparseL1Footprint(b *testing.B) {
-	net := NewNetworkOn(stubBackend{n: 5_000_000, list: []int32{1, 2, 3}})
-	rng := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := NewClient(net, CostUniqueNodes, rng)
-		for v := 0; v < 5_000_000; v += 25_000 {
-			c.Neighbors(v)
-		}
-	}
-}

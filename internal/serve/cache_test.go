@@ -1,10 +1,20 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/gen"
+	"repro/internal/osn"
 )
 
 // cacheManager builds a manager with a 1-runner config on the standard test
@@ -479,5 +489,161 @@ func TestConcurrentRepeatsAllHit(t *testing.T) {
 	}
 	if rcs := m.ResultCacheStats(); rcs.Hits != n {
 		t.Fatalf("hits = %d, want %d", rcs.Hits, n)
+	}
+}
+
+// TestHTTPZipfRepeatMix drives a daemon over HTTP with a zipfian repeat mix
+// — few hot specs, many cold — over a 2 ms simulated backend, the traffic
+// the result cache exists for:
+//   - cold and sequential, every repeat of a spec already seen is a hit
+//     and nothing else is: hits == jobs − distinct specs, exactly;
+//   - warm and concurrent (the mix replayed four times), every job hits,
+//     the charge meter does not move and the saved-queries meter does;
+//   - a daemon with the cache disabled, its neighbor cache warmed by one
+//     pass over the specs, serves the same mix with no hit, at no more
+//     than a fifth of the cached daemon's samples/s.
+func TestHTTPZipfRepeatMix(t *testing.T) {
+	const (
+		jobs     = 48
+		distinct = 8
+		count    = 120
+		conc     = 8
+		seed     = 500
+	)
+	g := gen.BarabasiAlbert(3000, 3, rand.New(rand.NewSource(7)))
+	daemon := func(cacheBytes int64) string {
+		net := osn.NewNetworkOn(osn.NewRemoteSim(osn.NewMemBackend(g), 2*time.Millisecond, 0, 0))
+		m := NewManager(NewEngine(net), Config{Runners: 1, WorkerBudget: 4, CacheBytes: cacheBytes})
+		srv := httptest.NewServer(Handler(m))
+		t.Cleanup(func() { srv.Close(); m.Close() })
+		return srv.URL
+	}
+	z := rand.NewZipf(rand.New(rand.NewSource(seed)), 1.3, 1, distinct-1)
+	mix := make([]int64, jobs)
+	seen := make(map[int64]bool)
+	for i := range mix {
+		mix[i] = seed + int64(z.Uint64())
+		seen[mix[i]] = true
+	}
+
+	// run submits every seed's job from conc client loops and follows each
+	// stream to its terminal line; it returns the result-cache hits and the
+	// samples streamed per second of wall time.
+	run := func(base string, seeds []int64, conc int) (hits int, samplesPerSec float64) {
+		t.Helper()
+		var (
+			mu      sync.Mutex
+			samples int
+			errs    []error
+			wg      sync.WaitGroup
+			next    atomic.Int64
+		)
+		start := time.Now()
+		for w := 0; w < conc; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1)) - 1; i < len(seeds); i = int(next.Add(1)) - 1 {
+					n, cached, err := submitAndStream(base, JobSpec{Count: count, Seed: seeds[i], Workers: 2})
+					mu.Lock()
+					samples += n
+					if cached {
+						hits++
+					}
+					if err != nil {
+						errs = append(errs, err)
+					}
+					mu.Unlock()
+				}
+			}()
+		}
+		wg.Wait()
+		if len(errs) > 0 {
+			t.Fatal(errs[0])
+		}
+		return hits, float64(samples) / time.Since(start).Seconds()
+	}
+
+	cached := daemon(0)
+	if hits, _ := run(cached, mix, 1); hits != jobs-len(seen) {
+		t.Fatalf("cold sequential mix: %d hits, want jobs − distinct seen = %d", hits, jobs-len(seen))
+	}
+	// The warm pass replays the mix four times: a hit costs so little that
+	// one pass is too short a window to time.
+	var warm []int64
+	for r := 0; r < 4; r++ {
+		warm = append(warm, mix...)
+	}
+	before := scrapeMetrics(t, cached)
+	hits, warmRate := run(cached, warm, conc)
+	after := scrapeMetrics(t, cached)
+	if hits != len(warm) {
+		t.Fatalf("warm mix: %d hits of %d jobs, want every job", hits, len(warm))
+	}
+	const charged, saved = "walknotwait_queries_charged_total", "walknotwait_queries_saved_total"
+	if b, a := metricValue(before, charged), metricValue(after, charged); a != b {
+		t.Fatalf("cache hits charged queries: meter %v -> %v", b, a)
+	}
+	if b, a := metricValue(before, saved), metricValue(after, saved); a <= b {
+		t.Fatalf("queries saved did not grow across the warm mix: %v -> %v", b, a)
+	}
+
+	live := daemon(-1)
+	all := make([]int64, distinct)
+	for i := range all {
+		all[i] = seed + int64(i)
+	}
+	run(live, all, 4)
+	hits, liveRate := run(live, mix, conc)
+	if hits != 0 {
+		t.Fatalf("cache-disabled daemon reported %d hits", hits)
+	}
+	ratio := warmRate / liveRate
+	t.Logf("%d jobs over %d specs: warm cached %.0f samples/s, cache disabled %.0f samples/s (%.1f×)",
+		jobs, len(seen), warmRate, liveRate, ratio)
+	if ratio < 5 {
+		t.Fatalf("result cache gives only %.2f× the cache-disabled samples/s, want >= 5×", ratio)
+	}
+}
+
+// submitAndStream submits spec over HTTP and reads its NDJSON stream, returning
+// the sample rows seen and the terminal line's cached marker.
+func submitAndStream(base string, spec JobSpec) (samples int, cached bool, err error) {
+	body, _ := json.Marshal(spec)
+	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return 0, false, err
+	}
+	var st JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		return 0, false, fmt.Errorf("submit seed %d: %d %v", spec.Seed, resp.StatusCode, err)
+	}
+	resp, err = http.Get(base + "/v1/jobs/" + st.ID + "/stream")
+	if err != nil {
+		return 0, false, err
+	}
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var line struct {
+			Done   bool   `json:"done"`
+			State  string `json:"state"`
+			Cached bool   `json:"cached"`
+			Node   *int   `json:"node"`
+		}
+		if err := dec.Decode(&line); err != nil {
+			return samples, false, fmt.Errorf("job %s: stream ended without a terminal line: %v", st.ID, err)
+		}
+		if line.Done {
+			if line.State != string(JobDone) {
+				return samples, false, fmt.Errorf("job %s ended %s", st.ID, line.State)
+			}
+			return samples, line.Cached, nil
+		}
+		if line.Node != nil {
+			samples++
+		}
 	}
 }
