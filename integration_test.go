@@ -115,39 +115,3 @@ func TestIntegrationRestrictionInvariance(t *testing.T) {
 		t.Fatalf("visible AVG degree estimate %v outside (0,30]", est)
 	}
 }
-
-func TestIntegrationSeedReproducibility(t *testing.T) {
-	// Identical seeds must reproduce the full pipeline bit-for-bit.
-	runOnce := func() ([]int, int64) {
-		rng := rand.New(rand.NewSource(99))
-		g := wnw.NewBarabasiAlbert(400, 4, rng)
-		net := wnw.NewNetwork(g)
-		c := wnw.NewClient(net, wnw.CostUniqueNodes, rng)
-		s, err := wnw.NewWalkEstimate(c, wnw.WEConfig{
-			Design:      wnw.SimpleRandomWalk(),
-			Start:       0,
-			WalkLength:  2*g.Diameter() + 1,
-			UseCrawl:    true,
-			CrawlHops:   2,
-			UseWeighted: true,
-		}, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.SampleN(30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Nodes, c.Queries()
-	}
-	nodesA, costA := runOnce()
-	nodesB, costB := runOnce()
-	if costA != costB {
-		t.Fatalf("costs differ: %d vs %d", costA, costB)
-	}
-	for i := range nodesA {
-		if nodesA[i] != nodesB[i] {
-			t.Fatalf("sample %d differs: %d vs %d", i, nodesA[i], nodesB[i])
-		}
-	}
-}

@@ -174,140 +174,6 @@ func (tf *testFleet) readStream(t *testing.T, id string, onRow func(n int)) ([]s
 	}
 }
 
-// A 3-worker fleet must produce the exact sample sequence of a single
-// process at fixed (seed, workers), and its fleet-wide unique-node charge
-// (Σ per-worker owned-unique) must equal the single process's TotalQueries.
-func TestFleetParityWithSingleProcess(t *testing.T) {
-	g := testGraph()
-	spec := serve.JobSpec{Type: serve.TypeSample, Count: 40, Seed: 7, Workers: 2}
-
-	// Single-process reference.
-	ref := serve.NewManager(serve.NewEngine(osn.NewNetwork(g)), serve.Config{Runners: 1, WorkerBudget: 4})
-	job, err := ref.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var refSt serve.JobStatus
-	for deadline := time.Now().Add(30 * time.Second); ; {
-		refSt = job.Status()
-		if refSt.State.Terminal() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("reference job stuck: %+v", refSt)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	ref.Close()
-	if refSt.State != serve.JobDone || len(refSt.Result.Nodes) != 40 {
-		t.Fatalf("reference job: %+v", refSt)
-	}
-	singleQueries := refSt.Result.FleetQueries
-
-	tf := startFleet(t, 3, func() *osn.Network { return osn.NewNetwork(g) },
-		serve.Config{Runners: 1, WorkerBudget: 4}, CoordinatorConfig{})
-	defer tf.close()
-
-	st := tf.submit(t, spec)
-	if st.Worker < 0 || st.Worker > 2 {
-		t.Fatalf("placement: %+v", st)
-	}
-	rows, term := tf.readStream(t, st.ID, nil)
-	if term.State != string(serve.JobDone) {
-		t.Fatalf("terminal: %+v", term)
-	}
-	if len(rows) != len(refSt.Result.Nodes) {
-		t.Fatalf("row count: fleet %d single %d", len(rows), len(refSt.Result.Nodes))
-	}
-	for i, row := range rows {
-		if row.I == nil || *row.I != i {
-			t.Fatalf("row %d: bad index %+v", i, row)
-		}
-		if row.Node != refSt.Result.Nodes[i] {
-			t.Fatalf("sample %d differs: fleet %d single %d", i, row.Node, refSt.Result.Nodes[i])
-		}
-	}
-
-	sum := tf.co.Summary(true)
-	if sum.FleetQueries != singleQueries {
-		t.Fatalf("fleet charge: Σ owned-unique %d, single-process %d", sum.FleetQueries, singleQueries)
-	}
-	// The charge must be spread: with 64 shards mod 3 workers every worker
-	// owns some, and a 40-sample walk touches far more than 3 shards.
-	for _, ws := range sum.Workers {
-		if ws.OwnedUnique <= 0 {
-			t.Fatalf("worker %d charged nothing: %+v", ws.Index, sum.Workers)
-		}
-	}
-}
-
-// Killing the placed worker mid-stream must be invisible in the client's
-// row sequence: the coordinator hands the job to another worker, the
-// deterministic re-run replays, and index dedup splices the streams. Rows
-// are compared on (i, node, steps) — cost depends on cache warmth.
-func TestWorkerLossHandoffStreamIdentical(t *testing.T) {
-	g := testGraph()
-	spec := serve.JobSpec{Type: serve.TypeSample, Count: 30, Seed: 11, Workers: 2}
-	mkNet := func() *osn.Network {
-		return osn.NewNetworkOn(osn.NewRemoteSim(osn.NewMemBackend(g), time.Millisecond, 0, 8))
-	}
-	wcfg := serve.Config{Runners: 1, WorkerBudget: 4}
-
-	// Reference: the same fleet shape, uninterrupted.
-	refFleet := startFleet(t, 3, mkNet, wcfg, CoordinatorConfig{})
-	refSt := refFleet.submit(t, spec)
-	refRows, refTerm := refFleet.readStream(t, refSt.ID, nil)
-	refFleet.close()
-	if refTerm.State != string(serve.JobDone) || len(refRows) != 30 {
-		t.Fatalf("reference run: %+v (%d rows)", refTerm, len(refRows))
-	}
-
-	tf := startFleet(t, 3, mkNet, wcfg, CoordinatorConfig{HeartbeatTimeout: 300 * time.Millisecond})
-	defer tf.close()
-	st := tf.submit(t, spec)
-	killed := false
-	rows, term := tf.readStream(t, st.ID, func(n int) {
-		if n == 10 && !killed {
-			killed = true
-			tf.wks[st.Worker].kill()
-		}
-	})
-	if !killed {
-		t.Fatal("job finished before the kill point")
-	}
-	if term.State != string(serve.JobDone) {
-		t.Fatalf("terminal after hand-off: %+v", term)
-	}
-	if len(rows) != len(refRows) {
-		t.Fatalf("row count: killed run %d reference %d", len(rows), len(refRows))
-	}
-	for i := range rows {
-		if *rows[i].I != *refRows[i].I || rows[i].Node != refRows[i].Node || rows[i].Steps != refRows[i].Steps {
-			t.Fatalf("row %d differs after hand-off: got (%d,%d,%d) want (%d,%d,%d)",
-				i, *rows[i].I, rows[i].Node, rows[i].Steps,
-				*refRows[i].I, refRows[i].Node, refRows[i].Steps)
-		}
-	}
-
-	// The hand-off must be visible in the meters and the job's attempts.
-	if tf.co.handoffs.Load() < 1 {
-		t.Fatal("no hand-off counted")
-	}
-	var got JobStatus
-	resp, err := http.Get(tf.coSrv.URL + "/v1/jobs/" + st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	json.NewDecoder(resp.Body).Decode(&got)
-	resp.Body.Close()
-	if got.Attempts < 2 {
-		t.Fatalf("attempts = %d, want >= 2 after a worker loss", got.Attempts)
-	}
-	if got.Worker == st.Worker {
-		t.Fatalf("job still placed on the killed worker %d", st.Worker)
-	}
-}
-
 // A worker-side queue_full shed must pass through the coordinator verbatim:
 // same status, same typed reason, same Retry-After — and exactly once (no
 // coordinator shed stacked on top).

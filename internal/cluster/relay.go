@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -250,7 +251,8 @@ type streamLine struct {
 // relay follows the job's sample stream on its placed worker (placing it
 // first when pl is nil — a recovered job), publishing rows into the job's
 // log. When the stream dies before a terminal line — worker crash, network
-// loss, or a worker restart that forgot the job — it hands the job off:
+// loss, a worker restart that forgot the job, or a row outside the job —
+// it hands the job off:
 // re-dispatch the normalized spec to another live worker and keep
 // relaying; the re-run's replayed prefix is absorbed by the log's index
 // dedup. Crash resume and hand-off are the same deterministic re-run.
@@ -295,6 +297,14 @@ func (co *Coordinator) relay(j *serve.Job, fj *fleetJob, pl *placement) {
 // true when the job reached a terminal state, false when the stream died
 // first (caller hands off).
 func (co *Coordinator) relayOnce(j *serve.Job, pl *placement) bool {
+	env := co.normEnv.Load()
+	if env == nil {
+		// No heartbeat yet: scrape the workers for their environment.
+		co.refreshStats()
+		if env = co.normEnv.Load(); env == nil {
+			return false
+		}
+	}
 	req, err := http.NewRequestWithContext(j.Context(), http.MethodGet,
 		pl.addr+"/v1/jobs/"+pl.status.ID+"/stream", nil)
 	if err != nil {
@@ -308,26 +318,43 @@ func (co *Coordinator) relayOnce(j *serve.Job, pl *placement) bool {
 	if resp.StatusCode != http.StatusOK {
 		return false
 	}
-	dec := json.NewDecoder(resp.Body)
+	if !relayRows(resp.Body, j.Spec().Count, env.NumNodes, j.Publish) {
+		return false
+	}
+	return co.finishFromWorker(j, pl, env.NumNodes)
+}
+
+// relayRows decodes a worker's NDJSON sample stream and publishes its rows
+// until the terminal line, reporting whether that line arrived. A stream
+// that breaks off, fails to decode, or carries a row outside the job — an
+// index outside [0, count) or a node outside [0, numNodes) — reports false,
+// so the caller treats the worker as lost and never relays the bad row to
+// clients or the result cache.
+func relayRows(r io.Reader, count, numNodes int, publish func(serve.Sample)) bool {
+	dec := json.NewDecoder(r)
 	for {
 		var line streamLine
 		if err := dec.Decode(&line); err != nil {
-			return false // stream died before the terminal line
+			return false
 		}
 		if line.Done {
-			return co.finishFromWorker(j, pl)
+			return true
 		}
-		if line.Index != nil {
-			j.Publish(serve.Sample{Index: *line.Index, Node: line.Node, Steps: line.Steps, Cost: line.Cost})
+		if line.Index == nil {
+			continue
 		}
+		if *line.Index < 0 || *line.Index >= count || line.Node < 0 || line.Node >= numNodes {
+			return false
+		}
+		publish(serve.Sample{Index: *line.Index, Node: line.Node, Steps: line.Steps, Cost: line.Cost})
 	}
 }
 
 // finishFromWorker pulls the terminal status (with its result summary) from
 // the worker and finishes the coordinator job with it. A worker that claims
-// done on the stream but cannot produce a terminal status is treated as
-// lost.
-func (co *Coordinator) finishFromWorker(j *serve.Job, pl *placement) bool {
+// done on the stream but cannot produce a terminal status, or whose result
+// names a node outside [0, numNodes), is treated as lost.
+func (co *Coordinator) finishFromWorker(j *serve.Job, pl *placement, numNodes int) bool {
 	req, err := http.NewRequestWithContext(j.Context(), http.MethodGet,
 		pl.addr+"/v1/jobs/"+pl.status.ID, nil)
 	if err != nil {
@@ -342,6 +369,13 @@ func (co *Coordinator) finishFromWorker(j *serve.Job, pl *placement) bool {
 	var st serve.JobStatus
 	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &st) != nil || !st.State.Terminal() {
 		return false
+	}
+	if st.Result != nil {
+		for _, v := range st.Result.Nodes {
+			if v < 0 || v >= numNodes {
+				return false
+			}
+		}
 	}
 	j.Finish(st.State, st.Error, st.FailureReason, st.Result)
 	return true

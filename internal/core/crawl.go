@@ -111,13 +111,10 @@ func BuildCrawlTable(c *osn.Client, d walk.Design, start, h int) (*CrawlTable, e
 	return ct, nil
 }
 
-// Depth returns h, the deepest step with exact probabilities.
-func (ct *CrawlTable) Depth() int { return ct.h }
-
-// Lookup returns the exact p_τ(v) if τ <= Depth(). ok is false when τ is
-// beyond the table (the value is then unknown, not zero). Nodes absent at a
-// covered step have probability exactly 0 — either they lie outside the
-// τ-ball or parity keeps the walk away.
+// Lookup returns the exact p_τ(v) if τ <= h, the table's depth. ok is
+// false when τ is beyond the table (the value is then unknown, not zero).
+// Nodes absent at a covered step have probability exactly 0 — either they
+// lie outside the τ-ball or parity keeps the walk away.
 func (ct *CrawlTable) Lookup(v, tau int) (p float64, ok bool) {
 	if tau < 0 || tau > ct.h {
 		return 0, false

@@ -76,9 +76,6 @@ func TestCrawlTableDepthZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ct.Depth() != 0 {
-		t.Fatalf("Depth = %d", ct.Depth())
-	}
 	if p, ok := ct.Lookup(2, 0); !ok || p != 1 {
 		t.Fatalf("p_0(start) = %v, %v", p, ok)
 	}

@@ -30,34 +30,6 @@ func parallelTestSampler(t *testing.T, seed int64) *Sampler {
 	return s
 }
 
-// TestSampleNParallelDeterministic is the determinism contract: identical
-// (seed, workers) must yield the identical sample sequence, regardless of
-// goroutine scheduling. Run under -race this also exercises the pipeline's
-// frozen-history handoff and shared-cache locking.
-func TestSampleNParallelDeterministic(t *testing.T) {
-	const n, workers = 30, 4
-	var first []int
-	for run := 0; run < 3; run++ {
-		s := parallelTestSampler(t, 7)
-		res, err := s.SampleNParallel(n, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Nodes) != n {
-			t.Fatalf("run %d: got %d samples, want %d", run, len(res.Nodes), n)
-		}
-		if run == 0 {
-			first = append([]int(nil), res.Nodes...)
-			continue
-		}
-		for i := range first {
-			if res.Nodes[i] != first[i] {
-				t.Fatalf("run %d: sample %d = %d, want %d (nondeterministic pipeline)", run, i, res.Nodes[i], first[i])
-			}
-		}
-	}
-}
-
 // TestSampleNParallelAccounting checks that the parallel run reports sane
 // bookkeeping: positive step counts per sample, a nondecreasing fleet-wide
 // cost axis, and acceptance counters consistent with the result.

@@ -68,70 +68,6 @@ func TestPropertyUnbiasednessRandomGraphs(t *testing.T) {
 	}
 }
 
-// TestPropertyRejectionReachesTarget verifies end-to-end that WALK-ESTIMATE's
-// accepted stream follows the input design's target distribution on random
-// small graphs (chi-square-like bound per node).
-func TestPropertyRejectionReachesTarget(t *testing.T) {
-	prop := func(seed int64, useMHRW bool) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 10 + rng.Intn(8)
-		g := gen.BarabasiAlbert(n, 2, rng)
-		c := newClient(g, seed+2)
-
-		var d walk.Design = walk.SRW{}
-		if useMHRW {
-			d = walk.MHRW{}
-		}
-		cfg := Config{
-			Design:     d,
-			Start:      rng.Intn(n),
-			WalkLength: 2*g.Diameter() + 1,
-			UseCrawl:   true,
-			CrawlHops:  1,
-		}
-		s, err := NewSampler(c, cfg, rng)
-		if err != nil {
-			return false
-		}
-		const samples = 3000
-		counts := make([]float64, n)
-		for i := 0; i < samples; i++ {
-			v, err := s.Sample()
-			if err != nil {
-				return false
-			}
-			counts[v]++
-		}
-		// Expected counts under the target.
-		var target []float64
-		if useMHRW {
-			target = linalg.UniformStationary(n)
-		} else {
-			target, err = linalg.SRWStationary(g)
-			if err != nil {
-				return false
-			}
-		}
-		for v := 0; v < n; v++ {
-			want := target[v] * samples
-			if want < 50 {
-				continue
-			}
-			// Allow a wide statistical band; systematic bias would blow it.
-			if counts[v] < 0.45*want || counts[v] > 2.2*want {
-				return false
-			}
-		}
-		return true
-	}
-	// Fixed quick-check seed: the per-node count band is statistical, and the
-	// default time-derived seed made this test flaky on ~20% of runs even on
-	// the pristine seed tree.
-	if err := quick.Check(prop, &quick.Config{MaxCount: 8, Rand: rand.New(rand.NewSource(17))}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPropertyCrawlTableIsExact cross-validates crawl tables against the
 // oracle on random graphs and designs.
 func TestPropertyCrawlTableIsExact(t *testing.T) {

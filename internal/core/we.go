@@ -338,3 +338,15 @@ func (s *Sampler) ForwardSteps() int64 { return s.forwardSteps }
 
 // BackwardSteps returns the backward-walk steps taken so far.
 func (s *Sampler) BackwardSteps() int64 { return s.est.StepsTaken }
+
+// Queries returns the query charges of the sampler's own clients: its client
+// plus the estimation workers' forks. Under a shared cache each unique node
+// is charged to exactly one client, so the Queries of samplers that share
+// one cache add up to its fleet meter.
+func (s *Sampler) Queries() int64 {
+	q := s.c.Queries()
+	for _, e := range s.workerEsts {
+		q += e.Client.Queries()
+	}
+	return q
+}

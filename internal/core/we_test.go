@@ -78,85 +78,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestWalkEstimateUniformTarget(t *testing.T) {
-	// WE with MHRW input must deliver (near-)uniform samples on a small
-	// graph, with far fewer steps than waiting for strict burn-in.
-	rng := rand.New(rand.NewSource(32))
-	g := gen.BarabasiAlbert(20, 2, rng)
-	c := newClient(g, 33)
-	cfg := Config{
-		Design:       walk.MHRW{},
-		Start:        0,
-		WalkLength:   2*g.Diameter() + 1,
-		UseCrawl:     true,
-		CrawlHops:    1,
-		UseWeighted:  true,
-		BackwardReps: 3,
-	}
-	s, err := NewSampler(c, cfg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const samples = 4000
-	counts := make([]int, g.NumNodes())
-	for i := 0; i < samples; i++ {
-		v, err := s.Sample()
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[v]++
-	}
-	want := float64(samples) / float64(g.NumNodes())
-	for v, got := range counts {
-		if float64(got) < 0.35*want || float64(got) > 2.2*want {
-			t.Errorf("node %d: %d samples, uniform expectation %.0f", v, got, want)
-		}
-	}
-	if s.AcceptanceRate() <= 0 || s.AcceptanceRate() > 1 {
-		t.Fatalf("acceptance rate = %v", s.AcceptanceRate())
-	}
-	if s.TotalSteps() != s.ForwardSteps()+s.BackwardSteps() {
-		t.Fatal("step accounting inconsistent")
-	}
-}
-
-func TestWalkEstimateDegreeTarget(t *testing.T) {
-	// WE with SRW input must deliver degree-proportional samples.
-	rng := rand.New(rand.NewSource(34))
-	g := gen.BarabasiAlbert(20, 2, rng)
-	c := newClient(g, 35)
-	cfg := Config{
-		Design:     walk.SRW{},
-		Start:      0,
-		WalkLength: 2*g.Diameter() + 1,
-		UseCrawl:   true,
-		CrawlHops:  1,
-	}
-	s, err := NewSampler(c, cfg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pi, _ := linalg.SRWStationary(g)
-	const samples = 6000
-	counts := make([]int, g.NumNodes())
-	for i := 0; i < samples; i++ {
-		v, err := s.Sample()
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[v]++
-	}
-	for v, got := range counts {
-		want := pi[v] * samples
-		if want < 40 {
-			continue
-		}
-		if float64(got) < 0.5*want || float64(got) > 1.9*want {
-			t.Errorf("node %d: %d samples, stationary expectation %.0f", v, got, want)
-		}
-	}
-}
-
 func TestSampleNRecordsCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	g := gen.BarabasiAlbert(30, 3, rng)

@@ -322,10 +322,6 @@ func (m *MappedCSR) Attr(name string) []float64 { return m.attrs[name] }
 // AttrNames lists the stored attribute tables in file (sorted-name) order.
 func (m *MappedCSR) AttrNames() []string { return m.attrNames }
 
-// Mapped reports whether the file is memory-mapped (false on platforms
-// without mmap support, where the file was read to the heap instead).
-func (m *MappedCSR) Mapped() bool { return m.mapped }
-
 // Close releases the mapping. Neighbor lists and attribute slices obtained
 // earlier must not be used afterwards.
 func (m *MappedCSR) Close() error {

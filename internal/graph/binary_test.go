@@ -103,24 +103,6 @@ func TestCSRRoundTripOpen(t *testing.T) {
 	}
 }
 
-func TestCSRMappedOnUnix(t *testing.T) {
-	g := csrTestGraph(t)
-	path := filepath.Join(t.TempDir(), "g.csr")
-	if err := SaveCSR(path, g, nil); err != nil {
-		t.Fatal(err)
-	}
-	m, err := OpenCSR(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	// On the linux CI/dev machines this must be a true mapping — the whole
-	// point of the disk backend is edges staying off the heap.
-	if !m.Mapped() {
-		t.Skip("platform without mmap support (heap fallback in use)")
-	}
-}
-
 func TestCSREmptyAndZeroEdgeGraphs(t *testing.T) {
 	for _, g := range []*Graph{NewBuilder(0).Build(), NewBuilder(5).Build()} {
 		var buf bytes.Buffer

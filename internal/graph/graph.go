@@ -56,15 +56,6 @@ func (g *Graph) HasEdge(u, v int) bool {
 	return i < len(nbr) && nbr[i] == int32(v)
 }
 
-// Degrees returns a fresh slice of all node degrees.
-func (g *Graph) Degrees() []int {
-	d := make([]int, g.NumNodes())
-	for v := range d {
-		d[v] = g.Degree(v)
-	}
-	return d
-}
-
 // MaxDegree returns the maximum node degree, or 0 for an empty graph.
 func (g *Graph) MaxDegree() int {
 	max := 0

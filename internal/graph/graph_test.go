@@ -95,10 +95,9 @@ func TestEmptyGraph(t *testing.T) {
 
 func TestDegreesAndStats(t *testing.T) {
 	g := testGraph(t)
-	deg := g.Degrees()
 	sum := 0
-	for _, d := range deg {
-		sum += d
+	for v := 0; v < g.NumNodes(); v++ {
+		sum += g.Degree(v)
 	}
 	if sum != 2*g.NumEdges() {
 		t.Fatalf("handshake lemma violated: sum(deg)=%d, 2m=%d", sum, 2*g.NumEdges())

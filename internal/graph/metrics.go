@@ -116,13 +116,3 @@ func (g *Graph) AvgShortestPathSampled(sources int, rng *rand.Rand) float64 {
 	}
 	return total / float64(pairs)
 }
-
-// DegreeHistogram returns counts[d] = number of nodes with degree d, for
-// d in [0, MaxDegree()].
-func (g *Graph) DegreeHistogram() []int {
-	counts := make([]int, g.MaxDegree()+1)
-	for v := 0; v < g.NumNodes(); v++ {
-		counts[g.Degree(v)]++
-	}
-	return counts
-}

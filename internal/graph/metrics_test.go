@@ -77,18 +77,3 @@ func TestAvgShortestPathSampled(t *testing.T) {
 		t.Errorf("single-node ASP = %v, want 0", got)
 	}
 }
-
-func TestDegreeHistogram(t *testing.T) {
-	g := FromEdges(4, [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
-	h := g.DegreeHistogram()
-	// degrees: 2,2,3,1 -> counts: [0,1,2,1]
-	want := []int{0, 1, 2, 1}
-	if len(h) != len(want) {
-		t.Fatalf("histogram len = %d, want %d", len(h), len(want))
-	}
-	for i := range want {
-		if h[i] != want[i] {
-			t.Errorf("hist[%d] = %d, want %d", i, h[i], want[i])
-		}
-	}
-}

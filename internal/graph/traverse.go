@@ -44,16 +44,6 @@ func (g *Graph) BFSInto(src int, dist []int32, queue []int32) (order []int32, ec
 	return queue, ecc
 }
 
-// Eccentricity returns the maximum BFS distance from v to any reachable node.
-func (g *Graph) Eccentricity(v int) int {
-	dist := make([]int32, g.NumNodes())
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	_, ecc := g.BFSInto(v, dist, nil)
-	return int(ecc)
-}
-
 // Diameter computes the exact diameter (longest shortest path) of the graph
 // by running BFS from every node: O(|V|·(|V|+|E|)). Intended for the paper's
 // small theoretical-model graphs. Returns 0 for graphs with < 2 nodes.
@@ -154,32 +144,4 @@ func (g *Graph) ConnectedComponents() (labels []int32, sizes []int) {
 func (g *Graph) IsConnected() bool {
 	_, sizes := g.ConnectedComponents()
 	return len(sizes) <= 1
-}
-
-// LargestComponent extracts the induced subgraph of the largest connected
-// component, mirroring the paper's Yelp preprocessing ("largest connected
-// component of the user-user graph"). It returns the subgraph and the
-// newID -> oldID mapping.
-func (g *Graph) LargestComponent() (*Graph, []int) {
-	labels, sizes := g.ConnectedComponents()
-	if len(sizes) <= 1 {
-		ids := make([]int, g.NumNodes())
-		for i := range ids {
-			ids[i] = i
-		}
-		return g, ids
-	}
-	best := 0
-	for id, sz := range sizes {
-		if sz > sizes[best] {
-			best = id
-		}
-	}
-	nodes := make([]int, 0, sizes[best])
-	for v, id := range labels {
-		if id == int32(best) {
-			nodes = append(nodes, v)
-		}
-	}
-	return g.Subgraph(nodes)
 }

@@ -63,16 +63,6 @@ func TestDiameterModels(t *testing.T) {
 	}
 }
 
-func TestEccentricity(t *testing.T) {
-	g := pathGraph(5)
-	if got := g.Eccentricity(2); got != 2 {
-		t.Errorf("Eccentricity(2) = %d, want 2", got)
-	}
-	if got := g.Eccentricity(0); got != 4 {
-		t.Errorf("Eccentricity(0) = %d, want 4", got)
-	}
-}
-
 func TestEstimateDiameterLowerBoundsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for seed := int64(0); seed < 20; seed++ {
@@ -114,38 +104,6 @@ func TestConnectedComponents(t *testing.T) {
 	}
 	if !cycleGraph(4).IsConnected() {
 		t.Error("cycle should be connected")
-	}
-}
-
-func TestLargestComponent(t *testing.T) {
-	b := NewBuilder(7)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(2, 0)
-	b.AddEdge(3, 4) // smaller component
-	g := b.Build()
-	sub, ids := g.LargestComponent()
-	if sub.NumNodes() != 3 || sub.NumEdges() != 3 {
-		t.Fatalf("largest component n=%d m=%d, want 3/3", sub.NumNodes(), sub.NumEdges())
-	}
-	seen := map[int]bool{}
-	for _, id := range ids {
-		seen[id] = true
-	}
-	if !seen[0] || !seen[1] || !seen[2] {
-		t.Fatalf("largest component ids = %v", ids)
-	}
-
-	// Already-connected graph returns identity mapping.
-	g2 := cycleGraph(5)
-	sub2, ids2 := g2.LargestComponent()
-	if sub2 != g2 {
-		t.Error("connected graph should be returned as-is")
-	}
-	for i, id := range ids2 {
-		if i != id {
-			t.Fatalf("identity mapping broken at %d -> %d", i, id)
-		}
 	}
 }
 

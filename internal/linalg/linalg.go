@@ -33,9 +33,6 @@ type Matrix struct {
 // NumNodes returns the number of states (graph nodes).
 func (m *Matrix) NumNodes() int { return m.n }
 
-// NNZ returns the number of stored (non-zero) transition entries.
-func (m *Matrix) NNZ() int { return len(m.vals) }
-
 // Row returns the column indices and values of row u. The slices alias
 // internal storage and must not be modified.
 func (m *Matrix) Row(u int) ([]int32, []float64) {

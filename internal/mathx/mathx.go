@@ -102,14 +102,6 @@ func (m *Moments) Variance() float64 {
 	return m.m2 / float64(m.n-1)
 }
 
-// PopVariance returns the population variance (0 for n < 1).
-func (m *Moments) PopVariance() float64 {
-	if m.n < 1 {
-		return 0
-	}
-	return m.m2 / float64(m.n)
-}
-
 // StdDev returns the sample standard deviation.
 func (m *Moments) StdDev() float64 { return math.Sqrt(m.Variance()) }
 

@@ -75,9 +75,6 @@ func TestMoments(t *testing.T) {
 	if math.Abs(m.Mean()-5) > 1e-12 {
 		t.Errorf("Mean = %v, want 5", m.Mean())
 	}
-	if math.Abs(m.PopVariance()-4) > 1e-12 {
-		t.Errorf("PopVariance = %v, want 4", m.PopVariance())
-	}
 	if math.Abs(m.Variance()-32.0/7.0) > 1e-12 {
 		t.Errorf("Variance = %v, want %v", m.Variance(), 32.0/7.0)
 	}
@@ -85,7 +82,7 @@ func TestMoments(t *testing.T) {
 		t.Errorf("StdDev = %v", m.StdDev())
 	}
 	var empty Moments
-	if empty.Mean() != 0 || empty.Variance() != 0 || empty.PopVariance() != 0 {
+	if empty.Mean() != 0 || empty.Variance() != 0 {
 		t.Error("empty moments should be 0")
 	}
 }

@@ -144,9 +144,9 @@ func TestNetworkOnDiskBackend(t *testing.T) {
 
 // NeighborsBatch must be observationally identical to per-node Neighbors:
 // same lists, same query cost, same call count, same known-node set — for
-// any (graph, restriction, shared/private, mode, frontier) combination.
+// any (graph, restriction, shared/private, frontier) combination.
 func TestNeighborsBatchEquivalenceProperty(t *testing.T) {
-	prop := func(seed int64, useShared, perCall bool, restr uint8) bool {
+	prop := func(seed int64, useShared bool, restr uint8) bool {
 		n := 60 + int(uint(seed)%40)
 		g := backendTestGraph(seed, n, 3*n)
 		var opts []Option
@@ -157,9 +157,6 @@ func TestNeighborsBatchEquivalenceProperty(t *testing.T) {
 			opts = append(opts, WithRestriction(TruncateL{L: 4}))
 		}
 		mode := CostUniqueNodes
-		if perCall {
-			mode = CostPerCall
-		}
 		newPair := func() (*Client, *Client) {
 			netA := NewNetworkOn(NewMemBackend(g), opts...)
 			netB := NewNetworkOn(NewMemBackend(g), opts...)

@@ -160,13 +160,9 @@ func (c *Client) chargeBatch(k int, first []bool) {
 		c.shared.calls.Add(kk)
 	}
 	var charged int64
-	if c.mode == CostPerCall {
-		charged = kk
-	} else {
-		for _, f := range first[:k] {
-			if f {
-				charged++
-			}
+	for _, f := range first[:k] {
+		if f {
+			charged++
 		}
 	}
 	c.queries += charged

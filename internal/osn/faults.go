@@ -260,12 +260,6 @@ func (f *FaultSim) StartOutage() { f.manual.Store(true) }
 // EndOutage ends a manual outage.
 func (f *FaultSim) EndOutage() { f.manual.Store(false) }
 
-// InOutage reports whether a manual or configured outage window is active
-// at the current sequence position / wall-clock.
-func (f *FaultSim) InOutage() bool {
-	return f.outageAt(f.seq.Load())
-}
-
 func (f *FaultSim) outageAt(s uint64) bool {
 	if f.manual.Load() {
 		return true

@@ -186,9 +186,6 @@ func TestFaultSimOutageWindows(t *testing.T) {
 	}
 
 	fs.StartOutage()
-	if !fs.InOutage() {
-		t.Fatal("InOutage false after StartOutage")
-	}
 	if _, err := fs.NeighborsCtx(ctx, 0); err == nil {
 		t.Fatal("manual outage did not reject")
 	}

@@ -262,9 +262,6 @@ const (
 	// is requested (repeat lookups hit the cache). This is the paper's
 	// "number of nodes it has to access" and the default.
 	CostUniqueNodes CostMode = iota
-	// CostPerCall charges every call, as when the platform forbids caching
-	// or the crawler is stateless.
-	CostPerCall
 )
 
 // l1Page geometry: 256 ids per page — the page header (presence and
@@ -636,8 +633,7 @@ func (c *Client) charge(v int32) {
 	if c.shared != nil {
 		c.shared.calls.Add(1)
 	}
-	first := c.markQueried(v)
-	if first || c.mode == CostPerCall {
+	if c.markQueried(v) {
 		c.queries++
 		if c.shared != nil {
 			c.shared.queries.Add(1)
@@ -712,17 +708,6 @@ func (c *Client) Calls() int64 { return c.calls }
 
 // Waited returns the total simulated rate-limit wait time.
 func (c *Client) Waited() time.Duration { return c.waited }
-
-// ResetCost zeroes this client's own query and call counters (the cache is
-// kept; use a fresh Client to drop it). It does not touch an attached
-// SharedCache's fleet-wide meters — those aggregate every attached client,
-// so reset them via SharedCache.ResetCost when a measurement phase ends.
-func (c *Client) ResetCost() {
-	c.queries = 0
-	c.calls = 0
-	c.waited = 0
-	c.inWindow = 0
-}
 
 // KnownNodes returns the ids of all nodes whose neighbor lists have been
 // requested so far (the crawler's frontier knowledge), sorted ascending.

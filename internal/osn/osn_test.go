@@ -42,18 +42,18 @@ func TestClientQueryAccounting(t *testing.T) {
 	}
 }
 
-func TestClientPerCallMode(t *testing.T) {
+func TestClientUncacheableViewChargesUnique(t *testing.T) {
 	net := testNetwork(t)
-	// Under a non-deterministic restriction nothing is cached, so per-call
-	// accounting counts every invocation.
+	// Under a non-deterministic restriction nothing is cached, so every
+	// invocation is a call, but the node is still charged once.
 	g := net.Graph()
 	net2 := NewNetwork(g, WithRestriction(RandomK{K: 1}))
-	c := NewClient(net2, CostPerCall, rand.New(rand.NewSource(1)))
+	c := NewClient(net2, CostUniqueNodes, rand.New(rand.NewSource(1)))
 	c.Neighbors(2)
 	c.Neighbors(2)
 	c.Neighbors(2)
-	if c.Queries() != 3 || c.Calls() != 3 {
-		t.Fatalf("per-call queries=%d calls=%d, want 3/3", c.Queries(), c.Calls())
+	if c.Queries() != 1 || c.Calls() != 3 {
+		t.Fatalf("uncacheable view queries=%d calls=%d, want 1/3", c.Queries(), c.Calls())
 	}
 }
 
@@ -213,22 +213,14 @@ func TestRateLimitSimulation(t *testing.T) {
 	}
 }
 
-func TestResetCostAndKnownNodes(t *testing.T) {
+func TestKnownNodes(t *testing.T) {
 	net := testNetwork(t)
 	c := NewClient(net, CostUniqueNodes, rand.New(rand.NewSource(9)))
+	c.Neighbors(2)
 	c.Neighbors(0)
 	c.Neighbors(2)
-	if len(c.KnownNodes()) != 2 {
-		t.Fatalf("KnownNodes = %v", c.KnownNodes())
-	}
-	c.ResetCost()
-	if c.Queries() != 0 || c.Calls() != 0 || c.Waited() != 0 {
-		t.Fatal("ResetCost did not zero counters")
-	}
-	// Cache survives reset: re-querying 0 is free.
-	c.Neighbors(0)
-	if c.Queries() != 0 {
-		t.Fatal("cache should survive ResetCost")
+	if got := c.KnownNodes(); len(got) != 2 || got[0] != 0 || got[1] != 2 {
+		t.Fatalf("KnownNodes = %v, want [0 2]", got)
 	}
 }
 

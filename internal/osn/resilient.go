@@ -177,9 +177,6 @@ func NewResilientBackend(inner Backend, pol ResilientPolicy) *ResilientBackend {
 // Inner returns the wrapped backend (evaluation-layer unwrapping).
 func (r *ResilientBackend) Inner() Backend { return r.be }
 
-// Policy returns the effective (defaulted) policy.
-func (r *ResilientBackend) Policy() ResilientPolicy { return r.pol }
-
 // Stats returns an atomic snapshot of the resilience meters.
 func (r *ResilientBackend) Stats() ResilientStats {
 	r.mu.Lock()

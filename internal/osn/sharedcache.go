@@ -182,16 +182,6 @@ func (sc *SharedCache) Queries() int64 { return sc.queries.Load() }
 // clients, cached or not.
 func (sc *SharedCache) Calls() int64 { return sc.calls.Load() }
 
-// ResetCost zeroes the fleet-wide query and call meters (the cache and the
-// unique-node set are kept, mirroring Client.ResetCost). Per-client meters
-// are not touched; reset those individually if a phase boundary needs them
-// at zero too. Not atomic with respect to in-flight charges — call it
-// between phases, when no attached client is active.
-func (sc *SharedCache) ResetCost() {
-	sc.queries.Store(0)
-	sc.calls.Store(0)
-}
-
 // UniqueNodes returns the number of distinct nodes accessed so far across
 // all attached clients.
 func (sc *SharedCache) UniqueNodes() int { return int(sc.uniq.Load()) }

@@ -145,18 +145,6 @@ func TestForkPromotesPrivateCache(t *testing.T) {
 	if c.TotalQueries() != 51 || child.TotalQueries() != 51 {
 		t.Errorf("TotalQueries parent/child = %d/%d, want 51/51", c.TotalQueries(), child.TotalQueries())
 	}
-
-	// Phase boundary: resetting the fleet meter starts the next phase's
-	// TotalQueries from zero, charging only nodes not yet known.
-	sc.ResetCost()
-	if c.TotalQueries() != 0 {
-		t.Errorf("after SharedCache.ResetCost: TotalQueries = %d, want 0", c.TotalQueries())
-	}
-	child.Neighbors(50) // known node: free
-	child.Neighbors(60) // fresh node: one query
-	if got := sc.Queries(); got != 1 {
-		t.Errorf("post-reset phase cost = %d, want 1", got)
-	}
 }
 
 // TestSharedCacheAttrCharging checks the profile-fetch accounting path under

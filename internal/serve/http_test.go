@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -115,33 +114,6 @@ func TestHTTPSubmitAndStream(t *testing.T) {
 		if nodes[i] != v {
 			t.Fatalf("stream[%d]=%d but result[%d]=%d", i, nodes[i], i, v)
 		}
-	}
-}
-
-// Identical specs through the HTTP API yield identical sequences (the
-// end-to-end form of the determinism acceptance criterion).
-func TestHTTPDeterminism(t *testing.T) {
-	srv, _ := testServer(t)
-	spec := `{"count": 10, "seed": 21, "workers": 3}`
-	var seqs [2][]int
-	for k := 0; k < 2; k++ {
-		st := postJob(t, srv, spec)
-		deadline := time.Now().Add(30 * time.Second)
-		var got JobStatus
-		for time.Now().Before(deadline) {
-			getJSON(t, srv.URL+"/v1/jobs/"+st.ID, &got)
-			if got.State.Terminal() {
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		if got.State != JobDone {
-			t.Fatalf("run %d: %+v", k, got)
-		}
-		seqs[k] = got.Result.Nodes
-	}
-	if fmt.Sprint(seqs[0]) != fmt.Sprint(seqs[1]) {
-		t.Fatalf("sequences differ:\n%v\n%v", seqs[0], seqs[1])
 	}
 }
 

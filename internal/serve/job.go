@@ -103,11 +103,11 @@ type JobResult struct {
 	// (and every streamed sample) was produced — and remains valid — before
 	// the failure; only the remainder is missing.
 	Partial bool `json:"partial,omitempty"`
-	// Queries is the fleet meter's growth over this job's run: the unique
-	// nodes the job actually had to pay for. Under a warm cache this
-	// shrinks toward zero — the amortization the service exists for. (With
-	// jobs running concurrently the delta includes their interleaved
-	// charges; it is exact when the job ran alone.)
+	// Queries is the unique nodes this job paid for: the charges of its own
+	// clients (the job client and its estimation workers' forks). Each
+	// unique node is charged to exactly one client, so concurrent jobs'
+	// Queries add up to the fleet meter's growth. Under a warm cache this
+	// shrinks toward zero — the amortization the service exists for.
 	Queries int64 `json:"queries"`
 	// FleetQueries is the service-wide unique-node cost after the job.
 	FleetQueries int64 `json:"fleet_queries"`

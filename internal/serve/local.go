@@ -173,7 +173,6 @@ func (m *Manager) run(job *Job) (*JobResult, error) {
 	runCtx = osn.WithFailureCancel(runCtx, job.cancel)
 	rng := fastrand.New(spec.Seed)
 	c := m.eng.NewClientCtx(runCtx, rng)
-	fleetBefore := c.TotalQueries()
 
 	switch spec.Type {
 	case TypeWalkPath:
@@ -184,7 +183,7 @@ func (m *Manager) run(job *Job) (*JobResult, error) {
 			if runCtx.Err() != nil {
 				return &JobResult{
 					Samples:      i - 1,
-					Queries:      c.TotalQueries() - fleetBefore,
+					Queries:      c.Queries(),
 					FleetQueries: c.TotalQueries(),
 				}, context.Cause(runCtx)
 			}
@@ -193,7 +192,7 @@ func (m *Manager) run(job *Job) (*JobResult, error) {
 		}
 		return &JobResult{
 			Samples:      spec.Count,
-			Queries:      c.TotalQueries() - fleetBefore,
+			Queries:      c.Queries(),
 			FleetQueries: c.TotalQueries(),
 		}, nil
 
@@ -244,7 +243,7 @@ func (m *Manager) run(job *Job) (*JobResult, error) {
 		}
 		out := &JobResult{
 			Samples:        res.Len(),
-			Queries:        c.TotalQueries() - fleetBefore,
+			Queries:        s.Queries(),
 			FleetQueries:   c.TotalQueries(),
 			AcceptanceRate: s.AcceptanceRate(),
 			Nodes:          res.Nodes,
@@ -263,7 +262,7 @@ func (m *Manager) run(job *Job) (*JobResult, error) {
 				return out, primaryCause(runCtx, err)
 			}
 			out.Estimate = &est
-			out.Queries = c.TotalQueries() - fleetBefore
+			out.Queries = s.Queries()
 			out.FleetQueries = c.TotalQueries()
 		}
 		return out, nil

@@ -5,11 +5,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/fastrand"
 	"repro/internal/gen"
 	"repro/internal/osn"
-	"repro/internal/walk"
 )
 
 func testNetwork(t *testing.T) *osn.Network {
@@ -32,94 +29,35 @@ func waitJob(t *testing.T, j *Job) JobStatus {
 	return JobStatus{}
 }
 
-// Two identical submissions must return identical sample sequences — the
-// second rides the warm cache and the memoized crawl table, which may only
-// change costs, never data.
-func TestJobDeterminismWarmVsCold(t *testing.T) {
-	eng := NewEngine(testNetwork(t))
-	m := NewManager(eng, Config{Runners: 1, WorkerBudget: 4})
-	defer m.Close()
-
-	spec := JobSpec{Type: TypeSample, Count: 20, Seed: 5, Workers: 2}
-	a, err := m.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stA := waitJob(t, a)
-	if stA.State != JobDone {
-		t.Fatalf("cold job: %+v", stA)
-	}
-	b, err := m.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stB := waitJob(t, b)
-	if stB.State != JobDone {
-		t.Fatalf("warm job: %+v", stB)
-	}
-	if len(stA.Result.Nodes) != 20 || len(stB.Result.Nodes) != 20 {
-		t.Fatalf("sample counts: cold %d warm %d", len(stA.Result.Nodes), len(stB.Result.Nodes))
-	}
-	for i := range stA.Result.Nodes {
-		if stA.Result.Nodes[i] != stB.Result.Nodes[i] {
-			t.Fatalf("sample %d differs: cold %d warm %d", i, stA.Result.Nodes[i], stB.Result.Nodes[i])
-		}
-	}
-	// The warm job replays the cold job's RNG streams exactly, so it touches
-	// exactly the nodes the cold job already paid for: zero new charges.
-	if stB.Result.Queries >= stA.Result.Queries {
-		t.Fatalf("warm job not cheaper: cold %d warm %d", stA.Result.Queries, stB.Result.Queries)
-	}
-	if stB.Result.Queries != 0 {
-		t.Fatalf("warm replay charged %d new nodes, want 0", stB.Result.Queries)
-	}
-}
-
-// A service job with workers=1 must be bit-identical to driving the core
-// sampler directly with the same parameters: crawl-table injection and the
-// shared cache are invisible to the sample sequence.
-func TestJobMatchesDirectSampler(t *testing.T) {
+// Concurrent jobs on one engine each bill the charges of their own clients,
+// so their Queries add up to the fleet meter's growth exactly — with
+// sequential and parallel jobs interleaving on the shared cache.
+func TestConcurrentJobChargesSumToFleetMeter(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 3, rand.New(rand.NewSource(42)))
-	net := osn.NewNetwork(g)
-	eng := NewEngine(net)
-	m := NewManager(eng, Config{Runners: 1})
+	sim := osn.NewRemoteSim(osn.NewMemBackend(g), 200*time.Microsecond, 0, 8)
+	eng := NewEngine(osn.NewNetworkOn(sim))
+	m := NewManager(eng, Config{Runners: 4, WorkerBudget: 8, CacheBytes: -1})
 	defer m.Close()
 
-	const seed, count = 9, 15
-	job, err := m.Submit(JobSpec{Count: count, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitJob(t, job)
-	if st.State != JobDone {
-		t.Fatalf("job: %+v", st)
-	}
-
-	// Direct run over a fresh network with the same graph and the engine's
-	// normalized parameters.
-	net2 := osn.NewNetwork(g)
-	rng := fastrand.New(seed)
-	c := osn.NewClient(net2, osn.CostUniqueNodes, rng)
-	d, _ := walk.ByName("srw")
-	s, err := core.NewSampler(c, core.Config{
-		Design:      d,
-		Start:       *job.Spec().Start,
-		WalkLength:  job.Spec().WalkLength,
-		UseCrawl:    true,
-		CrawlHops:   job.Spec().CrawlHops,
-		UseWeighted: true,
-	}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.SampleN(count)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res.Nodes {
-		if res.Nodes[i] != st.Result.Nodes[i] {
-			t.Fatalf("sample %d differs: direct %d service %d", i, res.Nodes[i], st.Result.Nodes[i])
+	before := eng.CacheStats().Queries
+	var jobs []*Job
+	for i := 0; i < 8; i++ {
+		j, err := m.Submit(JobSpec{Type: TypeSample, Count: 12, Seed: int64(100 + i), Workers: 1 + i%2})
+		if err != nil {
+			t.Fatal(err)
 		}
+		jobs = append(jobs, j)
+	}
+	var sum int64
+	for _, j := range jobs {
+		st := waitJob(t, j)
+		if st.State != JobDone {
+			t.Fatalf("job %s: %+v", j.ID(), st)
+		}
+		sum += st.Result.Queries
+	}
+	if grown := eng.CacheStats().Queries - before; sum != grown || sum == 0 {
+		t.Fatalf("Σ per-job queries %d, fleet meter grew %d", sum, grown)
 	}
 }
 

@@ -29,8 +29,6 @@ const (
 	// CostUniqueNodes charges one query per distinct node accessed (the
 	// paper's cost measure; repeat lookups hit the crawler's cache).
 	CostUniqueNodes = osn.CostUniqueNodes
-	// CostPerCall charges every interface call.
-	CostPerCall = osn.CostPerCall
 )
 
 // AttrDegree is the pseudo-attribute name for node degree.
