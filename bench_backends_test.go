@@ -88,7 +88,7 @@ func TestBatchedStepBeatsScalar(t *testing.T) {
 		if batched {
 			cands := make([]*core.BatchCand, width)
 			for k, v := range nodes {
-				cands[k] = &core.BatchCand{V: v, RNG: fastrand.New(int64(1000 + k))}
+				cands[k] = &core.BatchCand{V: v, Seed: int64(1000 + k)}
 			}
 			core.EstimateAdaptiveBatch(e, cands, tSteps, 1, 0)
 			for _, cd := range cands {
@@ -98,7 +98,7 @@ func TestBatchedStepBeatsScalar(t *testing.T) {
 			}
 		} else {
 			for k, v := range nodes {
-				if _, err := core.EstimateAdaptive(e, v, tSteps, 1, 0, fastrand.New(int64(1000+k))); err != nil {
+				if _, err := core.EstimateAdaptive(e, v, tSteps, 1, 0, int64(1000+k)); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -58,8 +58,10 @@ type Estimator struct {
 	fastEdge  bool
 	selfLoops bool
 
-	// vec is the lazily built scratch state of the vectorized backward
-	// kernel (batch.go).
+	// rng is the scalar kernel's walk substream, reseeded per backward walk
+	// (EstimateAdaptive); vec is the lazily built scratch state of the
+	// lockstep kernel (batch.go).
+	rng fastrand.Rand
 	vec *vecState
 }
 

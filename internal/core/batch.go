@@ -5,48 +5,91 @@ import (
 
 	"repro/internal/fastrand"
 	"repro/internal/mathx"
+	"repro/internal/walk"
 )
 
-// This file is the vectorized backward-estimation kernel: instead of
-// advancing one backward walker at a time — which serializes a shared-cache
-// lookup (or, on a remote backend, a full round trip) per walker step —
-// EstimateAdaptiveBatch advances one walker per candidate in lockstep design
-// steps. Each round gathers every walker's next frontier node, resolves the
-// whole frontier with a single Client.NeighborsBatch (one cache pass, one
-// backend round trip), then applies the transition weights in a dense pass
-// (walk.EdgeProbKind.ProbsInto for the degree-only designs).
+// This file is the adaptive per-candidate estimate of p_t(v) and its two
+// kernels: the scalar oracle EstimateAdaptive, which runs one backward walk
+// after another, and the lockstep EstimateAdaptiveBatch, which advances
+// every walk of a candidate set together so that each design step costs
+// one batched frontier resolution (one cache pass, one backend round trip)
+// instead of one lookup per walker.
 //
-// Equivalence contract: every candidate draws from its own private RNG
-// stream and consumes exactly the draws the scalar EstimateAdaptive →
-// EstimateOnce → backStep chain would, in the same per-candidate order —
-// lockstep only interleaves *between* streams, which is unobservable. The
-// fetched node multiset per candidate is also exactly the scalar one, so
-// unique-node query charges match bit for bit. Property tests pin both.
+// Two rules make the kernels bit-identical by construction:
 //
-// A candidate keeps exactly one walk in flight; when it completes, the next
-// repetition (base or adaptive top-up, same decision rule as the scalar
-// EstimateAdaptive) starts in the following round, so the vector stays wide
-// until candidates genuinely finish.
+//   - Substreams. Backward walk r of a candidate with estimation seed s
+//     draws only from fastrand.New(repSeed(s, r)), so the order in which a
+//     kernel runs the walks cannot change any draw, and each walk fetches
+//     the same node multiset under either kernel (same unique-node charge).
+//   - Two stages. A candidate runs baseReps walks; if their relative
+//     standard error is above 1 (or their mean is 0) it runs one more wave
+//     of varianceBudget walks at once. The estimate folds the walks' values
+//     in rep order, whichever walk finished first, and stops folding the
+//     wave at the first walk after which the relative standard error is at
+//     most 1: the estimate of the one-walk-at-a-time rule, bit for bit.
+//     Wave walks past that point are paid but unused, like a speculative
+//     candidate. (The mean over the whole wave measured a systematic rise
+//     of TV to π on Barbell(21); see EXPERIMENTS.md.)
+//
+// The lockstep kernel's lanes are (candidate, rep): all base walks start
+// together, and a candidate starts its top-up wave as soon as its own base
+// walks are done.
 
-// BatchCand is one candidate lane of EstimateAdaptiveBatch. The caller sets
-// V and RNG; the kernel fills PHat, Steps (backward steps spent on this
+// repSeed is the seed of backward walk r of a candidate whose estimation
+// seed is seed.
+func repSeed(seed int64, r int) int64 { return fastrand.Mix(seed, int64(r), 0) }
+
+// needTopUp is the two-stage rule: the base walks' moments call for the
+// top-up wave unless their mean is positive with a relative standard error
+// of at most 1.
+func needTopUp(m *mathx.Moments) bool {
+	mean := m.Mean()
+	return !(mean > 0 && m.StdDev()/mean <= 1)
+}
+
+// EstimateAdaptive estimates p_t(v) with baseReps backward walks plus, when
+// needTopUp holds for them, one wave of varianceBudget more (the
+// per-candidate form of Algorithm 3's variance-driven budget), folded by
+// the two-stage rule above. Walk r draws from the substream repSeed(seed,
+// r). It is the scalar oracle of EstimateAdaptiveBatch: one walk at a
+// time, one lookup per step.
+func EstimateAdaptive(e *Estimator, v, t, baseReps, varianceBudget int, seed int64) (float64, error) {
+	var m mathx.Moments
+	settled := false // the wave stopped folding; later walks are unused
+	for r := 0; r < baseReps+varianceBudget; r++ {
+		if r == baseReps && !needTopUp(&m) {
+			break
+		}
+		e.rng.Seed(repSeed(seed, r))
+		est, err := e.EstimateOnce(v, t, &e.rng)
+		if err != nil {
+			return 0, err
+		}
+		if !settled {
+			m.Add(est)
+			settled = r >= baseReps && !needTopUp(&m)
+		}
+	}
+	return m.Mean(), nil
+}
+
+// BatchCand is one candidate of EstimateAdaptiveBatch. The caller sets V and
+// Seed; the kernel fills PHat, Steps (backward steps spent on this
 // candidate) and Err. A BatchCand may be reused across calls.
 type BatchCand struct {
 	V    int
-	RNG  fastrand.RNG
+	Seed int64 // estimation seed: walk r draws from repSeed(Seed, r)
 	PHat float64
 	// Steps counts the backward steps this candidate's walks consumed —
 	// the per-candidate share of Estimator.StepsTaken.
 	Steps int64
 	Err   error
-
-	reps int // completed walks this call (base + top-up)
-	m    mathx.Moments
 }
 
-// bwLane is the in-flight walk of one candidate.
+// bwLane is one backward walk in flight: walk rep of candidate ci.
 type bwLane struct {
-	cand    *BatchCand
+	ci      int32
+	rep     int32
 	node    int
 	step    int // remaining steps; the walk is at design step `step`
 	w       int // backStep's pick, between phases of a round
@@ -54,32 +97,41 @@ type bwLane struct {
 	weight  float64
 	nbr     []int32 // N(node), carried step to step like the scalar loop
 	haveNbr bool
+	rng     fastrand.Rand // the walk's substream
 }
 
-// vecState is the reusable scratch of the vectorized kernel, held by the
+// candState is a candidate's progress through its two waves.
+type candState struct {
+	pending int  // walks of the current wave still in flight
+	topUp   bool // the current wave is the top-up
+	m       mathx.Moments
+}
+
+// vecState is the reusable scratch of the lockstep kernel, held by the
 // Estimator so warm batches allocate nothing.
 type vecState struct {
-	lanes  []bwLane
-	active []int32 // indices into lanes, compacted every round
-	live   []int32 // lanes actually walking this round (own backing: the
-	// round compacts `active` in place while iterating live)
+	// Parameters of the running call.
+	cands               []*BatchCand
+	t, baseReps, budget int
+	width               int // lane slots per candidate: max(baseReps, budget)
 
-	fidx []int32   // lane indices awaiting a batched fetch
-	fids []int32   // their frontier node ids
-	fout [][]int32 // batched fetch results
-
-	tidx []int32   // lane indices of the dense fast-path transition pass
-	tdu  []int32   // degree of w (the predecessor walked to)
-	tdv  []int32   // degree of node (the node walked from)
-	ttr  []float64 // p(w→node) outputs
+	lanes        []bwLane
+	cst          []candState
+	ests         []float64 // walk r of candidate ci at ci*(baseReps+budget)+r
+	active, next []int32   // lane indices of this round and the next
+	live         []int32   // lanes actually walking this round
+	fidx, fids   []int32   // lanes awaiting a batched fetch, and their nodes
+	fout         [][]int32 // batched fetch results
+	tidx         []int32   // lanes of the dense transition pass
+	tdu, tdv     []int32   // their degrees: of w, and of the node walked from
+	ttr          []float64 // p(w→node) outputs
+	stay         []int32   // neighbors whose degrees MHRW's stay probabilities read
 }
 
-// EstimateAdaptiveBatch estimates p_t(cd.V) for every candidate with
-// baseReps backward walks plus up to varianceBudget adaptive top-ups each —
-// per candidate exactly EstimateAdaptive, but with all walks advanced in
-// lockstep rounds so each design step costs one batched frontier resolution
-// instead of one lookup per walker. Results land in the candidates' PHat /
-// Steps / Err fields; a candidate's error stops only that candidate.
+// EstimateAdaptiveBatch estimates p_t(cd.V) for every candidate — per
+// candidate exactly EstimateAdaptive with cd.Seed — advancing all walks in
+// lockstep rounds. Results land in the candidates' PHat / Steps / Err
+// fields; a candidate's error stops only that candidate.
 func EstimateAdaptiveBatch(e *Estimator, cands []*BatchCand, t, baseReps, varianceBudget int) {
 	if !e.probInit {
 		e.initProbKind()
@@ -96,30 +148,95 @@ func EstimateAdaptiveBatch(e *Estimator, cands []*BatchCand, t, baseReps, varian
 		vs = &vecState{}
 		e.vec = vs
 	}
-	if cap(vs.lanes) < len(cands) {
-		vs.lanes = make([]bwLane, len(cands))
+	vs.cands, vs.t, vs.baseReps, vs.budget = cands, t, baseReps, varianceBudget
+	vs.width = max(baseReps, varianceBudget)
+	if n := len(cands) * vs.width; cap(vs.lanes) < n {
+		vs.lanes = make([]bwLane, n)
 	}
-	lanes := vs.lanes[:len(cands)]
+	if cap(vs.cst) < len(cands) {
+		vs.cst = make([]candState, len(cands))
+	}
+	vs.cst = vs.cst[:len(cands)]
+	vs.ests = growFloats(&vs.ests, len(cands)*(baseReps+varianceBudget))
 	active := vs.active[:0]
-	for i, cd := range cands {
+	for ci, cd := range cands {
 		cd.PHat, cd.Steps, cd.Err = 0, 0, nil
-		cd.reps = 0
-		cd.m = mathx.Moments{}
-		lanes[i] = bwLane{cand: cd, node: cd.V, step: t, weight: 1}
-		active = append(active, int32(i))
+		vs.cst[ci] = candState{}
+		active = vs.startWave(ci, 0, baseReps, active)
 	}
 	for len(active) > 0 {
-		active = e.stepVec(lanes, active, t, baseReps, varianceBudget)
+		next := e.stepVec(active)
+		vs.active, vs.next = next, active
+		active = next
 	}
-	vs.active = active[:0]
+	vs.active, vs.cands = active[:0], nil
+}
+
+// startWave puts walks lo..hi-1 of candidate ci in flight, appending their
+// lanes to out; an empty wave completes at once.
+func (vs *vecState) startWave(ci, lo, hi int, out []int32) []int32 {
+	cd := vs.cands[ci]
+	vs.cst[ci].pending = hi - lo
+	if hi == lo {
+		return vs.waveDone(ci, out)
+	}
+	for r := lo; r < hi; r++ {
+		li := ci*vs.width + r - lo
+		ln := &vs.lanes[li]
+		*ln = bwLane{ci: int32(ci), rep: int32(r), node: cd.V, step: vs.t, weight: 1}
+		ln.rng.Seed(repSeed(cd.Seed, r))
+		out = append(out, int32(li))
+	}
+	return out
+}
+
+// waveDone folds a completed wave's estimates in rep order, then starts the
+// top-up wave if the two-stage rule asks for it, or settles the estimate.
+func (vs *vecState) waveDone(ci int, out []int32) []int32 {
+	cs := &vs.cst[ci]
+	reps := vs.baseReps + vs.budget
+	ests := vs.ests[ci*reps : (ci+1)*reps]
+	if !cs.topUp {
+		for _, x := range ests[:vs.baseReps] {
+			cs.m.Add(x)
+		}
+		if vs.budget > 0 && needTopUp(&cs.m) {
+			cs.topUp = true
+			return vs.startWave(ci, vs.baseReps, reps, out)
+		}
+	} else {
+		for _, x := range ests[vs.baseReps:] {
+			cs.m.Add(x)
+			if !needTopUp(&cs.m) {
+				break
+			}
+		}
+	}
+	vs.cands[ci].PHat = cs.m.Mean()
+	return out
+}
+
+// laneDone records a completed walk's estimate and, when it was the last of
+// its wave, completes the wave. Walks of a failed candidate are dropped.
+func (vs *vecState) laneDone(ln *bwLane, est float64, out []int32) []int32 {
+	ci := int(ln.ci)
+	if vs.cands[ci].Err != nil {
+		return out
+	}
+	vs.ests[ci*(vs.baseReps+vs.budget)+int(ln.rep)] = est
+	if vs.cst[ci].pending--; vs.cst[ci].pending > 0 {
+		return out
+	}
+	return vs.waveDone(ci, out)
 }
 
 // stepVec advances every active lane by one design step (phases documented
-// inline) and returns the surviving active set, restarting candidates whose
-// walk completed but who still owe repetitions.
-func (e *Estimator) stepVec(lanes []bwLane, active []int32, t, baseReps, budget int) []int32 {
+// inline) and returns the next round's lanes: the survivors, plus the
+// top-up waves of candidates whose base walks completed this round.
+func (e *Estimator) stepVec(active []int32) []int32 {
 	vs := e.vec
-	out := active[:0]
+	lanes := vs.lanes
+	out := vs.next[:0]
 
 	// Phase 1 — crawl checks, walk-end handling, and the gather of lanes
 	// that still need their current node's neighbor list (only a walk's
@@ -127,23 +244,20 @@ func (e *Estimator) stepVec(lanes []bwLane, active []int32, t, baseReps, budget 
 	// carried, exactly like the scalar loop).
 	fidx := vs.fidx[:0]
 	fids := vs.fids[:0]
-	live := vs.live[:0] // lanes still walking this round, in lane order
+	live := vs.live[:0]
 	for _, li := range active {
 		ln := &lanes[li]
+		if vs.cands[ln.ci].Err != nil {
+			continue
+		}
 		if ln.step == 0 {
 			// t == 0 walks finish before their first step.
-			if fin := e.finishLane(ln, t, baseReps, budget); fin {
-				continue
-			}
-			out = append(out, li)
+			out = e.finishLane(ln, out)
 			continue
 		}
 		if e.Crawl != nil {
 			if p, ok := e.Crawl.Lookup(ln.node, ln.step); ok {
-				if fin := e.laneDone(ln, ln.weight*p, t, baseReps, budget); fin {
-					continue
-				}
-				out = append(out, li)
+				out = vs.laneDone(ln, ln.weight*p, out)
 				continue
 			}
 		}
@@ -162,21 +276,20 @@ func (e *Estimator) stepVec(lanes []bwLane, active []int32, t, baseReps, budget 
 		}
 	}
 
-	// Phase 2 — one backStep per lane, in lane order. Each lane draws from
-	// its own candidate's RNG, so this order is unobservable; the draws per
-	// candidate are exactly the scalar ones.
+	// Phase 2 — one backStep per lane. Each lane draws from its own
+	// substream, so this order is unobservable.
 	fidx = fidx[:0]
 	fids = fids[:0]
 	for _, li := range live {
 		ln := &lanes[li]
-		w, pick, err := e.backStep(ln.node, ln.step, ln.nbr, ln.cand.RNG)
+		w, pick, err := e.backStep(ln.node, ln.step, ln.nbr, &ln.rng)
 		if err != nil {
-			ln.cand.Err = err
+			vs.cands[ln.ci].Err = err
 			ln.step = -1 // poisoned; dropped in phase 4
 			continue
 		}
 		e.StepsTaken++
-		ln.cand.Steps++
+		vs.cands[ln.ci].Steps++
 		ln.w, ln.pick = w, pick
 		if w != ln.node {
 			// The scalar loop fetches N(w) for every non-self pick (the
@@ -196,15 +309,21 @@ func (e *Estimator) stepVec(lanes []bwLane, active []int32, t, baseReps, budget 
 
 	// Phase 4a — gather the dense fast-path pass: symmetric views of
 	// degree-only designs read p(w→node) straight off the two degrees
-	// already in hand.
+	// already in hand. MHRW's stay probability, for a self-loop pick,
+	// reads the degree of every neighbor: fetch those lists for all such
+	// lanes in one batch.
 	tidx := vs.tidx[:0]
 	tdu := vs.tdu[:0]
 	tdv := vs.tdv[:0]
+	stay := vs.stay[:0]
 	fk := 0
 	for _, li := range live {
 		ln := &lanes[li]
 		if ln.step < 0 {
 			continue
+		}
+		if ln.w == ln.node && e.probKind == walk.EdgeProbMHRW {
+			stay = append(stay, ln.nbr...)
 		}
 		if ln.w != ln.node {
 			wNbr := fnbr[fk]
@@ -223,8 +342,12 @@ func (e *Estimator) stepVec(lanes []bwLane, active []int32, t, baseReps, budget 
 	ttr := growFloats(&vs.ttr, len(tidx))
 	e.probKind.ProbsInto(tdu, tdv, ttr)
 	vs.tidx, vs.tdu, vs.tdv = tidx[:0], tdu[:0], tdv[:0]
+	e.Client.Prefetch(stay)
+	vs.stay = stay[:0]
 
-	// Phase 4b — apply transitions and advance, in lane order.
+	// Phase 4b — apply transitions and advance, in lane order. A lane that
+	// completes its candidate's base wave may start the top-up wave in the
+	// lane slots its siblings (all done) held.
 	tk := 0
 	for _, li := range live {
 		ln := &lanes[li]
@@ -242,19 +365,15 @@ func (e *Estimator) stepVec(lanes []bwLane, active []int32, t, baseReps, budget 
 			trans = e.Design.Prob(e.Client, ln.w, ln.node)
 		}
 		if trans == 0 {
-			if fin := e.laneDone(ln, 0, t, baseReps, budget); fin {
-				continue
-			}
-			out = append(out, li)
+			out = vs.laneDone(ln, 0, out)
 			continue
 		}
 		ln.weight *= trans / ln.pick
 		ln.node = ln.w
 		ln.step--
 		if ln.step == 0 {
-			if fin := e.finishLane(ln, t, baseReps, budget); fin {
-				continue
-			}
+			out = e.finishLane(ln, out)
+			continue
 		}
 		out = append(out, li)
 	}
@@ -264,35 +383,16 @@ func (e *Estimator) stepVec(lanes []bwLane, active []int32, t, baseReps, budget 
 
 // finishLane completes a lane whose walk ran out of steps: the scalar
 // epilogue of EstimateOnce (crawl row 0, else the start check).
-func (e *Estimator) finishLane(ln *bwLane, t, baseReps, budget int) (retire bool) {
+func (e *Estimator) finishLane(ln *bwLane, out []int32) []int32 {
 	if e.Crawl != nil {
 		if p, ok := e.Crawl.Lookup(ln.node, 0); ok {
-			return e.laneDone(ln, ln.weight*p, t, baseReps, budget)
+			return e.vec.laneDone(ln, ln.weight*p, out)
 		}
 	}
 	if ln.node == e.Start {
-		return e.laneDone(ln, ln.weight, t, baseReps, budget)
+		return e.vec.laneDone(ln, ln.weight, out)
 	}
-	return e.laneDone(ln, 0, t, baseReps, budget)
-}
-
-// laneDone folds one completed walk into the candidate's moments and either
-// retires the candidate (returns true) or resets the lane for its next
-// repetition — the same continue/stop rule as the scalar EstimateAdaptive.
-func (e *Estimator) laneDone(ln *bwLane, est float64, t, baseReps, budget int) (retire bool) {
-	cd := ln.cand
-	cd.m.Add(est)
-	cd.reps++
-	if cd.reps >= baseReps {
-		extras := cd.reps - baseReps
-		mean := cd.m.Mean()
-		if extras >= budget || (mean > 0 && cd.m.StdDev()/mean <= 1) {
-			cd.PHat = mean
-			return true
-		}
-	}
-	*ln = bwLane{cand: cd, node: cd.V, step: t, weight: 1}
-	return false
+	return e.vec.laneDone(ln, 0, out)
 }
 
 // growLists returns a length-n slice backed by *buf, growing it on demand.

@@ -10,6 +10,7 @@ package core
 import (
 	"math/rand"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -69,7 +70,7 @@ func TestEstimateAdaptiveBatchMatchesScalar(t *testing.T) {
 			wantSteps := make([]int64, len(nodes))
 			for i, v := range nodes {
 				pre := scalar.StepsTaken
-				pHat, err := EstimateAdaptive(scalar, v, tSteps, baseReps, budget, fastrand.New(int64(1000+i)))
+				pHat, err := EstimateAdaptive(scalar, v, tSteps, baseReps, budget, int64(1000+i))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -79,7 +80,7 @@ func TestEstimateAdaptiveBatchMatchesScalar(t *testing.T) {
 
 			cands := make([]*BatchCand, len(nodes))
 			for i, v := range nodes {
-				cands[i] = &BatchCand{V: v, RNG: fastrand.New(int64(1000 + i))}
+				cands[i] = &BatchCand{V: v, Seed: int64(1000 + i)}
 			}
 			EstimateAdaptiveBatch(vec, cands, tSteps, baseReps, budget)
 
@@ -112,18 +113,18 @@ func TestEstimateAdaptiveBatchEdgeCases(t *testing.T) {
 	nodes = nodes[:4]
 
 	for i, v := range nodes {
-		want, err := EstimateAdaptive(scalar, v, 0, 2, 0, fastrand.New(int64(i)))
+		want, err := EstimateAdaptive(scalar, v, 0, 2, 0, int64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		cd := &BatchCand{V: v, RNG: fastrand.New(int64(i))}
+		cd := &BatchCand{V: v, Seed: int64(i)}
 		EstimateAdaptiveBatch(vec, []*BatchCand{cd}, 0, 2, 0)
 		if cd.Err != nil || cd.PHat != want {
 			t.Fatalf("t=0 cand %d: batch (%v, %v) != scalar %v", i, cd.PHat, cd.Err, want)
 		}
 	}
 
-	cd := &BatchCand{V: nodes[0], RNG: fastrand.New(1)}
+	cd := &BatchCand{V: nodes[0], Seed: 1}
 	EstimateAdaptiveBatch(vec, []*BatchCand{cd}, -1, 2, 0)
 	if cd.Err == nil {
 		t.Fatal("t<0 must error the candidate")
@@ -131,12 +132,12 @@ func TestEstimateAdaptiveBatchEdgeCases(t *testing.T) {
 	EstimateAdaptiveBatch(vec, nil, 5, 2, 0) // must not panic
 }
 
-// TestParallelSamplerVectorizedMatchesScalar runs the full parallel
-// WALK-ESTIMATE sampler with the vectorized kernel and with the scalar
-// reference path at the same (seed, workers), over the in-memory, disk-CSR,
-// and simulated-remote backends, and requires identical sample sequences,
-// per-sample step counts, query-cost trajectories, and total backward
-// steps.
+// TestParallelSamplerVectorizedMatchesScalar runs the full WALK-ESTIMATE
+// sampler — SampleN and SampleNParallel — with the lockstep kernels and
+// with the scalar ones (forward and backward) at the same (seed, workers),
+// over the in-memory, disk-CSR, and simulated-remote backends, and
+// requires identical sample sequences, per-sample step counts, query-cost
+// trajectories, and total backward steps.
 func TestParallelSamplerVectorizedMatchesScalar(t *testing.T) {
 	g := gen.BarabasiAlbert(2000, 3, rand.New(rand.NewSource(42)))
 	csr := filepath.Join(t.TempDir(), "g.csr")
@@ -161,54 +162,144 @@ func TestParallelSamplerVectorizedMatchesScalar(t *testing.T) {
 		}},
 	}
 
-	const n, workers = 20, 4
+	const n = 20
 	for _, be := range backends {
-		run := func(scalarEst bool) (walk.Result, int64, int64) {
-			t.Helper()
-			backend, done := be.mk()
-			defer done()
-			net := osn.NewNetworkOn(backend)
-			rng := rand.New(rand.NewSource(7))
-			c := osn.NewClient(net, osn.CostUniqueNodes, rng)
-			s, err := NewSampler(c, Config{
-				Design:         walk.SRW{},
-				Start:          0,
-				WalkLength:     9,
-				UseCrawl:       true,
-				CrawlHops:      2,
-				UseWeighted:    true,
-				VarianceBudget: 4,
-			}, rng)
-			if err != nil {
-				t.Fatal(err)
+		for _, d := range []walk.Design{walk.SRW{}, walk.MHRW{}} {
+			for _, workers := range []int{1, 4} {
+				run := func(scalarEst bool) (walk.Result, int64, int64) {
+					t.Helper()
+					backend, done := be.mk()
+					defer done()
+					net := osn.NewNetworkOn(backend)
+					rng := rand.New(rand.NewSource(7))
+					c := osn.NewClient(net, osn.CostUniqueNodes, rng)
+					s, err := NewSampler(c, Config{
+						Design:         d,
+						Start:          0,
+						WalkLength:     9,
+						UseCrawl:       true,
+						CrawlHops:      2,
+						UseWeighted:    true,
+						VarianceBudget: 4,
+					}, rng)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// Pin the kernels explicitly: the scalar run is the reference,
+					// the other run forces the lockstep kernels even on the local
+					// backends where auto-selection would pick scalar.
+					s.scalarKernel = &scalarEst
+					res, err := s.SampleNParallel(n, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res, s.est.StepsTaken, c.TotalQueries()
+				}
+				want, wantSteps, wantQ := run(true)
+				got, gotSteps, gotQ := run(false)
+				if len(got.Nodes) != len(want.Nodes) {
+					t.Fatalf("%s/%s/%d: sample counts differ: %d vs %d", be.name, d.Name(), workers, len(got.Nodes), len(want.Nodes))
+				}
+				for i := range got.Nodes {
+					if got.Nodes[i] != want.Nodes[i] || got.Steps[i] != want.Steps[i] || got.CostAfter[i] != want.CostAfter[i] {
+						t.Fatalf("%s/%s/%d sample %d: lockstep (%d,%d,%d) != scalar (%d,%d,%d)", be.name, d.Name(), workers, i,
+							got.Nodes[i], got.Steps[i], got.CostAfter[i],
+							want.Nodes[i], want.Steps[i], want.CostAfter[i])
+					}
+				}
+				if gotSteps != wantSteps {
+					t.Fatalf("%s/%s/%d: StepsTaken %d != %d", be.name, d.Name(), workers, gotSteps, wantSteps)
+				}
+				if gotQ != wantQ {
+					t.Fatalf("%s/%s/%d: queries %d != %d", be.name, d.Name(), workers, gotQ, wantQ)
+				}
 			}
-			// Pin the kernel explicitly: the scalar run is the reference,
-			// the other run forces the batch kernel even on the local
-			// backends where auto-selection would pick scalar.
-			s.scalarKernel = &scalarEst
-			res, err := s.SampleNParallel(n, workers)
-			if err != nil {
-				t.Fatal(err)
+		}
+	}
+}
+
+// callCounter is an in-memory backend that reports concurrent batch
+// answers, as a remote API does, and counts the calls that reach it: one
+// per NeighborsBatch, one per single-node fetch.
+type callCounter struct {
+	osn.MemBackend
+	calls atomic.Int64
+}
+
+func (b *callCounter) Neighbors(v int) []int32 {
+	b.calls.Add(1)
+	return b.MemBackend.Neighbors(v)
+}
+
+func (b *callCounter) NeighborsBatch(vs []int32, out [][]int32) {
+	b.calls.Add(1)
+	b.MemBackend.NeighborsBatch(vs, out)
+}
+
+func (b *callCounter) ConcurrentBatch() bool { return true }
+
+// TestLockstepRoundTrips pins the round trips of the lockstep kernels on a
+// concurrent backend at t = 13, 4 base walks and a top-up wave of 8, each
+// run on a cold cache. Under SRW one candidate's estimate is two lockstep
+// waves of t steps plus the walk starts' fetch, so it makes at most
+// 2·(t+1) backend calls, not one per walker step; an 8-walk forward batch
+// resolves each step's frontier with one Prefetch, so it makes at most t.
+// MHRW may add one batch per step: its proposals (forward) and the
+// neighbor degrees its stay probability reads (backward).
+func TestLockstepRoundTrips(t *testing.T) {
+	const steps, reps, budget = 13, 4, 8
+	g := gen.BarabasiAlbert(5000, 5, rand.New(rand.NewSource(8)))
+	for _, tc := range []struct {
+		d               walk.Design
+		fwdMax, backMax int64
+	}{
+		{walk.SRW{}, steps, 2 * (steps + 1)},
+		{walk.MHRW{}, 2 * steps, 2 * (2*steps + 1)},
+	} {
+		be := &callCounter{MemBackend: osn.NewMemBackend(g)}
+		net := osn.NewNetworkOn(be)
+		client := func() *osn.Client { return osn.NewClient(net, osn.CostUniqueNodes, fastrand.New(1)) }
+
+		s, err := NewSampler(client(), Config{Design: tc.d, WalkLength: steps, UseWeighted: true}, fastrand.New(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !s.lockstep() {
+			t.Fatal("a concurrent-batch backend must select the lockstep kernels")
+		}
+		cands := make([]*pcand, 8)
+		for i := range cands {
+			cands[i] = &pcand{}
+			s.draw(cands[i])
+		}
+		pre := be.calls.Load()
+		s.walkBatch(cands, s.lockstep())
+		calls := be.calls.Load() - pre
+		t.Logf("%s: 8-walk forward batch: %d backend calls", tc.d.Name(), calls)
+		if calls > tc.fwdMax {
+			t.Errorf("%s: 8-walk forward batch made %d backend calls, want <= %d", tc.d.Name(), calls, tc.fwdMax)
+		}
+
+		toppedUp := 0
+		for i, cd := range cands {
+			e := &Estimator{Client: client(), Design: tc.d, Start: 0}
+			bc := &BatchCand{V: cd.V, Seed: cd.Seed}
+			pre := be.calls.Load()
+			EstimateAdaptiveBatch(e, []*BatchCand{bc}, steps, reps, budget)
+			calls := be.calls.Load() - pre
+			if bc.Err != nil {
+				t.Fatal(bc.Err)
 			}
-			return res, s.est.StepsTaken, c.TotalQueries()
-		}
-		want, wantSteps, wantQ := run(true)
-		got, gotSteps, gotQ := run(false)
-		if len(got.Nodes) != len(want.Nodes) {
-			t.Fatalf("%s: sample counts differ: %d vs %d", be.name, len(got.Nodes), len(want.Nodes))
-		}
-		for i := range got.Nodes {
-			if got.Nodes[i] != want.Nodes[i] || got.Steps[i] != want.Steps[i] || got.CostAfter[i] != want.CostAfter[i] {
-				t.Fatalf("%s sample %d: vectorized (%d,%d,%d) != scalar (%d,%d,%d)", be.name, i,
-					got.Nodes[i], got.Steps[i], got.CostAfter[i],
-					want.Nodes[i], want.Steps[i], want.CostAfter[i])
+			if calls > tc.backMax {
+				t.Errorf("%s candidate %d: estimate made %d backend calls, want <= %d", tc.d.Name(), i, calls, tc.backMax)
 			}
+			if bc.Steps > reps*steps {
+				toppedUp++
+			}
+			t.Logf("%s candidate %d: %d backend calls, %d backward steps", tc.d.Name(), i, calls, bc.Steps)
 		}
-		if gotSteps != wantSteps {
-			t.Fatalf("%s: StepsTaken %d != %d", be.name, gotSteps, wantSteps)
-		}
-		if gotQ != wantQ {
-			t.Fatalf("%s: queries %d != %d", be.name, gotQ, wantQ)
+		if toppedUp == 0 {
+			t.Errorf("%s: no candidate ran its top-up wave; the bound covers only the base wave", tc.d.Name())
 		}
 	}
 }

@@ -30,9 +30,9 @@ type goldenRun struct {
 // scalar loop and the batch kernel) and must agree with each other too.
 var goldenWant = map[string]goldenRun{
 	"seq": {
-		Nodes:   []int{1027, 3, 177, 243, 300, 127, 385, 1455, 101, 2, 1525, 102, 645, 1172, 305, 31},
-		Steps:   []int{58, 30, 58, 58, 30, 95, 102, 37, 88, 88, 58, 58, 58, 234, 58, 58},
-		Queries: 1156, Back: 952,
+		Nodes:   []int{605, 433, 299, 106, 1052, 114, 8, 1952, 392, 1273, 1066, 1066, 765, 1429, 14, 1194},
+		Steps:   []int{58, 58, 320, 58, 116, 58, 58, 58, 146, 146, 30, 58, 524, 148, 30, 116},
+		Queries: 1346, Back: 1631,
 	},
 	"mem-par2": goldenPar2,
 	"mem-par4": goldenPar4,
@@ -42,49 +42,49 @@ var goldenWant = map[string]goldenRun{
 	// (FixedK, deterministic, so cached) is not symmetric and must keep
 	// the full WS-BW gather on every step.
 	"mhrw-seq": {
-		Nodes:   []int{130, 988, 599, 314, 1986, 1279, 1284, 953, 67, 534, 1100, 1265, 1001, 1340, 899, 1196},
-		Steps:   []int{58, 58, 30, 116, 232, 58, 58, 468, 58, 232, 37, 232, 58, 232, 146, 116},
-		Queries: 1430, Back: 1820,
+		Nodes:   []int{740, 1604, 1874, 1046, 691, 892, 1144, 244, 949, 1293, 1924, 1257, 867, 837, 420, 1478},
+		Steps:   []int{58, 58, 58, 58, 290, 378, 348, 348, 176, 436, 58, 118, 204, 174, 58, 58},
+		Queries: 1509, Back: 2401,
 	},
 	"mhrw-par2": {
-		Nodes:   []int{945, 1120, 1020, 1968, 1717, 1666, 575, 1888, 660, 697, 584, 24, 1034, 1667, 1012, 1579},
-		Steps:   []int{58, 58, 58, 30, 58, 320, 58, 116, 566, 58, 232, 232, 174, 204, 58, 146},
-		Queries: 1529, Back: 2149,
+		Nodes:   []int{978, 479, 1536, 669, 1998, 1704, 1291, 1143, 501, 622, 1120, 1850, 1350, 1772, 1168, 1232},
+		Steps:   []int{58, 58, 58, 580, 58, 116, 756, 668, 348, 58, 348, 58, 30, 58, 174, 58},
+		Queries: 1640, Back: 2996,
 	},
 	"restricted-seq": {
-		Nodes:   []int{1624, 1035, 87, 399, 16, 317, 951, 215, 704, 1369, 1145, 495, 1706, 98, 1281, 1037},
-		Steps:   []int{29, 30, 33, 18, 30, 29, 30, 46, 31, 35, 32, 38, 26, 35, 48, 28},
-		Queries: 245, Back: 374,
+		Nodes:   []int{102, 559, 1203, 9, 47, 668, 731, 116, 278, 923, 1935, 218, 229, 841, 486, 265},
+		Steps:   []int{33, 27, 27, 24, 52, 42, 41, 29, 39, 38, 22, 26, 44, 45, 30, 25},
+		Queries: 246, Back: 400,
 	},
 	"restricted-par2": {
-		Nodes:   []int{201, 152, 181, 690, 1486, 1131, 27, 1356, 791, 1875, 343, 522, 5, 317, 1134, 198},
-		Steps:   []int{25, 41, 39, 37, 29, 49, 35, 24, 48, 39, 23, 27, 29, 33, 24, 26},
-		Queries: 235, Back: 384,
+		Nodes:   []int{569, 74, 1005, 403, 14, 1671, 1123, 1865, 274, 17, 242, 45, 443, 1385, 558, 951},
+		Steps:   []int{40, 34, 31, 33, 40, 35, 40, 39, 37, 40, 22, 24, 29, 30, 29, 28},
+		Queries: 246, Back: 387,
 	},
 	"mixed": {
-		Nodes: []int{1027, 3, 177, 243, 300, 127, 385, 1455, 14, 56, 65, 385, 815, 236, 233, 118,
-			1374, 939, 984, 777, 69, 732, 904, 469},
-		Steps: []int{58, 30, 58, 58, 30, 95, 102, 37, 176, 37, 116, 58, 116, 58, 183, 204,
-			116, 58, 58, 204, 167, 436, 174, 116},
-		Queries: 1462, Back: 2317,
+		Nodes: []int{605, 433, 299, 106, 1052, 114, 8, 1952, 468, 277, 59, 579, 132, 1775, 9, 1927,
+			2, 77, 1937, 384, 886, 1063, 103, 1555},
+		Steps: []int{58, 58, 320, 58, 116, 58, 58, 58, 116, 204, 58, 58, 88, 88, 204, 58,
+			60, 58, 88, 30, 58, 118, 232, 116},
+		Queries: 1454, Back: 2233,
 	},
 	"mixed-refresh": {
-		Nodes:   []int{1263, 823, 563, 508, 103, 1357, 1242, 485, 234},
-		Steps:   []int{58, 58, 58, 58, 58, 58, 58, 174, 116},
-		Queries: 1120, Back: 686,
+		Nodes:   []int{26, 29, 651, 103, 468, 277, 1775, 9, 1344},
+		Steps:   []int{58, 116, 116, 58, 524, 176, 146, 204, 88},
+		Queries: 1321, Back: 1442,
 	},
 }
 
 var goldenPar2 = goldenRun{
-	Nodes:   []int{1263, 823, 563, 508, 103, 1357, 1469, 70, 333, 288, 1242, 731, 1742, 103, 1543, 1092},
-	Steps:   []int{58, 58, 58, 58, 58, 58, 204, 58, 58, 118, 88, 146, 88, 58, 176, 58},
-	Queries: 1266, Back: 1295,
+	Nodes:   []int{26, 29, 651, 103, 468, 277, 59, 579, 1775, 9, 1344, 2, 384, 886, 103, 1192},
+	Steps:   []int{58, 116, 116, 58, 524, 176, 58, 58, 176, 204, 88, 206, 176, 58, 322, 118},
+	Queries: 1461, Back: 2240,
 }
 
 var goldenPar4 = goldenRun{
-	Nodes:   []int{32, 25, 201, 9, 1612, 193, 240, 785, 69, 1393, 114, 1771, 1998, 693, 410, 524},
-	Steps:   []int{30, 58, 88, 58, 146, 160, 30, 88, 116, 58, 58, 174, 88, 58, 58, 116},
-	Queries: 1259, Back: 1253,
+	Nodes:   []int{117, 414, 107, 231, 154, 1436, 1791, 198, 608, 1854, 1235, 1000, 105, 841, 5, 1153},
+	Steps:   []int{58, 58, 88, 30, 88, 58, 118, 30, 58, 58, 116, 58, 58, 146, 58, 58},
+	Queries: 1179, Back: 980,
 }
 
 func TestGoldenSampleStreams(t *testing.T) {

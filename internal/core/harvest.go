@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
-	"repro/internal/fastrand"
 
+	"repro/internal/fastrand"
 	"repro/internal/osn"
 	"repro/internal/walk"
 )
@@ -128,6 +128,21 @@ func (s *HarvestSampler) estimate(v, tau int) (float64, error) {
 		sum += e
 	}
 	return sum / float64(reps), nil
+}
+
+// walkForward runs one forward walk of cfg.WalkLength steps into buf and,
+// when h is non-nil, records it, with the evidence rule of
+// Sampler.walkBatch.
+func walkForward(buf []int, c *osn.Client, cfg *Config, h *History, rng fastrand.RNG) []int {
+	failed := c.FailedFetches()
+	path := walk.PathInto(buf, c, cfg.Design, cfg.Start, cfg.WalkLength, rng)
+	if h != nil {
+		if !c.SymmetricView() || c.FailedFetches() != failed {
+			c = nil // no evidence rows
+		}
+		h.record(path, c)
+	}
+	return path
 }
 
 // SampleN harvests walks until n samples are collected, returning them with

@@ -130,7 +130,7 @@ func batchKernelFixture(tb testing.TB, t, width int) (*Estimator, []*BatchCand) 
 	e, v := kernelFixture(tb, t)
 	cands := make([]*BatchCand, width)
 	for i := range cands {
-		cands[i] = &BatchCand{V: v, RNG: fastrand.New(int64(100 + i))}
+		cands[i] = &BatchCand{V: v, Seed: int64(100 + i)}
 	}
 	for i := 0; i < 200; i++ {
 		EstimateAdaptiveBatch(e, cands, t, 3, 4)
@@ -153,8 +153,9 @@ func BenchmarkEstimateBatch(b *testing.B) {
 }
 
 // TestEstimateBatchWarmAllocs extends the zero-allocation contract to the
-// vectorized kernel: once scratch vectors and caches are warm, a whole
-// batched estimate must not allocate.
+// lockstep kernels: once scratch vectors and caches are warm, a whole
+// batched estimate — top-up waves included — and a lockstep forward batch
+// must not allocate.
 func TestEstimateBatchWarmAllocs(t *testing.T) {
 	const steps, width = 13, 16
 	e, cands := batchKernelFixture(t, steps, width)
@@ -167,6 +168,33 @@ func TestEstimateBatchWarmAllocs(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("warm EstimateAdaptiveBatch allocates %v/op, want 0", avg)
+	}
+	toppedUp := 0
+	for _, cd := range cands {
+		if cd.Steps > 3*steps {
+			toppedUp++
+		}
+	}
+	if toppedUp == 0 {
+		t.Error("no candidate ran its top-up wave")
+	}
+
+	// The forward kernel, without a history (recording grows its pages):
+	// the same eight walks each run, so the cache is warm after the first.
+	s, err := NewSampler(e.Client, Config{Design: walk.SRW{}, WalkLength: steps}, fastrand.New(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scalar := false
+	s.scalarKernel = &scalar
+	walks := make([]*pcand, 8)
+	for i := range walks {
+		walks[i] = &pcand{}
+		s.draw(walks[i])
+	}
+	s.walkBatch(walks, s.lockstep())
+	if avg := testing.AllocsPerRun(100, func() { s.walkBatch(walks, s.lockstep()) }); avg != 0 {
+		t.Errorf("warm lockstep forward batch allocates %v/op, want 0", avg)
 	}
 }
 

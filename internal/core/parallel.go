@@ -17,29 +17,27 @@ import (
 // Shared across workers: the osn.SharedCache (neighbor lists + unique-node
 // accounting), the immutable CrawlTable, and the frozen WS-BW history.
 // Per worker: an osn.Client (own cost meter, reading the shared cache), an
-// Estimator (own scratch buffer, own StepsTaken meter), and job-derived RNGs.
+// Estimator (own scratch buffer, own StepsTaken meter, own walk
+// substreams).
 
-// pcand is one speculative candidate flowing through the pipeline. The
-// producer fills the first group of fields; exactly one estimation worker
-// fills the second; the consumer reads both after the batch barrier, so no
-// field is ever written and read concurrently.
+// pcand is one candidate of a batch. The producer fills its draws and
+// forward-walk endpoint (V); exactly one estimator fills PHat, Steps, Err
+// and q; the consumer reads both after the batch barrier, so no field is
+// ever written and read concurrently.
 type pcand struct {
-	v       int     // forward-walk endpoint (the candidate)
-	estSeed int64   // seed of the candidate's private estimation RNG
-	acceptU float64 // pre-drawn uniform for the acceptance test
-
-	pHat      float64 // estimated sampling probability p̂_t(v)
+	BatchCand         // V, estimation Seed; PHat, Steps, Err
+	fwdSeed   int64   // seed of the forward walk's substream
+	acceptU   float64 // pre-drawn uniform for the acceptance test
 	q         float64 // target weight q(v)
-	backSteps int64   // backward steps spent on this estimate
-	err       error
 }
 
 // SampleNParallel draws n samples like SampleN but runs the backward
 // estimates — the dominant cost of WALK-ESTIMATE — on `workers` goroutines.
 //
 // Pipeline: the producer (the calling goroutine) generates forward-walk
-// candidates in batches, drawing each candidate's estimation seed and
-// acceptance uniform from the sampler's RNG at generation time; a worker
+// candidates in batches, drawing each candidate's forward-walk seed,
+// estimation seed and acceptance uniform from the sampler's RNG at
+// generation time (the same three draws SampleN takes); a worker
 // pool estimates a batch while the producer speculatively generates the
 // next; the consumer then applies bootstrap updates and acceptance tests in
 // candidate arrival order. Because every random decision is either made
@@ -87,8 +85,6 @@ func (s *Sampler) SampleNParallelCtx(ctx context.Context, n, workers int) (walk.
 	}
 
 	t := s.cfg.WalkLength
-	baseReps := s.cfg.backwardReps()
-	budget := s.cfg.VarianceBudget
 	maxAttempts := s.cfg.maxAttempts()
 
 	// Per-worker estimators over forked clients. Forking promotes s.c's
@@ -109,35 +105,23 @@ func (s *Sampler) SampleNParallelCtx(ctx context.Context, n, workers int) (walk.
 	}
 	ests := s.workerEsts
 
-	// Worker kernel selection: the vectorized batch kernel when the backend
-	// answers batch requests concurrently (Client.ConcurrentBatch — batching
-	// then turns one round trip per walker step into one per design step),
-	// the scalar EstimateAdaptive loop otherwise (on a local backend a batch
-	// is just a loop, and the vector bookkeeping is measured pure overhead).
-	// Either kernel produces bit-identical results.
-	useScalar := !s.c.ConcurrentBatch()
-	if s.scalarKernel != nil {
-		useScalar = *s.scalarKernel
-	}
+	// Kernel selection (lockstep): forward and backward walks run in
+	// lockstep when the backend answers batch requests concurrently, one
+	// after another otherwise. Either way every walk draws from its own
+	// substream, so results — and therefore the (seed, workers)
+	// determinism contract — do not depend on the kernel, nor on how a
+	// batch is chunked across workers.
+	lockstep := s.lockstep()
 
 	batch := 2 * workers
 	if batch < 8 {
 		batch = 8
 	}
-	// Workers receive contiguous chunks of a batch and estimate each chunk
-	// with the vectorized kernel: all of a chunk's walkers advance in
-	// lockstep design steps, so each step costs one batched frontier
-	// resolution instead of one lookup (or backend round trip) per walker.
-	// Every candidate still draws from its own estSeed-derived stream and
-	// the kernel consumes exactly the scalar draws per candidate, so
-	// results — and therefore the (seed, workers) determinism contract —
-	// are bit-identical to scalar per-candidate estimation, independent of
-	// how candidates are chunked.
 	jobs := make(chan []*pcand, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		go func(e *Estimator) {
-			var bcs []*BatchCand // reused lane headers, one per chunk slot
+			var bcs []*BatchCand // reused lane headers
 			for chunk := range jobs {
 				if err := ctx.Err(); err != nil {
 					// Abandon promptly: the batch still drains (the barrier
@@ -147,67 +131,29 @@ func (s *Sampler) SampleNParallelCtx(ctx context.Context, n, workers int) (walk.
 					// surface as itself, not as a bare context.Canceled.
 					cause := context.Cause(ctx)
 					for _, cd := range chunk {
-						cd.err = cause
+						cd.Err = cause
 					}
 					wg.Done()
 					continue
 				}
-				if useScalar {
-					for _, cd := range chunk {
-						pre := e.StepsTaken
-						rng := fastrand.New(cd.estSeed)
-						cd.pHat, cd.err = EstimateAdaptive(e, cd.v, t, baseReps, budget, rng)
-						if cd.err == nil {
-							cd.q = s.cfg.Design.TargetWeight(e.Client, cd.v)
-						}
-						cd.backSteps = e.StepsTaken - pre
-					}
-					wg.Done()
-					continue
-				}
-				for len(bcs) < len(chunk) {
-					bcs = append(bcs, &BatchCand{})
-				}
-				cands := bcs[:len(chunk)]
-				for k, cd := range chunk {
-					bc := cands[k]
-					bc.V = cd.v
-					// One cheaply-seeded xoshiro256++ stream per candidate;
-					// math/rand's default source walks a 607-word table on
-					// Seed, which would dominate short estimates.
-					bc.RNG = fastrand.New(cd.estSeed)
-				}
-				EstimateAdaptiveBatch(e, cands, t, baseReps, budget)
-				for k, cd := range chunk {
-					bc := cands[k]
-					cd.pHat, cd.err, cd.backSteps = bc.PHat, bc.Err, bc.Steps
-					if cd.err == nil {
-						cd.q = s.cfg.Design.TargetWeight(e.Client, cd.v)
-					}
-				}
+				s.estimate(e, chunk, lockstep, &bcs)
 				wg.Done()
 			}
 		}(ests[w])
 	}
 	defer close(jobs)
 
-	// generate runs the forward walks for one batch on the producer
-	// goroutine, recording WS-BW history and pre-drawing all per-candidate
-	// randomness, then decides whether the batch sees a refreshed frozen
+	// generate draws one batch's candidates from the sampler stream and
+	// runs their forward walks on the producer goroutine (recording WS-BW
+	// history), then decides whether the batch sees a refreshed frozen
 	// history.
 	generate := func(size int) []*pcand {
 		out := make([]*pcand, size)
-		s.frontier = s.frontier[:0]
 		for i := range out {
-			path := walkForward(s.pathBuf, s.c, &s.cfg, s.hist, s.rng)
-			s.pathBuf = path
-			s.forwardSteps += int64(t)
-			out[i] = &pcand{
-				v:       path[len(path)-1],
-				estSeed: s.rng.Int63(),
-				acceptU: s.rng.Float64(),
-			}
+			out[i] = &pcand{}
+			s.draw(out[i])
 		}
+		s.walkBatch(out, lockstep)
 		// Throttled refresh: only when the live history has grown ≥ 50%
 		// since the last one (copying it every batch would serialize the
 		// pipeline). Estimating against a slightly stale history is still
@@ -249,27 +195,27 @@ func (s *Sampler) SampleNParallelCtx(ctx context.Context, n, workers int) (walk.
 			return false, context.Cause(ctx)
 		}
 		for i, cd := range cands {
-			if cd.err != nil {
-				return false, cd.err
+			if cd.Err != nil {
+				return false, cd.Err
 			}
 			s.attempts++
 			attemptsSince++
-			s.est.StepsTaken += cd.backSteps
-			stepsSince += int64(t) + cd.backSteps
+			s.est.StepsTaken += cd.Steps
+			stepsSince += int64(t) + cd.Steps
 			if cd.q > 0 {
-				s.boot.Observe(cd.pHat / cd.q)
-				beta, err := s.boot.AcceptProb(cd.pHat, cd.q)
+				s.boot.Observe(cd.PHat / cd.q)
+				beta, err := s.boot.AcceptProb(cd.PHat, cd.q)
 				if err != nil {
 					return false, err
 				}
 				if cd.acceptU < beta {
 					s.accepted++
-					res.Nodes = append(res.Nodes, cd.v)
+					res.Nodes = append(res.Nodes, cd.V)
 					res.Steps = append(res.Steps, int(stepsSince))
 					res.CostAfter = append(res.CostAfter, s.c.TotalQueries())
 					if s.OnSample != nil {
 						k := len(res.Nodes) - 1
-						s.OnSample(SampleEvent{Index: k, Node: cd.v,
+						s.OnSample(SampleEvent{Index: k, Node: cd.V,
 							Steps: res.Steps[k], CostAfter: res.CostAfter[k]})
 					}
 					stepsSince = 0
@@ -278,8 +224,8 @@ func (s *Sampler) SampleNParallelCtx(ctx context.Context, n, workers int) (walk.
 						// Account the estimation work of the remaining
 						// already-estimated speculative candidates.
 						for _, rest := range cands[i+1:] {
-							if rest.err == nil {
-								s.est.StepsTaken += rest.backSteps
+							if rest.Err == nil {
+								s.est.StepsTaken += rest.Steps
 							}
 						}
 						return true, nil
@@ -334,7 +280,7 @@ func (s *Sampler) SampleNParallelCtx(ctx context.Context, n, workers int) (walk.
 		// determinism contract.
 		s.frontier = s.frontier[:0]
 		for _, cd := range cur {
-			s.frontier = append(s.frontier, int32(cd.v))
+			s.frontier = append(s.frontier, int32(cd.V))
 		}
 		s.c.Prefetch(s.frontier)
 		syncFrozen()

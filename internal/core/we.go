@@ -5,10 +5,20 @@ import (
 	"fmt"
 
 	"repro/internal/fastrand"
-	"repro/internal/mathx"
 	"repro/internal/osn"
 	"repro/internal/walk"
 )
+
+// DrawVersion names the sampler's draw protocol: the map from (seed,
+// config, workers) to samples. A change that alters the draws bumps it. A
+// service keys result digests and journaled streams by it, so a stream
+// drawn by other code is never spliced with, or served for, this one.
+//
+// Version 2 gives every walk its own substream (forward walks from
+// per-candidate seeds, backward walk r from repSeed) and tops up a noisy
+// estimate in one wave. Version 1, which journal records without a version
+// carry implicitly, drew every walk from the sampler's one stream.
+const DrawVersion = 2
 
 // Config parameterizes a WALK-ESTIMATE sampler. The zero value is not
 // usable: Design, Start and WalkLength must be set. Defaults follow the
@@ -42,11 +52,12 @@ type Config struct {
 	// BackwardReps is the base number of backward walks per candidate
 	// estimate; zero means 3.
 	BackwardReps int
-	// VarianceBudget caps the extra adaptive backward walks spent when an
-	// estimate is still noisy (relative standard error above 1); zero
-	// disables the top-up. This realizes Algorithm 3's variance-driven
-	// budget allocation in the per-candidate sampling loop (EstimateAdaptive
-	// and its vectorized form EstimateAdaptiveBatch).
+	// VarianceBudget is the size of the top-up wave: when a candidate's
+	// BackwardReps base walks leave its estimate noisy (relative standard
+	// error above 1, or a zero mean), it runs VarianceBudget more backward
+	// walks in one wave; zero disables the top-up. This realizes Algorithm
+	// 3's variance-driven budget allocation per candidate (EstimateAdaptive
+	// and its lockstep form EstimateAdaptiveBatch).
 	VarianceBudget int
 	// MaxAttempts bounds rejection rounds per sample; zero means 10000.
 	MaxAttempts int
@@ -106,25 +117,29 @@ type Sampler struct {
 	// running. The hook must not call back into the sampler.
 	OnSample func(SampleEvent)
 
-	// scalarKernel, when non-nil, overrides SampleNParallel's worker-kernel
-	// auto-selection: true pins the scalar loop, false the batch kernel.
-	// Both draw bit-identical results; only the kernel-equivalence tests
-	// set it, to run both kernels on every backend.
+	// scalarKernel, when non-nil, overrides the kernel choice of SampleN
+	// and SampleNParallel (see lockstep): true pins the scalar kernels,
+	// false the lockstep ones, forward and backward alike. Both draw
+	// bit-identical results; only the kernel-equivalence tests set it, to
+	// run both kernels on one backend.
 	scalarKernel *bool
 
 	forwardSteps int64
 	attempts     int64
 	accepted     int64
 
-	// pathBuf is the reusable forward-walk buffer: every walk of a run has
-	// the same length, so the sampler records paths through one buffer
-	// instead of allocating per walk (walk.PathInto).
-	pathBuf []int
+	// Forward-walk state (walkBatch): the batch's paths, back to back, and
+	// one substream per walk. seq is SampleN's one-candidate batch and bcs
+	// its lane headers (estimate).
+	paths []int
+	fwd   []fastrand.Rand
+	seq   [1]*pcand
+	bcs   []*BatchCand
 
 	// Parallel-engine state (see parallel.go): the persistent worker pool,
 	// the frozen WS-BW history the estimation workers read (nil without
 	// the heuristic), the live walk count its latest refresh was decided
-	// at, and the reusable candidate-frontier buffer for batched prefetch.
+	// at, and the reusable frontier buffer for batched prefetch.
 	workerEsts []*Estimator
 	snapHist   *History
 	snapWalks  int
@@ -138,7 +153,7 @@ func NewSampler(c *osn.Client, cfg Config, rng fastrand.RNG) (*Sampler, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	s := &Sampler{cfg: cfg, c: c, rng: rng}
+	s := &Sampler{cfg: cfg, c: c, rng: rng, seq: [1]*pcand{{}}}
 	crawl := cfg.Crawl
 	if crawl == nil && cfg.UseCrawl {
 		var err error
@@ -197,7 +212,9 @@ func (s *Sampler) Sample() (int, error) {
 // further query is charged. The check consumes no RNG, so runs that complete
 // are bit-identical with and without a context.
 func (s *Sampler) sample(ctx context.Context) (int, error) {
-	t := s.cfg.WalkLength
+	lockstep := s.lockstep()
+	cands := s.seq[:]
+	cd := cands[0]
 	for attempt := 0; attempt < s.cfg.maxAttempts(); attempt++ {
 		if err := ctx.Err(); err != nil {
 			// Cause, not Err: a typed backend failure that cancelled the
@@ -205,80 +222,143 @@ func (s *Sampler) sample(ctx context.Context) (int, error) {
 			return 0, context.Cause(ctx)
 		}
 		s.attempts++
-		path := walkForward(s.pathBuf, s.c, &s.cfg, s.hist, s.rng)
-		s.pathBuf = path
-		s.forwardSteps += int64(t)
-		v := path[len(path)-1]
-
-		pHat, err := s.estimateCandidate(v, t)
-		if err != nil {
-			return 0, err
+		s.draw(cd)
+		// One walk has no lockstep partner: the scalar forward kernel.
+		s.walkBatch(cands, false)
+		s.estimate(s.est, cands, lockstep, &s.bcs)
+		if cd.Err != nil {
+			return 0, cd.Err
 		}
-		q := s.cfg.Design.TargetWeight(s.c, v)
-		if q <= 0 {
+		if cd.q <= 0 {
 			continue // invisible-degree node; cannot weigh it, skip
 		}
-		s.boot.Observe(pHat / q)
-		beta, err := s.boot.AcceptProb(pHat, q)
+		s.boot.Observe(cd.PHat / cd.q)
+		beta, err := s.boot.AcceptProb(cd.PHat, cd.q)
 		if err != nil {
 			return 0, err
 		}
-		if s.rng.Float64() < beta {
+		if cd.acceptU < beta {
 			s.accepted++
-			return v, nil
+			return cd.V, nil
 		}
 	}
-	return 0, fmt.Errorf("core: no candidate accepted after %d attempts (walk length %d likely far too short for this graph)", s.cfg.maxAttempts(), t)
+	return 0, fmt.Errorf("core: no candidate accepted after %d attempts (walk length %d likely far too short for this graph)", s.cfg.maxAttempts(), s.cfg.WalkLength)
 }
 
-// walkForward runs one forward walk of cfg.WalkLength steps into buf and,
-// when h is non-nil, records it. The walk's evidence rows are recorded only
-// on a symmetric view and only when every list the walk stepped from was
-// fetched: a failed fetch is not cached, and re-reading its list would go
-// back to the backend.
-func walkForward(buf []int, c *osn.Client, cfg *Config, h *History, rng fastrand.RNG) []int {
-	failed := c.FailedFetches()
-	path := walk.PathInto(buf, c, cfg.Design, cfg.Start, cfg.WalkLength, rng)
-	if h != nil {
-		if !c.SymmetricView() || c.FailedFetches() != failed {
-			c = nil // no evidence rows
-		}
-		h.record(path, c)
+// lockstep reports whether the sampler runs its lockstep kernels: when the
+// backend answers batch requests concurrently, batching turns a round trip
+// per walker step into one per design step; on a local backend a batch is
+// just a loop and the lane bookkeeping is measured pure overhead. The
+// scalar and lockstep kernels draw bit-identical results.
+func (s *Sampler) lockstep() bool {
+	if s.scalarKernel != nil {
+		return !*s.scalarKernel
 	}
-	return path
+	return s.c.ConcurrentBatch()
 }
 
-// estimateCandidate runs the base backward repetitions plus the adaptive
-// variance top-up for a single candidate.
-func (s *Sampler) estimateCandidate(v, t int) (float64, error) {
-	return EstimateAdaptive(s.est, v, t, s.cfg.backwardReps(), s.cfg.VarianceBudget, s.rng)
+// draw takes a candidate's three draws from the sampler stream: the seed of
+// its forward walk, the seed of its backward walks and the uniform of its
+// acceptance test. Everything else the candidate draws comes from
+// substreams of these seeds.
+func (s *Sampler) draw(cd *pcand) {
+	cd.fwdSeed = s.rng.Int63()
+	cd.Seed = s.rng.Int63()
+	cd.acceptU = s.rng.Float64()
 }
 
-// EstimateAdaptive estimates p_t(v) with baseReps backward walks plus up to
-// varianceBudget adaptive top-up walks, stopping early once the relative
-// standard error drops to 1 (the per-candidate form of Algorithm 3's
-// variance-driven budget allocation).
-func EstimateAdaptive(e *Estimator, v, t, baseReps, varianceBudget int, rng fastrand.RNG) (float64, error) {
-	var m mathx.Moments
-	for i := 0; i < baseReps; i++ {
-		est, err := e.EstimateOnce(v, t, rng)
-		if err != nil {
-			return 0, err
-		}
-		m.Add(est)
+// walkBatch runs the forward walks of cands, walk i drawing from the
+// substream fastrand.New(cands[i].fwdSeed), sets each candidate to its
+// walk's endpoint and records the walks into the WS-BW history in
+// candidate order, so the history is a function of the walks, not of how
+// they ran. The walks advance together, step by step; in lockstep one
+// Prefetch resolves each step's frontier first (and one more MHRW's
+// proposals), otherwise each walk fetches its own lists. Both draw the
+// same paths.
+//
+// A walk's evidence rows are recorded only on a symmetric view and only
+// when every list the batch stepped from was fetched: a failed fetch is not
+// cached, and re-reading its list would go back to the backend.
+func (s *Sampler) walkBatch(cands []*pcand, lockstep bool) {
+	t := s.cfg.WalkLength
+	n := t + 1
+	if cap(s.paths) < len(cands)*n {
+		s.paths = make([]int, len(cands)*n)
 	}
-	for extra := 0; extra < varianceBudget; extra++ {
-		mean := m.Mean()
-		if mean > 0 && m.StdDev()/mean <= 1 {
-			break
-		}
-		est, err := e.EstimateOnce(v, t, rng)
-		if err != nil {
-			return 0, err
-		}
-		m.Add(est)
+	paths := s.paths[:len(cands)*n]
+	for len(s.fwd) < len(cands) {
+		s.fwd = append(s.fwd, fastrand.Rand{})
 	}
-	return m.Mean(), nil
+	failed := s.c.FailedFetches()
+	for i, cd := range cands {
+		s.fwd[i].Seed(cd.fwdSeed)
+		paths[i*n] = s.cfg.Start
+	}
+	mhrw, isMHRW := s.cfg.Design.(walk.MHRW)
+	for step := 0; step < t; step++ {
+		if lockstep {
+			s.frontier = s.frontier[:0]
+			for i := range cands {
+				s.frontier = append(s.frontier, int32(paths[i*n+step]))
+			}
+			s.c.Prefetch(s.frontier)
+			if isMHRW {
+				// MHRW's step then reads its proposal's degree: learn each
+				// proposal on a copy of the walk's substream and fetch
+				// them together too.
+				s.frontier = s.frontier[:0]
+				for i := range cands {
+					if nbr := s.c.Neighbors(paths[i*n+step]); len(nbr) > 0 {
+						peek := s.fwd[i]
+						s.frontier = append(s.frontier, int32(mhrw.Propose(nbr, &peek)))
+					}
+				}
+				s.c.Prefetch(s.frontier)
+			}
+		}
+		for i := range cands {
+			paths[i*n+step+1] = s.cfg.Design.Step(s.c, paths[i*n+step], &s.fwd[i])
+		}
+	}
+	s.forwardSteps += int64(len(cands) * t)
+	ev := s.c
+	if !s.c.SymmetricView() || s.c.FailedFetches() != failed {
+		ev = nil // no evidence rows
+	}
+	for i, cd := range cands {
+		path := paths[i*n : (i+1)*n]
+		cd.V = path[t]
+		if s.hist != nil {
+			s.hist.record(path, ev)
+		}
+	}
+}
+
+// estimate runs the backward estimates of cands on e — the lockstep kernel
+// or the scalar oracle, which draw identically — and weighs every
+// candidate that did not fail with its target weight q(v). bcs is the
+// caller's reusable buffer of lane headers.
+func (s *Sampler) estimate(e *Estimator, cands []*pcand, lockstep bool, bcs *[]*BatchCand) {
+	t, baseReps, budget := s.cfg.WalkLength, s.cfg.backwardReps(), s.cfg.VarianceBudget
+	if lockstep {
+		b := (*bcs)[:0]
+		for _, cd := range cands {
+			b = append(b, &cd.BatchCand)
+		}
+		*bcs = b
+		EstimateAdaptiveBatch(e, b, t, baseReps, budget)
+	} else {
+		for _, cd := range cands {
+			pre := e.StepsTaken
+			cd.PHat, cd.Err = EstimateAdaptive(e, cd.V, t, baseReps, budget, cd.Seed)
+			cd.Steps = e.StepsTaken - pre
+		}
+	}
+	for _, cd := range cands {
+		if cd.Err == nil {
+			cd.q = s.cfg.Design.TargetWeight(e.Client, cd.V)
+		}
+	}
 }
 
 // SampleN draws n samples, recording the cumulative query cost and total

@@ -149,11 +149,11 @@ func TestEstimateAdaptiveTopUpMatchesExact(t *testing.T) {
 	exact := linalg.NewSRW(g).DistFrom(start, steps)
 	for _, u := range []int{1, 5, 9, 13} {
 		base := &Estimator{Client: newClient(g, 41), Design: walk.SRW{}, Start: start}
-		if _, err := EstimateAdaptive(base, u, steps, baseReps, 0, rand.New(rand.NewSource(int64(u)))); err != nil {
+		if _, err := EstimateAdaptive(base, u, steps, baseReps, 0, int64(u)); err != nil {
 			t.Fatal(err)
 		}
 		e := &Estimator{Client: newClient(g, 41), Design: walk.SRW{}, Start: start}
-		got, err := EstimateAdaptive(e, u, steps, baseReps, budget, rand.New(rand.NewSource(int64(u))))
+		got, err := EstimateAdaptive(e, u, steps, baseReps, budget, int64(u))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -106,12 +106,12 @@ type MHRW struct{}
 func (MHRW) Name() string { return "MHRW" }
 
 // Step implements Design.
-func (MHRW) Step(c View, u int, rng fastrand.RNG) int {
+func (d MHRW) Step(c View, u int, rng fastrand.RNG) int {
 	nbr := c.Neighbors(u)
 	if len(nbr) == 0 {
 		return u
 	}
-	v := int(nbr[rng.Intn(len(nbr))])
+	v := d.Propose(nbr, rng)
 	du, dv := len(nbr), c.Degree(v)
 	if dv == 0 {
 		return u
@@ -120,6 +120,14 @@ func (MHRW) Step(c View, u int, rng fastrand.RNG) int {
 		return v
 	}
 	return u
+}
+
+// Propose is Step's first draw: the neighbor it proposes from u's
+// non-empty list nbr, whose degree Step then reads. A caller that runs a
+// copy of Step's RNG through Propose learns that neighbor in advance, so a
+// batch of walks can fetch their proposals together.
+func (MHRW) Propose(nbr []int32, rng fastrand.RNG) int {
+	return int(nbr[rng.Intn(len(nbr))])
 }
 
 // Prob implements Design. The self-loop probability p(u→u) requires the
