@@ -236,9 +236,9 @@ func run(in, backendName string, latency, jitter time.Duration, fanout int,
 		Logf:             log.Printf,
 	})
 	if jl != nil {
-		resumed, rehydrated := mgr.RecoveredCounts()
-		if resumed+rehydrated > 0 {
-			log.Printf("weserve: journal recovery: %d resumed, %d rehydrated", resumed, rehydrated)
+		resumed, restarted, rehydrated := mgr.RecoveredCounts()
+		if resumed+restarted+rehydrated > 0 {
+			log.Printf("weserve: journal recovery: %d resumed, %d restarted, %d rehydrated", resumed, restarted, rehydrated)
 		}
 	}
 	cfg := mgr.Config()

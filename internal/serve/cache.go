@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/walk"
 )
 
@@ -113,8 +114,10 @@ func NormalizeSpec(spec JobSpec, env NormEnv) (JobSpec, error) {
 // serialization of every result-determining field (fixed order, explicit
 // values) hashed with SHA-256, truncated to 128 bits. Specs that normalize
 // equal share a digest; specs differing in any result-determining field do
-// not. Call it on NormalizeSpec output — digesting a raw spec would keep
-// elided defaults and explicit ones apart.
+// not. The sampler's draw version is part of the address: a result drawn
+// by other sampling code is another result. Call it on NormalizeSpec
+// output — digesting a raw spec would keep elided defaults and explicit
+// ones apart.
 func SpecDigest(env NormEnv, spec JobSpec) string {
 	start := -1
 	if spec.Start != nil {
@@ -122,8 +125,8 @@ func SpecDigest(env NormEnv, spec JobSpec) string {
 	}
 	h := sha256.New()
 	fmt.Fprintf(h,
-		"g=%s|type=%s|design=%s|count=%d|seed=%d|workers=%d|start=%d|walklen=%d|hops=%d|nocrawl=%t|noweighted=%t|breps=%d|vbudget=%d|attr=%s",
-		env.GraphID, spec.Type, strings.ToLower(spec.Design), spec.Count,
+		"draws=%d|g=%s|type=%s|design=%s|count=%d|seed=%d|workers=%d|start=%d|walklen=%d|hops=%d|nocrawl=%t|noweighted=%t|breps=%d|vbudget=%d|attr=%s",
+		core.DrawVersion, env.GraphID, spec.Type, strings.ToLower(spec.Design), spec.Count,
 		spec.Seed, spec.Workers, start, spec.WalkLength, spec.CrawlHops,
 		spec.NoCrawl, spec.NoWeighted, spec.BackwardReps, spec.VarianceBudget,
 		spec.Attr)

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/core"
 )
 
 // Job types accepted by the service.
@@ -47,8 +49,10 @@ type JobSpec struct {
 	// heuristics, which the service enables by default.
 	NoCrawl    bool `json:"no_crawl,omitempty"`
 	NoWeighted bool `json:"no_weighted,omitempty"`
-	// BackwardReps and VarianceBudget parameterize the backward estimator
-	// (0 = core defaults).
+	// BackwardReps is the number of base backward walks per candidate and
+	// VarianceBudget the size of the one top-up wave a candidate runs when
+	// its base estimate stays noisy (core.Config; 0 = core defaults: 3
+	// base walks, no top-up).
 	BackwardReps   int `json:"backward_reps,omitempty"`
 	VarianceBudget int `json:"variance_budget,omitempty"`
 	// Attr is the attribute estimate-mean aggregates; default "degree".
@@ -155,6 +159,7 @@ type Job struct {
 	id     string
 	seq    int64  // numeric id suffix, persisted for id continuity across restarts
 	digest string // canonical content address (SpecDigest of the normalized spec)
+	draws  int    // draw version of the job's stream (see JobRecord.Draws)
 	spec   JobSpec
 	ctx    context.Context
 	cancel context.CancelCauseFunc
@@ -185,8 +190,8 @@ type Job struct {
 
 func (m *Manager) newJob(spec JobSpec, digest string, submitted time.Time) *Job {
 	ctx, cancel := context.WithCancelCause(context.Background())
-	j := &Job{m: m, spec: spec, digest: digest, ctx: ctx, cancel: cancel,
-		state: JobQueued, submitted: submitted}
+	j := &Job{m: m, spec: spec, digest: digest, draws: core.DrawVersion,
+		ctx: ctx, cancel: cancel, state: JobQueued, submitted: submitted}
 	j.cond.L = &j.mu
 	return j
 }

@@ -109,6 +109,12 @@ type JobRecord struct {
 	// re-deriving the normalization environment.
 	Digest string  `json:"digest,omitempty"`
 	Spec   JobSpec `json:"spec"`
+	// Draws is the sampler draw version (core.DrawVersion) the job's
+	// stream was drawn under; records written before versioning read 0.
+	// Recovery resumes an incomplete job only under its own version, and
+	// only a terminal record of the running version re-seeds the result
+	// cache.
+	Draws int `json:"draws,omitempty"`
 	// State is a terminal state for finished jobs; anything else marks the
 	// job incomplete (replay resumes it regardless of whether it was queued
 	// or mid-run at the crash — the deterministic re-run covers both).
@@ -544,6 +550,9 @@ func (st *replayState) apply(rec journalRecord) {
 			r := *rec.Job
 			st.jobs[r.ID] = &r
 			st.order = append(st.order, r.ID)
+			if r.Seq > st.seq {
+				st.seq = r.Seq // or a new job would reuse its id
+			}
 			return
 		}
 		*j = *rec.Job

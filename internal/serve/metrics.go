@@ -85,6 +85,7 @@ type Metrics struct {
 	jobsEvicted    atomic.Int64
 	jobsInFlight   atomic.Int64
 	jobsResumed    atomic.Int64 // incomplete journal records re-run at boot
+	jobsRestarted  atomic.Int64 // incomplete records re-run as new streams
 	jobsRehydrated atomic.Int64 // terminal journal records restored at boot
 	samples        atomic.Int64
 
@@ -214,6 +215,7 @@ func (m *Manager) WriteProm(w io.Writer) {
 	fmt.Fprintf(w, "# HELP walknotwait_jobs_recovered_total Jobs recovered from the journal at boot, by mode.\n")
 	fmt.Fprintf(w, "# TYPE walknotwait_jobs_recovered_total counter\n")
 	fmt.Fprintf(w, "walknotwait_jobs_recovered_total{mode=\"resumed\"} %d\n", m.met.jobsResumed.Load())
+	fmt.Fprintf(w, "walknotwait_jobs_recovered_total{mode=\"restarted\"} %d\n", m.met.jobsRestarted.Load())
 	fmt.Fprintf(w, "walknotwait_jobs_recovered_total{mode=\"rehydrated\"} %d\n", m.met.jobsRehydrated.Load())
 	recovering := 0.0
 	if m.Recovering() {

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"time"
+
+	"repro/internal/core"
 )
 
 // Manager-side durability: journaling job lifecycle events and recovering
@@ -17,7 +19,11 @@ import (
 // sample sequence, so the client-visible stream of a crashed-and-restarted
 // job is bit-identical to an uninterrupted run. The first k samples are
 // re-published to the in-memory stream (clients replay from index 0) but
-// suppressed from the journal: they are already durable.
+// suppressed from the journal: they are already durable. That guarantee
+// holds only for the spec and draw version the k samples were drawn under:
+// an incomplete record of another draw version, or one whose worker count
+// must be clamped, is *restarted* instead — re-run as a new stream with
+// nothing durable, so no journal splices two streams.
 //
 // Lock discipline: every journal append happens OUTSIDE m.mu and job.mu.
 // Rotation (inside the journal lock) calls back into snapshotRecords, which
@@ -44,10 +50,11 @@ func (m *Manager) RecoveryDuration() time.Duration {
 }
 
 // RecoveredCounts reports how many jobs boot recovery restored, split by
-// mode: resumed (incomplete records re-running deterministically) and
-// rehydrated (terminal records servable with zero new work).
-func (m *Manager) RecoveredCounts() (resumed, rehydrated int64) {
-	return m.met.jobsResumed.Load(), m.met.jobsRehydrated.Load()
+// mode: resumed (incomplete records re-running deterministically),
+// restarted (incomplete records re-running as new streams) and rehydrated
+// (terminal records servable with zero new work).
+func (m *Manager) RecoveredCounts() (resumed, restarted, rehydrated int64) {
+	return m.met.jobsResumed.Load(), m.met.jobsRestarted.Load(), m.met.jobsRehydrated.Load()
 }
 
 // recoverFromJournal registers the journal's replayed jobs: terminal records
@@ -65,18 +72,23 @@ func (m *Manager) recoverFromJournal(jl *Journal) {
 		if _, ok := m.jobs[rec.ID]; ok {
 			continue
 		}
-		job := m.jobFromRecord(rec)
+		job, restart := m.jobFromRecord(rec)
 		m.jobs[rec.ID] = job
 		m.order = append(m.order, rec.ID)
-		if rec.State.Terminal() {
+		switch {
+		case rec.State.Terminal():
 			m.met.jobsRehydrated.Add(1)
-			// Re-seed the result cache: a rehydrated clean completion is as
-			// good an answer as a freshly computed one, so repeats keep
-			// hitting across restarts. (Put itself drops partial results.)
-			if m.results != nil && job.digest != "" && rec.State == JobDone {
+			// Re-seed the result cache: a rehydrated clean completion of
+			// this draw version is as good an answer as a freshly computed
+			// one, so repeats keep hitting across restarts. (Put itself
+			// drops partial results.)
+			if m.results != nil && job.digest != "" && rec.State == JobDone && job.draws == core.DrawVersion {
 				m.results.Put(job.digest, rec.Rows, rec.Result)
 			}
-		} else {
+		case restart:
+			m.met.jobsRestarted.Add(1)
+			resume = append(resume, job)
+		default:
 			m.met.jobsResumed.Add(1)
 			resume = append(resume, job)
 		}
@@ -91,31 +103,40 @@ func (m *Manager) recoverFromJournal(jl *Journal) {
 	m.runner.Resume(resume)
 }
 
-// jobFromRecord rebuilds a Job from its durable record.
-func (m *Manager) jobFromRecord(rec JobRecord) *Job {
+// jobFromRecord rebuilds a Job from its durable record. For an incomplete
+// record it reports whether the job restarts as a new stream rather than
+// resuming its durable prefix.
+func (m *Manager) jobFromRecord(rec JobRecord) (j *Job, restart bool) {
 	spec := rec.Spec
 	env, haveEnv := m.runner.Env()
 	if haveEnv && spec.Workers > env.MaxWorkersPerJob {
 		// A shrunken worker budget cannot honor the recorded parallelism;
-		// clamp rather than deadlock on acquisition. The resumed stream is
-		// then the deterministic stream of the clamped spec — keep the
-		// budget stable across restarts when bit-identity matters.
+		// clamp rather than deadlock on acquisition. The clamped spec draws
+		// another stream, so an incomplete job restarts — keep the budget
+		// stable across restarts when bit-identity matters.
 		spec.Workers = env.MaxWorkersPerJob
 	}
-	j := m.newJob(spec, rec.Digest, msToTime(rec.SubmittedMS))
+	terminal := rec.State.Terminal()
+	restart = !terminal && (rec.Draws != core.DrawVersion || spec.Workers != rec.Spec.Workers)
+	j = m.newJob(spec, rec.Digest, msToTime(rec.SubmittedMS))
 	j.id = rec.ID
 	j.seq = rec.Seq
-	if haveEnv && (j.digest == "" || spec.Workers != rec.Spec.Workers) {
-		// Pre-digest journals, or a clamp that changed the spec the job will
-		// actually run under: the recorded spec is already normalized, so
-		// the digest is recomputable against the current environment.
+	if haveEnv && (restart || (j.digest == "" && rec.Draws == core.DrawVersion)) {
+		// A job that re-runs under another spec or draw version than its
+		// record's, or a pre-digest record of this version: the recorded
+		// spec is already normalized, so the digest is recomputable
+		// against the current environment. A terminal record of another
+		// version keeps the digest it was drawn under.
 		j.digest = SpecDigest(env, spec)
 	}
-	if !rec.State.Terminal() {
+	if !terminal {
 		j.recovered = true
-		j.durable.Store(int64(rec.Durable))
-		return j
+		if !restart {
+			j.durable.Store(int64(rec.Durable))
+		}
+		return j, restart
 	}
+	j.draws = rec.Draws
 	j.state = rec.State
 	j.errMsg = rec.Error
 	j.reason = rec.Reason
@@ -128,7 +149,7 @@ func (m *Manager) jobFromRecord(rec JobRecord) *Job {
 		// retention sweeper's terminal test never sees a zero time.
 		j.finished = time.Now()
 	}
-	return j
+	return j, false
 }
 
 // retireRecovery runs once per terminal transition of a resumed job, before
@@ -225,6 +246,7 @@ func (j *Job) record() JobRecord {
 		Seq:         j.seq,
 		Digest:      j.digest,
 		Spec:        j.spec,
+		Draws:       j.draws,
 		State:       j.state,
 		SubmittedMS: timeToMS(j.submitted),
 	}

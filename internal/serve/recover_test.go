@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/osn"
 )
@@ -83,9 +84,9 @@ func TestRecoverRehydratesTerminalJobs(t *testing.T) {
 	re := NewManager(eng, Config{Runners: 1, WorkerBudget: 4,
 		Journal: openTestJournal(t, JournalConfig{Dir: dir, Fsync: FsyncOff})})
 	defer re.Close()
-	resumed, rehydrated := re.RecoveredCounts()
-	if resumed != 0 || rehydrated != 2 {
-		t.Fatalf("recovered (resumed=%d, rehydrated=%d), want (0, 2)", resumed, rehydrated)
+	resumed, restarted, rehydrated := re.RecoveredCounts()
+	if resumed != 0 || restarted != 0 || rehydrated != 2 {
+		t.Fatalf("recovered (resumed=%d, restarted=%d, rehydrated=%d), want (0, 0, 2)", resumed, restarted, rehydrated)
 	}
 	if re.Recovering() {
 		t.Fatal("rehydration-only boot reports recovering")
@@ -167,9 +168,9 @@ func TestResumeStreamBitIdentical(t *testing.T) {
 	re := NewManager(NewEngine(testNetwork(t)), Config{Runners: 1, WorkerBudget: 4,
 		Journal: openTestJournal(t, JournalConfig{Dir: dir, Fsync: FsyncOff})})
 	defer re.Close()
-	resumed, rehydrated := re.RecoveredCounts()
-	if resumed != 1 || rehydrated != 0 {
-		t.Fatalf("recovered (resumed=%d, rehydrated=%d), want (1, 0)", resumed, rehydrated)
+	resumed, restarted, rehydrated := re.RecoveredCounts()
+	if resumed != 1 || restarted != 0 || rehydrated != 0 {
+		t.Fatalf("recovered (resumed=%d, restarted=%d, rehydrated=%d), want (1, 0, 0)", resumed, restarted, rehydrated)
 	}
 	jr, ok := re.Get(j.ID())
 	if !ok {
@@ -244,9 +245,9 @@ func TestGracefulDrainRecoversExactly(t *testing.T) {
 	re := NewManager(NewEngine(testNetwork(t)), Config{Runners: 1, WorkerBudget: 4,
 		Journal: openTestJournal(t, JournalConfig{Dir: dir, Fsync: FsyncOff})})
 	defer re.Close()
-	resumed, rehydrated := re.RecoveredCounts()
-	if resumed != 0 {
-		t.Fatalf("graceful drain left %d jobs to resume, want 0", resumed)
+	resumed, restarted, rehydrated := re.RecoveredCounts()
+	if resumed+restarted != 0 {
+		t.Fatalf("graceful drain left %d jobs to resume and %d to restart, want 0", resumed, restarted)
 	}
 	if rehydrated != int64(len(ids)) {
 		t.Fatalf("rehydrated %d jobs, want %d", rehydrated, len(ids))
@@ -325,4 +326,130 @@ func TestRecoveringReadiness(t *testing.T) {
 	if !body.Ready || body.Recovering {
 		t.Fatalf("/readyz body after recovery: %+v", body)
 	}
+}
+
+// A journal written by an older sampler carries records without a draw
+// version. Its incomplete job, and a current-version one whose worker
+// count must be clamped, restart as new streams — nothing durable, counted
+// as restarted, not resumed — instead of splicing a durable prefix drawn
+// by other code. Its terminal rows are rehydrated under their own ids but
+// never returned for a new submission, whether the record carries the
+// spec's current digest or none.
+func TestOldDrawVersionRecordsRestart(t *testing.T) {
+	cfg := Config{Runners: 1, WorkerBudget: 2}
+	ref := NewManager(NewEngine(testNetwork(t)), cfg)
+	run := func(seed int64) (*Job, JobStatus) {
+		t.Helper()
+		j, err := ref.Submit(JobSpec{Count: 12, Seed: seed, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := waitJob(t, j)
+		if st.State != JobDone {
+			t.Fatalf("reference: %+v", st)
+		}
+		return j, st
+	}
+	// Terminal records hold spec a, incomplete ones spec b, so no restarted
+	// job's completion can seed the result cache for a.
+	ja, st := run(21)
+	jb, _ := run(22)
+	want, wantB := allRows(t, ja), allRows(t, jb)
+	spec, specB, digest := ja.Spec(), jb.Spec(), ja.Digest()
+	ref.Close()
+
+	// Old-version terminal rows that differ from what this binary draws.
+	fake := append([]Sample(nil), want...)
+	for i := range fake {
+		fake[i].Node = (fake[i].Node + 1) % 300
+	}
+	res := *st.Result
+	wide := specB
+	wide.Workers = 4
+	recs := []JobRecord{
+		{ID: "job-000001", Seq: 1, Spec: specB, State: JobRunning, Durable: 5},
+		{ID: "job-000002", Seq: 2, Spec: wide, State: JobQueued, Durable: 5, Draws: core.DrawVersion},
+		{ID: "job-000003", Seq: 3, Digest: digest, Spec: spec, State: JobDone, Rows: fake, Result: &res},
+		{ID: "job-000004", Seq: 4, Spec: spec, State: JobDone, Rows: fake, Result: &res},
+	}
+
+	m := NewManager(NewEngine(testNetwork(t)), cfg)
+	for i, rec := range recs[:2] {
+		j, restart := m.jobFromRecord(rec)
+		if !restart || j.durable.Load() != 0 || j.Spec().Workers != 2 {
+			t.Errorf("record %d: restart %v, durable %d, workers %d; want a restart with nothing durable on 2 workers",
+				i, restart, j.durable.Load(), j.Spec().Workers)
+		}
+	}
+	cur := recs[0]
+	cur.Draws = core.DrawVersion
+	if j, restart := m.jobFromRecord(cur); restart || j.durable.Load() != 5 {
+		t.Errorf("current-version record: restart %v, durable %d; want a resume of 5", restart, j.durable.Load())
+	}
+	m.Close()
+
+	dir := t.TempDir()
+	jl := openTestJournal(t, JournalConfig{Dir: dir, Fsync: FsyncOff})
+	for i := range recs {
+		typ := recAccepted
+		if recs[i].State.Terminal() {
+			typ = recTerminal
+		}
+		if err := jl.append(journalRecord{T: typ, Job: &recs[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jl.Close()
+
+	cfg.Journal = openTestJournal(t, JournalConfig{Dir: dir, Fsync: FsyncOff})
+	re := NewManager(NewEngine(testNetwork(t)), cfg)
+	defer re.Close()
+	if resumed, restarted, rehydrated := re.RecoveredCounts(); resumed != 0 || restarted != 2 || rehydrated != 2 {
+		t.Fatalf("recovered (resumed=%d, restarted=%d, rehydrated=%d), want (0, 2, 2)", resumed, restarted, rehydrated)
+	}
+	sameDraws := func(what string, got, want []Sample) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Index != want[i].Index || got[i].Node != want[i].Node || got[i].Steps != want[i].Steps {
+				t.Fatalf("%s: row %d is %+v, want %+v", what, i, got[i], want[i])
+			}
+		}
+	}
+	for _, id := range []string{"job-000001", "job-000002"} {
+		j, ok := re.Get(id)
+		if !ok {
+			t.Fatalf("restarted job %s not registered", id)
+		}
+		if st := waitJob(t, j); st.State != JobDone {
+			t.Fatalf("restarted job %s: %+v", id, st)
+		}
+		sameDraws("restarted "+id, allRows(t, j), wantB)
+	}
+	for _, id := range []string{"job-000003", "job-000004"} {
+		j, ok := re.Get(id)
+		if !ok {
+			t.Fatalf("rehydrated job %s not registered", id)
+		}
+		sameRows(t, allRows(t, j), fake, "rehydrated "+id)
+	}
+	if j, _ := re.Get("job-000004"); j.Digest() != "" {
+		t.Errorf("old-version record without a digest got digest %q", j.Digest())
+	}
+
+	nj, err := re.Submit(JobSpec{Count: 12, Seed: 21, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if nj.ID() == rec.ID {
+			t.Fatalf("new submission reused recovered id %s", rec.ID)
+		}
+	}
+	if st := waitJob(t, nj); st.State != JobDone || st.Result.Cached {
+		t.Fatalf("new submission: %+v, want a fresh run", st)
+	}
+	sameDraws("new submission", allRows(t, nj), want)
 }
