@@ -21,25 +21,40 @@ import (
 //     draws only from fastrand.New(repSeed(s, r)), so the order in which a
 //     kernel runs the walks cannot change any draw, and each walk fetches
 //     the same node multiset under either kernel (same unique-node charge).
-//   - Two stages. A candidate runs baseReps walks; if their relative
-//     standard error is above 1 (or their mean is 0) it runs one more wave
-//     of varianceBudget walks at once. The estimate folds the walks' values
-//     in rep order, whichever walk finished first, and stops folding the
-//     wave at the first walk after which the relative standard error is at
-//     most 1: the estimate of the one-walk-at-a-time rule, bit for bit.
-//     Wave walks past that point are paid but unused, like a speculative
-//     candidate. (The mean over the whole wave measured a systematic rise
-//     of TV to π on Barbell(21); see EXPERIMENTS.md.)
+//   - Waves. A candidate runs baseReps walks; if their relative standard
+//     error is above 1 (or their mean is 0) it tops up in waves of walks
+//     (waveSize) until the estimate settles or varianceBudget walks ran.
+//     The estimate folds the walks' values in rep order, whichever walk
+//     finished first, and stops folding at the first top-up walk after
+//     which the relative standard error is at most 1: the estimate of the
+//     one-walk-at-a-time rule, bit for bit, whatever the wave sizes. The
+//     walks of a wave past that point are paid but unused, like a
+//     speculative candidate; both kernels pay them, so they also agree on
+//     steps and charges. (The mean over the whole wave measured a
+//     systematic rise of TV to π on Barbell(21); see EXPERIMENTS.md.)
 //
 // The lockstep kernel's lanes are (candidate, rep): all base walks start
-// together, and a candidate starts its top-up wave as soon as its own base
-// walks are done.
+// together, and a candidate starts each top-up wave as soon as its own
+// previous wave is done.
 
 // repSeed is the seed of backward walk r of a candidate whose estimation
 // seed is seed.
 func repSeed(seed int64, r int) int64 { return fastrand.Mix(seed, int64(r), 0) }
 
-// needTopUp is the two-stage rule: the base walks' moments call for the
+// firstWave is the size of a candidate's first top-up wave (capped by the
+// budget). On the benchmark fixture, BA(50k, 5) at t = 13 with 4 base
+// walks and a budget of 8, 98.6% of the candidates use all 12 walks, so a
+// smaller first wave would add one round-trip chain to nearly every one.
+const firstWave = 8
+
+// waveSize is the size of the top-up wave that follows done top-up walks
+// of a budget: firstWave, then as many walks as all top-up waves so far.
+// A candidate whose estimate settles after u top-up walks thus pays at most
+// max(firstWave, 2u) of them, and one that never settles runs a budget B
+// in ⌈log2(B/firstWave)⌉+1 waves, each one round-trip chain.
+func waveSize(done, budget int) int { return min(budget-done, max(done, firstWave)) }
+
+// needTopUp is the top-up rule: the base walks' moments call for the
 // top-up wave unless their mean is positive with a relative standard error
 // of at most 1.
 func needTopUp(m *mathx.Moments) bool {
@@ -47,30 +62,31 @@ func needTopUp(m *mathx.Moments) bool {
 	return !(mean > 0 && m.StdDev()/mean <= 1)
 }
 
-// EstimateAdaptive estimates p_t(v) with baseReps backward walks plus, when
-// needTopUp holds for them, one wave of varianceBudget more (the
+// EstimateAdaptive estimates p_t(v) with baseReps backward walks plus, while
+// needTopUp holds, waves of up to varianceBudget more in all (the
 // per-candidate form of Algorithm 3's variance-driven budget), folded by
-// the two-stage rule above. Walk r draws from the substream repSeed(seed,
-// r). It is the scalar oracle of EstimateAdaptiveBatch: one walk at a
-// time, one lookup per step.
+// the rule above. Walk r draws from the substream repSeed(seed, r). It is
+// the scalar oracle of EstimateAdaptiveBatch: one walk at a time, one
+// lookup per step.
 func EstimateAdaptive(e *Estimator, v, t, baseReps, varianceBudget int, seed int64) (float64, error) {
 	var m mathx.Moments
-	settled := false // the wave stopped folding; later walks are unused
-	for r := 0; r < baseReps+varianceBudget; r++ {
-		if r == baseReps && !needTopUp(&m) {
-			break
+	settled := false // a top-up wave stopped folding; its later walks are unused
+	for lo, hi := 0, baseReps; ; lo, hi = hi, hi+waveSize(hi-baseReps, varianceBudget) {
+		for r := lo; r < hi; r++ {
+			e.rng.Seed(repSeed(seed, r))
+			est, err := e.EstimateOnce(v, t, &e.rng)
+			if err != nil {
+				return 0, err
+			}
+			if !settled {
+				m.Add(est)
+				settled = r >= baseReps && !needTopUp(&m)
+			}
 		}
-		e.rng.Seed(repSeed(seed, r))
-		est, err := e.EstimateOnce(v, t, &e.rng)
-		if err != nil {
-			return 0, err
-		}
-		if !settled {
-			m.Add(est)
-			settled = r >= baseReps && !needTopUp(&m)
+		if hi == baseReps+varianceBudget || !needTopUp(&m) {
+			return m.Mean(), nil
 		}
 	}
-	return m.Mean(), nil
 }
 
 // BatchCand is one candidate of EstimateAdaptiveBatch. The caller sets V and
@@ -100,10 +116,10 @@ type bwLane struct {
 	rng     fastrand.Rand // the walk's substream
 }
 
-// candState is a candidate's progress through its two waves.
+// candState is a candidate's progress through its waves.
 type candState struct {
-	pending int  // walks of the current wave still in flight
-	topUp   bool // the current wave is the top-up
+	lo, hi  int // reps of the current wave
+	pending int // walks of the current wave still in flight
 	m       mathx.Moments
 }
 
@@ -113,7 +129,7 @@ type vecState struct {
 	// Parameters of the running call.
 	cands               []*BatchCand
 	t, baseReps, budget int
-	width               int // lane slots per candidate: max(baseReps, budget)
+	width               int // lane slots per candidate: max(baseReps, budget) bounds every wave
 
 	lanes        []bwLane
 	cst          []candState
@@ -176,7 +192,8 @@ func EstimateAdaptiveBatch(e *Estimator, cands []*BatchCand, t, baseReps, varian
 // lanes to out; an empty wave completes at once.
 func (vs *vecState) startWave(ci, lo, hi int, out []int32) []int32 {
 	cd := vs.cands[ci]
-	vs.cst[ci].pending = hi - lo
+	cs := &vs.cst[ci]
+	cs.lo, cs.hi, cs.pending = lo, hi, hi-lo
 	if hi == lo {
 		return vs.waveDone(ci, out)
 	}
@@ -191,26 +208,20 @@ func (vs *vecState) startWave(ci, lo, hi int, out []int32) []int32 {
 }
 
 // waveDone folds a completed wave's estimates in rep order, then starts the
-// top-up wave if the two-stage rule asks for it, or settles the estimate.
+// next top-up wave if the rule asks for it and budget is left, or settles
+// the estimate.
 func (vs *vecState) waveDone(ci int, out []int32) []int32 {
 	cs := &vs.cst[ci]
 	reps := vs.baseReps + vs.budget
 	ests := vs.ests[ci*reps : (ci+1)*reps]
-	if !cs.topUp {
-		for _, x := range ests[:vs.baseReps] {
-			cs.m.Add(x)
+	for r := cs.lo; r < cs.hi; r++ {
+		cs.m.Add(ests[r])
+		if r >= vs.baseReps && !needTopUp(&cs.m) {
+			break
 		}
-		if vs.budget > 0 && needTopUp(&cs.m) {
-			cs.topUp = true
-			return vs.startWave(ci, vs.baseReps, reps, out)
-		}
-	} else {
-		for _, x := range ests[vs.baseReps:] {
-			cs.m.Add(x)
-			if !needTopUp(&cs.m) {
-				break
-			}
-		}
+	}
+	if cs.hi < reps && needTopUp(&cs.m) {
+		return vs.startWave(ci, cs.hi, cs.hi+waveSize(cs.hi-vs.baseReps, vs.budget), out)
 	}
 	vs.cands[ci].PHat = cs.m.Mean()
 	return out
@@ -232,7 +243,7 @@ func (vs *vecState) laneDone(ln *bwLane, est float64, out []int32) []int32 {
 
 // stepVec advances every active lane by one design step (phases documented
 // inline) and returns the next round's lanes: the survivors, plus the
-// top-up waves of candidates whose base walks completed this round.
+// next top-up waves of candidates whose current wave completed this round.
 func (e *Estimator) stepVec(active []int32) []int32 {
 	vs := e.vec
 	lanes := vs.lanes
@@ -346,7 +357,7 @@ func (e *Estimator) stepVec(active []int32) []int32 {
 	vs.stay = stay[:0]
 
 	// Phase 4b — apply transitions and advance, in lane order. A lane that
-	// completes its candidate's base wave may start the top-up wave in the
+	// completes its candidate's wave may start the next top-up wave in the
 	// lane slots its siblings (all done) held.
 	tk := 0
 	for _, li := range live {

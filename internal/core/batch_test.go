@@ -61,45 +61,86 @@ func batchFixture(t *testing.T, d walk.Design, useCrawl bool) (scalar, vec *Esti
 // same queries as the scalar EstimateAdaptive loop seeded identically —
 // lockstep interleaving between private RNG streams is unobservable.
 func TestEstimateAdaptiveBatchMatchesScalar(t *testing.T) {
-	const tSteps, baseReps, budget = 9, 3, 5
-	for _, d := range []walk.Design{walk.SRW{}, walk.MHRW{}} {
-		for _, useCrawl := range []bool{false, true} {
-			scalar, vec, nodes := batchFixture(t, d, useCrawl)
+	const tSteps, baseReps = 9, 3
+	// A budget of 5 tops up in one wave, 40 in waves of 8, 8, 16 and 8.
+	for _, budget := range []int{5, 40} {
+		for _, d := range []walk.Design{walk.SRW{}, walk.MHRW{}} {
+			for _, useCrawl := range []bool{false, true} {
+				matchScalar(t, d, useCrawl, tSteps, baseReps, budget)
+			}
+		}
+	}
+}
 
-			wantPHat := make([]float64, len(nodes))
-			wantSteps := make([]int64, len(nodes))
-			for i, v := range nodes {
-				pre := scalar.StepsTaken
-				pHat, err := EstimateAdaptive(scalar, v, tSteps, baseReps, budget, int64(1000+i))
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantPHat[i] = pHat
-				wantSteps[i] = scalar.StepsTaken - pre
-			}
+func matchScalar(t *testing.T, d walk.Design, useCrawl bool, tSteps, baseReps, budget int) {
+	t.Helper()
+	scalar, vec, nodes := batchFixture(t, d, useCrawl)
 
-			cands := make([]*BatchCand, len(nodes))
-			for i, v := range nodes {
-				cands[i] = &BatchCand{V: v, Seed: int64(1000 + i)}
-			}
-			EstimateAdaptiveBatch(vec, cands, tSteps, baseReps, budget)
+	wantPHat := make([]float64, len(nodes))
+	wantSteps := make([]int64, len(nodes))
+	for i, v := range nodes {
+		pre := scalar.StepsTaken
+		pHat, err := EstimateAdaptive(scalar, v, tSteps, baseReps, budget, int64(1000+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPHat[i] = pHat
+		wantSteps[i] = scalar.StepsTaken - pre
+	}
 
-			for i, cd := range cands {
-				if cd.Err != nil {
-					t.Fatalf("%s crawl=%v cand %d: %v", d.Name(), useCrawl, i, cd.Err)
-				}
-				if cd.PHat != wantPHat[i] {
-					t.Fatalf("%s crawl=%v cand %d: batch %v != scalar %v", d.Name(), useCrawl, i, cd.PHat, wantPHat[i])
-				}
-				if cd.Steps != wantSteps[i] {
-					t.Fatalf("%s crawl=%v cand %d: batch steps %d != scalar %d", d.Name(), useCrawl, i, cd.Steps, wantSteps[i])
-				}
+	cands := make([]*BatchCand, len(nodes))
+	for i, v := range nodes {
+		cands[i] = &BatchCand{V: v, Seed: int64(1000 + i)}
+	}
+	EstimateAdaptiveBatch(vec, cands, tSteps, baseReps, budget)
+
+	waves := budget <= firstWave // a second top-up wave ran
+	for i, cd := range cands {
+		if cd.Err != nil {
+			t.Fatalf("budget %d %s crawl=%v cand %d: %v", budget, d.Name(), useCrawl, i, cd.Err)
+		}
+		waves = waves || cd.Steps > int64((baseReps+firstWave)*tSteps)
+		if cd.PHat != wantPHat[i] {
+			t.Fatalf("budget %d %s crawl=%v cand %d: batch %v != scalar %v", budget, d.Name(), useCrawl, i, cd.PHat, wantPHat[i])
+		}
+		if cd.Steps != wantSteps[i] {
+			t.Fatalf("budget %d %s crawl=%v cand %d: batch steps %d != scalar %d", budget, d.Name(), useCrawl, i, cd.Steps, wantSteps[i])
+		}
+	}
+	if scalar.StepsTaken != vec.StepsTaken {
+		t.Fatalf("budget %d %s crawl=%v: StepsTaken %d != %d", budget, d.Name(), useCrawl, scalar.StepsTaken, vec.StepsTaken)
+	}
+	if sq, vq := scalar.Client.TotalQueries(), vec.Client.TotalQueries(); sq != vq {
+		t.Fatalf("budget %d %s crawl=%v: queries %d != %d", budget, d.Name(), useCrawl, sq, vq)
+	}
+	if !waves {
+		t.Errorf("budget %d %s crawl=%v: no candidate ran a second top-up wave", budget, d.Name(), useCrawl)
+	}
+}
+
+// TestTopUpWaves pins the wave schedule: the waves of a budget sum to it,
+// number ⌈log2(B/firstWave)⌉+1, and a candidate whose estimate settles
+// after u top-up walks pays at most max(firstWave, 2u) of them.
+func TestTopUpWaves(t *testing.T) {
+	for b := 1; b <= MaxWalksPerCandidate; b++ {
+		var ends []int
+		for done := 0; done < b; done += waveSize(done, b) {
+			ends = append(ends, done+waveSize(done, b))
+		}
+		want := 1
+		for firstWave<<(want-1) < b {
+			want++
+		}
+		if ends[len(ends)-1] != b || len(ends) != want {
+			t.Fatalf("budget %d: waves end at %v, want %d waves summing to it", b, ends, want)
+		}
+		w := 0
+		for u := 1; u <= b; u++ {
+			if u > ends[w] {
+				w++
 			}
-			if scalar.StepsTaken != vec.StepsTaken {
-				t.Fatalf("%s crawl=%v: StepsTaken %d != %d", d.Name(), useCrawl, scalar.StepsTaken, vec.StepsTaken)
-			}
-			if sq, vq := scalar.Client.TotalQueries(), vec.Client.TotalQueries(); sq != vq {
-				t.Fatalf("%s crawl=%v: queries %d != %d", d.Name(), useCrawl, sq, vq)
+			if ends[w] > max(firstWave, 2*u) {
+				t.Fatalf("budget %d: settling after %d top-up walks pays %d", b, u, ends[w])
 			}
 		}
 	}

@@ -154,13 +154,13 @@ func BenchmarkEstimateBatch(b *testing.B) {
 
 // TestEstimateBatchWarmAllocs extends the zero-allocation contract to the
 // lockstep kernels: once scratch vectors and caches are warm, a whole
-// batched estimate — top-up waves included — and a lockstep forward batch
-// must not allocate.
+// batched estimate — every top-up wave included — and a lockstep forward
+// batch must not allocate.
 func TestEstimateBatchWarmAllocs(t *testing.T) {
-	const steps, width = 13, 16
+	const steps, width, budget = 13, 16, 24 // top-up waves of 8, 8 and 8
 	e, cands := batchKernelFixture(t, steps, width)
 	if avg := testing.AllocsPerRun(100, func() {
-		EstimateAdaptiveBatch(e, cands, steps, 3, 4)
+		EstimateAdaptiveBatch(e, cands, steps, 3, budget)
 		for _, cd := range cands {
 			if cd.Err != nil {
 				t.Fatal(cd.Err)
@@ -169,14 +169,17 @@ func TestEstimateBatchWarmAllocs(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("warm EstimateAdaptiveBatch allocates %v/op, want 0", avg)
 	}
-	toppedUp := 0
+	toppedUp, waves := 0, 0
 	for _, cd := range cands {
 		if cd.Steps > 3*steps {
 			toppedUp++
 		}
+		if cd.Steps > (3+firstWave)*steps {
+			waves++
+		}
 	}
-	if toppedUp == 0 {
-		t.Error("no candidate ran its top-up wave")
+	if toppedUp == 0 || waves == 0 {
+		t.Errorf("%d candidates topped up, %d ran a second wave; want both > 0", toppedUp, waves)
 	}
 
 	// The forward kernel, without a history (recording grows its pages):

@@ -16,7 +16,7 @@ import (
 //
 // Version 2 gives every walk its own substream (forward walks from
 // per-candidate seeds, backward walk r from repSeed) and tops up a noisy
-// estimate in one wave. Version 1, which journal records without a version
+// estimate in waves of walks. Version 1, which journal records without a version
 // carry implicitly, drew every walk from the sampler's one stream.
 const DrawVersion = 2
 
@@ -50,18 +50,29 @@ type Config struct {
 	// (Section 5.3).
 	UseWeighted bool
 	// BackwardReps is the base number of backward walks per candidate
-	// estimate; zero means 3.
+	// estimate; zero means 3. At most MaxWalksPerCandidate.
 	BackwardReps int
-	// VarianceBudget is the size of the top-up wave: when a candidate's
-	// BackwardReps base walks leave its estimate noisy (relative standard
-	// error above 1, or a zero mean), it runs VarianceBudget more backward
-	// walks in one wave; zero disables the top-up. This realizes Algorithm
-	// 3's variance-driven budget allocation per candidate (EstimateAdaptive
-	// and its lockstep form EstimateAdaptiveBatch).
+	// VarianceBudget bounds the top-up walks per candidate: when a
+	// candidate's BackwardReps base walks leave its estimate noisy
+	// (relative standard error above 1, or a zero mean), it runs up to
+	// VarianceBudget more backward walks in waves — 8 (or the budget if
+	// smaller), then as many as it ran so far — until the estimate settles;
+	// zero disables the top-up. This realizes Algorithm 3's
+	// variance-driven budget allocation per candidate (EstimateAdaptive and
+	// its lockstep form EstimateAdaptiveBatch). Every walk of a wave is
+	// paid even when the estimate settles on its first walks, so a
+	// candidate that uses u top-up walks pays up to max(8, 2u); see
+	// EXPERIMENTS.md for walks per candidate at several budgets. At most
+	// MaxWalksPerCandidate.
 	VarianceBudget int
 	// MaxAttempts bounds rejection rounds per sample; zero means 10000.
 	MaxAttempts int
 }
+
+// MaxWalksPerCandidate bounds Config.BackwardReps and VarianceBudget. The
+// lockstep kernel holds one lane per walk of a wave for every candidate in
+// flight, so an unbounded count is an unbounded allocation.
+const MaxWalksPerCandidate = 1024
 
 func (c *Config) validate() error {
 	if c.Design == nil {
@@ -72,6 +83,12 @@ func (c *Config) validate() error {
 	}
 	if c.Start < 0 {
 		return fmt.Errorf("core: Start must be a node id, got %d", c.Start)
+	}
+	if c.BackwardReps > MaxWalksPerCandidate {
+		return fmt.Errorf("core: BackwardReps must be at most %d, got %d", MaxWalksPerCandidate, c.BackwardReps)
+	}
+	if c.VarianceBudget < 0 || c.VarianceBudget > MaxWalksPerCandidate {
+		return fmt.Errorf("core: VarianceBudget must lie in [0, %d], got %d", MaxWalksPerCandidate, c.VarianceBudget)
 	}
 	return nil
 }

@@ -70,6 +70,9 @@ func TestConfigValidation(t *testing.T) {
 		{},                                  // no design
 		{Design: walk.SRW{}, WalkLength: 0}, // no length
 		{Design: walk.SRW{}, WalkLength: 3, Start: -1},
+		{Design: walk.SRW{}, WalkLength: 3, BackwardReps: MaxWalksPerCandidate + 1},
+		{Design: walk.SRW{}, WalkLength: 3, VarianceBudget: -1},
+		{Design: walk.SRW{}, WalkLength: 3, VarianceBudget: 100_000_000},
 	}
 	for i, cfg := range bad {
 		if _, err := NewSampler(c, cfg, rng); err == nil {
