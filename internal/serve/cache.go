@@ -107,6 +107,14 @@ func NormalizeSpec(spec JobSpec, env NormEnv) (JobSpec, error) {
 	if spec.DeadlineMS < 0 {
 		return spec, fmt.Errorf("serve: negative deadline_ms %d", spec.DeadlineMS)
 	}
+	// Every walk of a wave holds a kernel lane, so these two bound a job's
+	// memory: refuse them here, before a job exists.
+	if spec.BackwardReps < 0 || spec.BackwardReps > core.MaxWalksPerCandidate {
+		return spec, fmt.Errorf("serve: backward_reps %d out of range [0, %d]", spec.BackwardReps, core.MaxWalksPerCandidate)
+	}
+	if spec.VarianceBudget < 0 || spec.VarianceBudget > core.MaxWalksPerCandidate {
+		return spec, fmt.Errorf("serve: variance_budget %d out of range [0, %d]", spec.VarianceBudget, core.MaxWalksPerCandidate)
+	}
 	return spec, nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -193,6 +194,39 @@ func TestHTTPCancelAndErrors(t *testing.T) {
 	if final.State != JobCancelled {
 		t.Fatalf("state after DELETE: %s", final.State)
 	}
+}
+
+// Walk counts out of [0, core.MaxWalksPerCandidate] are refused with 400
+// at admission: no job is created, so the kernel never allocates lanes for
+// them (a budget of 1e8 would be about 11 GB of lanes per 8 candidates).
+func TestHTTPRejectsOversizedWalkCounts(t *testing.T) {
+	srv, m := testServer(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, spec := range []string{
+		`{"variance_budget": 100000000}`,
+		`{"variance_budget": 1025}`,
+		`{"variance_budget": -1}`,
+		`{"backward_reps": 100000000}`,
+	} {
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "out of range") {
+			t.Errorf("%s: %d %s, want 400 out of range", spec, resp.StatusCode, body)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if n := len(m.List()); n != 0 {
+		t.Fatalf("%d jobs created, want none", n)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Fatalf("rejecting the specs allocated %d bytes", grew)
+	}
+	postJob(t, srv, `{"count": 1, "variance_budget": 1024, "backward_reps": 1024}`)
 }
 
 // Overload shedding over HTTP: a full queue answers a typed 503 — machine-

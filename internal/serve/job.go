@@ -50,9 +50,12 @@ type JobSpec struct {
 	NoCrawl    bool `json:"no_crawl,omitempty"`
 	NoWeighted bool `json:"no_weighted,omitempty"`
 	// BackwardReps is the number of base backward walks per candidate and
-	// VarianceBudget the size of the one top-up wave a candidate runs when
-	// its base estimate stays noisy (core.Config; 0 = core defaults: 3
-	// base walks, no top-up).
+	// VarianceBudget the most top-up walks a candidate runs, in waves,
+	// while its estimate stays noisy (core.Config; 0 = core defaults: 3
+	// base walks, no top-up). A wave's walks are paid in full, so a
+	// budget's cost grows with the walks a candidate uses, up to about
+	// twice them. Each lies in [0, 1024] (core.MaxWalksPerCandidate);
+	// other values are refused with 400.
 	BackwardReps   int `json:"backward_reps,omitempty"`
 	VarianceBudget int `json:"variance_budget,omitempty"`
 	// Attr is the attribute estimate-mean aggregates; default "degree".

@@ -112,8 +112,7 @@ type JobRecord struct {
 	// Draws is the sampler draw version (core.DrawVersion) the job's
 	// stream was drawn under; records written before versioning read 0.
 	// Recovery resumes an incomplete job only under its own version, and
-	// only a terminal record of the running version re-seeds the result
-	// cache.
+	// computes a missing digest only for a record of the running version.
 	Draws int `json:"draws,omitempty"`
 	// State is a terminal state for finished jobs; anything else marks the
 	// job incomplete (replay resumes it regardless of whether it was queued

@@ -78,11 +78,12 @@ func (m *Manager) recoverFromJournal(jl *Journal) {
 		switch {
 		case rec.State.Terminal():
 			m.met.jobsRehydrated.Add(1)
-			// Re-seed the result cache: a rehydrated clean completion of
-			// this draw version is as good an answer as a freshly computed
-			// one, so repeats keep hitting across restarts. (Put itself
-			// drops partial results.)
-			if m.results != nil && job.digest != "" && rec.State == JobDone && job.draws == core.DrawVersion {
+			// Re-seed the result cache: a rehydrated clean completion is as
+			// good an answer as a freshly computed one, so repeats keep
+			// hitting across restarts. (Put itself drops partial results.)
+			// The digest leads with the draw version, so a record of
+			// another version can never answer this one's submissions.
+			if m.results != nil && job.digest != "" && rec.State == JobDone {
 				m.results.Put(job.digest, rec.Rows, rec.Result)
 			}
 		case restart:
@@ -136,6 +137,9 @@ func (m *Manager) jobFromRecord(rec JobRecord) (j *Job, restart bool) {
 		}
 		return j, restart
 	}
+	// Keep the record's version: compaction rewrites the record from the
+	// job, and a digestless record stamped with this version would get a
+	// digest of this version at the next boot.
 	j.draws = rec.Draws
 	j.state = rec.State
 	j.errMsg = rec.Error

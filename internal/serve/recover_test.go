@@ -332,9 +332,9 @@ func TestRecoveringReadiness(t *testing.T) {
 // version. Its incomplete job, and a current-version one whose worker
 // count must be clamped, restart as new streams — nothing durable, counted
 // as restarted, not resumed — instead of splicing a durable prefix drawn
-// by other code. Its terminal rows are rehydrated under their own ids but
-// never returned for a new submission, whether the record carries the
-// spec's current digest or none.
+// by other code. Its terminal rows are rehydrated under their own id, keep
+// their version and lack of a digest, and are never returned for a new
+// submission.
 func TestOldDrawVersionRecordsRestart(t *testing.T) {
 	cfg := Config{Runners: 1, WorkerBudget: 2}
 	ref := NewManager(NewEngine(testNetwork(t)), cfg)
@@ -355,7 +355,7 @@ func TestOldDrawVersionRecordsRestart(t *testing.T) {
 	ja, st := run(21)
 	jb, _ := run(22)
 	want, wantB := allRows(t, ja), allRows(t, jb)
-	spec, specB, digest := ja.Spec(), jb.Spec(), ja.Digest()
+	spec, specB := ja.Spec(), jb.Spec()
 	ref.Close()
 
 	// Old-version terminal rows that differ from what this binary draws.
@@ -369,8 +369,7 @@ func TestOldDrawVersionRecordsRestart(t *testing.T) {
 	recs := []JobRecord{
 		{ID: "job-000001", Seq: 1, Spec: specB, State: JobRunning, Durable: 5},
 		{ID: "job-000002", Seq: 2, Spec: wide, State: JobQueued, Durable: 5, Draws: core.DrawVersion},
-		{ID: "job-000003", Seq: 3, Digest: digest, Spec: spec, State: JobDone, Rows: fake, Result: &res},
-		{ID: "job-000004", Seq: 4, Spec: spec, State: JobDone, Rows: fake, Result: &res},
+		{ID: "job-000003", Seq: 3, Spec: spec, State: JobDone, Rows: fake, Result: &res},
 	}
 
 	m := NewManager(NewEngine(testNetwork(t)), cfg)
@@ -404,8 +403,8 @@ func TestOldDrawVersionRecordsRestart(t *testing.T) {
 	cfg.Journal = openTestJournal(t, JournalConfig{Dir: dir, Fsync: FsyncOff})
 	re := NewManager(NewEngine(testNetwork(t)), cfg)
 	defer re.Close()
-	if resumed, restarted, rehydrated := re.RecoveredCounts(); resumed != 0 || restarted != 2 || rehydrated != 2 {
-		t.Fatalf("recovered (resumed=%d, restarted=%d, rehydrated=%d), want (0, 2, 2)", resumed, restarted, rehydrated)
+	if resumed, restarted, rehydrated := re.RecoveredCounts(); resumed != 0 || restarted != 2 || rehydrated != 1 {
+		t.Fatalf("recovered (resumed=%d, restarted=%d, rehydrated=%d), want (0, 2, 1)", resumed, restarted, rehydrated)
 	}
 	sameDraws := func(what string, got, want []Sample) {
 		t.Helper()
@@ -428,15 +427,13 @@ func TestOldDrawVersionRecordsRestart(t *testing.T) {
 		}
 		sameDraws("restarted "+id, allRows(t, j), wantB)
 	}
-	for _, id := range []string{"job-000003", "job-000004"} {
-		j, ok := re.Get(id)
-		if !ok {
-			t.Fatalf("rehydrated job %s not registered", id)
-		}
-		sameRows(t, allRows(t, j), fake, "rehydrated "+id)
+	old, ok := re.Get("job-000003")
+	if !ok {
+		t.Fatal("rehydrated job job-000003 not registered")
 	}
-	if j, _ := re.Get("job-000004"); j.Digest() != "" {
-		t.Errorf("old-version record without a digest got digest %q", j.Digest())
+	sameRows(t, allRows(t, old), fake, "rehydrated job-000003")
+	if rec := old.record(); old.Digest() != "" || rec.Draws != 0 {
+		t.Errorf("old-version record rewritten with digest %q, draws %d; want none and 0", old.Digest(), rec.Draws)
 	}
 
 	nj, err := re.Submit(JobSpec{Count: 12, Seed: 21, Workers: 2})
