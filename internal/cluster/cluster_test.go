@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -339,5 +340,40 @@ func TestFleetRepeatServedFromCoordinatorCache(t *testing.T) {
 	}
 	if sum.Cache.QueriesSaved <= 0 {
 		t.Fatalf("queries_saved = %d, want > 0", sum.Cache.QueriesSaved)
+	}
+}
+
+// A hand-off may only go to a worker that digests the job as its first
+// worker did. A worker of another draw version or graph would draw another
+// stream, and relaying it after the first worker's rows would splice two
+// streams; with no matching worker left, the job fails instead.
+func TestHandoffRefusesWorkerOfAnotherStream(t *testing.T) {
+	var built atomic.Int64
+	mkNet := func() *osn.Network { // each worker its own 300-node graph
+		g := gen.BarabasiAlbert(300, 3, rand.New(rand.NewSource(42+built.Add(1))))
+		return osn.NewNetworkOn(osn.NewRemoteSim(osn.NewMemBackend(g), time.Millisecond, 0, 8))
+	}
+	tf := startFleet(t, 2, mkNet, serve.Config{Runners: 1, WorkerBudget: 4},
+		CoordinatorConfig{HeartbeatTimeout: 300 * time.Millisecond})
+	defer tf.close()
+	st := tf.submit(t, serve.JobSpec{Count: 20, Seed: 7})
+	rows, term := tf.readStream(t, st.ID, func(n int) {
+		if n == 10 {
+			tf.wks[st.Worker].kill()
+		}
+	})
+	final := jobStatus(t, tf.coSrv.URL, st.ID)
+	if term.State != string(serve.JobFailed) || final.FailureReason != ReasonWorkerLost ||
+		!strings.Contains(final.Error, "digest") || len(rows) >= 20 {
+		t.Fatalf("after %d rows: terminal %+v, status %+v; want a worker_lost failure over the digest", len(rows), term, final.JobStatus)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		jobs := tf.wks[1-st.Worker].mgr.List()
+		if len(jobs) == 1 && jobs[0].State == serve.JobCancelled {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("refused worker holds %+v, want its one job cancelled", jobs)
+		}
 	}
 }

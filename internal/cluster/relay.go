@@ -101,7 +101,7 @@ func (r fleetRunner) Start(j *serve.Job) error {
 	if co.mgr.Draining() {
 		return serve.ErrClosed // never place a job Register would refuse
 	}
-	pl, err := co.dispatchOnce(j, j.Spec())
+	pl, err := co.dispatchOnce(j, j.Spec(), "")
 	if err != nil {
 		var re *serve.RelayedError
 		if errors.As(err, &re) && re.Code == http.StatusServiceUnavailable {
@@ -154,16 +154,25 @@ func (r fleetRunner) Cancel(j *serve.Job) {
 		addr = co.workers[idx].addr
 	}
 	co.mu.Unlock()
-	if addr != "" && remoteID != "" {
-		req, err := http.NewRequest(http.MethodDelete, addr+"/v1/jobs/"+remoteID, nil)
-		if err == nil {
-			if resp, err := co.hc.Do(req); err == nil {
-				resp.Body.Close()
-				return
-			}
-		}
+	if addr != "" && remoteID != "" && co.cancelRemote(addr, remoteID) {
+		return
 	}
 	j.Finish(serve.JobCancelled, "cancelled by client", "", nil)
+}
+
+// cancelRemote forwards a DELETE for job id to the worker at addr,
+// reporting whether the worker answered.
+func (co *Coordinator) cancelRemote(addr, id string) bool {
+	req, err := http.NewRequest(http.MethodDelete, addr+"/v1/jobs/"+id, nil)
+	if err != nil {
+		return false
+	}
+	resp, err := co.hc.Do(req)
+	if err != nil {
+		return false
+	}
+	resp.Body.Close()
+	return true
 }
 
 // Close abandons every relay without a terminal record — the journal keeps
@@ -190,8 +199,11 @@ type placement struct {
 // Outcomes: a placement; a response to relay verbatim (every worker shed →
 // the last 503, or a 4xx rejection → immediately, since validation is
 // deterministic across workers); or a no_workers shed — no live worker
-// answered.
-func (co *Coordinator) dispatchOnce(j *serve.Job, spec serve.JobSpec) (*placement, error) {
+// answered. A non-empty want is the digest the placement must report: a
+// worker that digests the spec otherwise (another draw version or graph)
+// would draw another stream, so its job is cancelled and, if no worker
+// reports want, dispatch ends in a 409.
+func (co *Coordinator) dispatchOnce(j *serve.Job, spec serve.JobSpec, want string) (*placement, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return nil, &serve.RelayedError{Code: http.StatusBadRequest,
@@ -222,6 +234,12 @@ func (co *Coordinator) dispatchOnce(j *serve.Job, spec serve.JobSpec) (*placemen
 			var st serve.JobStatus
 			if json.Unmarshal(respBody, &st) != nil || st.ID == "" {
 				co.markDead(idx, gen)
+				continue
+			}
+			if want != "" && st.Digest != want {
+				co.cancelRemote(addr, st.ID)
+				lastShed = &serve.RelayedError{Code: http.StatusConflict, Body: []byte(fmt.Sprintf(
+					"{\"error\":%q}", "worker digests the job as "+st.Digest+", not "+want))}
 				continue
 			}
 			return &placement{idx: idx, gen: gen, addr: addr, status: st}, nil
@@ -386,8 +404,10 @@ func (co *Coordinator) finishFromWorker(j *serve.Job, pl *placement, numNodes in
 const redispatchWindow = 30 * time.Second
 
 // redispatch places the job on a live worker after a loss (or at boot),
-// retrying for up to redispatchWindow. A 4xx relay is impossible here (the
-// spec was already accepted once), so a forwarded rejection fails the job.
+// retrying for up to redispatchWindow. Only a worker that reports the
+// job's digest may take it over: its re-run reproduces the rows already
+// relayed. A 4xx is therefore a digest conflict or a rejection of a spec
+// accepted once before, and fails the job.
 func (co *Coordinator) redispatch(j *serve.Job, fj *fleetJob) *placement {
 	deadline := time.Now().Add(redispatchWindow)
 	for {
@@ -397,7 +417,7 @@ func (co *Coordinator) redispatch(j *serve.Job, fj *fleetJob) *placement {
 			}
 			return nil
 		}
-		pl, err := co.dispatchOnce(j, j.Spec())
+		pl, err := co.dispatchOnce(j, j.Spec(), j.Digest())
 		if pl != nil {
 			fj.place(pl)
 			return pl
