@@ -155,11 +155,7 @@ func run(in, backendName string, latency, jitter time.Duration, fanout int,
 		if err != nil {
 			return err
 		}
-		if workers > 1 {
-			res, err = s.SampleNParallelCtx(ctx, count, workers)
-		} else {
-			res, err = s.SampleNCtx(ctx, count)
-		}
+		res, err = s.SampleNParallelCtx(ctx, count, workers)
 		if err != nil {
 			var bu *wnw.BackendUnavailableError
 			if errors.As(err, &bu) {

@@ -59,6 +59,9 @@ func TestRunErrors(t *testing.T) {
 	if err := run(path, "mem", 0, 0, 0, wnw.FaultOptions{}, "we", "bogus", 5, -1, 0, 2, 50, 1, 0.1, 500, 1, 1, true); err == nil {
 		t.Fatal("unknown design should error")
 	}
+	if err := run(path, "mem", 0, 0, 0, wnw.FaultOptions{}, "we", "srw", -1, -1, 0, 2, 50, 1, 0.1, 500, 1, 1, true); err == nil {
+		t.Fatal("negative count should error")
+	}
 }
 
 func TestRunParallelWorkers(t *testing.T) {

@@ -234,6 +234,18 @@ func (co *Coordinator) heartbeat(req HeartbeatRequest) (HeartbeatResponse, error
 	return HeartbeatResponse{Peers: co.peersLocked(), Complete: co.completeLocked(now)}, nil
 }
 
+// checkNorm refuses a worker's normalization environment that no engine
+// reports: one that would clamp every spec to 0 workers, or bound start
+// nodes to an empty graph. Adopted, it would give coordinator digests no
+// worker reproduces, so every hand-off would be refused.
+func checkNorm(env *serve.NormEnv) error {
+	if env != nil && (env.MaxWorkersPerJob < 1 || env.NumNodes < 1) {
+		return fmt.Errorf("invalid norm: max_workers_per_job %d and num_nodes %d must be >= 1",
+			env.MaxWorkersPerJob, env.NumNodes)
+	}
+	return nil
+}
+
 // markDead immediately ages a worker out (dispatch or relay saw its
 // connection die) so placement skips it without waiting a full timeout.
 func (co *Coordinator) markDead(idx int, generation int64) {
@@ -332,7 +344,7 @@ func (co *Coordinator) refreshStats() {
 				co.workers[t.idx].lastSeen = time.Now()
 			}
 			co.mu.Unlock()
-			if st.Norm != nil {
+			if st.Norm != nil && checkNorm(st.Norm) == nil {
 				co.normEnv.Store(st.Norm)
 			}
 		}(t)
@@ -431,6 +443,10 @@ func (co *Coordinator) Handler() http.Handler {
 		var req HeartbeatRequest
 		if r.Method != http.MethodPost || json.NewDecoder(r.Body).Decode(&req) != nil {
 			serve.HTTPError(w, http.StatusBadRequest, "POST a heartbeat")
+			return
+		}
+		if err := checkNorm(req.Stats.Norm); err != nil {
+			serve.HTTPError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		resp, err := co.heartbeat(req)

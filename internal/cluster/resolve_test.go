@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/internal/osn"
 	"repro/internal/serve"
@@ -65,6 +66,96 @@ func TestResolveRejectsUntrustedIDs(t *testing.T) {
 					tc.ids, out, owned, g.Degree(int(owned)))
 			}
 		})
+	}
+}
+
+// A shard owner whose backend fails answers 503, never a list: a failed
+// fetch is not cached, not marked queried, and not served to a peer, at the
+// owner as at the requester. In a 2-worker fleet over a FaultSim in full
+// outage, nothing is cached or charged at either worker and a job fails
+// rather than draw from stranded nodes; once the outage ends the owner
+// serves the true list.
+func TestOwnerResolveDoesNotCacheFailures(t *testing.T) {
+	g := testGraph()
+	tf := startFleet(t, 2, func() *osn.Network {
+		fs, err := osn.NewFaultSim(osn.NewMemBackend(g), osn.FaultConfig{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return osn.NewNetworkOn(osn.NewResilientBackend(fs, osn.ResilientPolicy{
+			MaxRetries:      2,
+			BaseBackoff:     10 * time.Microsecond,
+			MaxBackoff:      100 * time.Microsecond,
+			BreakerCooldown: 10 * time.Millisecond,
+		}))
+	}, serve.Config{Runners: 1, WorkerBudget: 2}, CoordinatorConfig{})
+	defer tf.close()
+	for _, tw := range tf.wks {
+		tw.mgr.Engine().Faults().StartOutage()
+	}
+	tw := tf.wks[0]
+	part := tw.mgr.Engine().Cache().Partition()
+	owned := int32(0)
+	for !part.Owns(owned) {
+		owned++
+	}
+	resolve := func() (int, ResolveResponse) {
+		body, _ := json.Marshal(ResolveRequest{IDs: []int32{owned}})
+		resp, err := http.Post(tw.srv.URL+PathResolve, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out ResolveResponse
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode, out
+	}
+	if code, out := resolve(); code != http.StatusServiceUnavailable {
+		t.Fatalf("resolve of owned node %d in an outage: %d %+v, want 503", owned, code, out)
+	}
+
+	spec, err := serve.NormalizeSpec(serve.JobSpec{Design: "srw", Count: 5, Seed: 7, Workers: 2}, tw.mgr.NormEnv())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, term := tf.readStream(t, tf.submit(t, spec).ID, nil)
+	switch term.State {
+	case string(serve.JobFailed):
+	case string(serve.JobDone):
+		want := libRun(t, osn.NewMemBackend(g), spec).rows
+		if len(rows) != len(want) {
+			t.Fatalf("job completed in an outage with %d rows, want %d", len(rows), len(want))
+		}
+		for i, r := range rows {
+			if r.Node != want[i].Node || r.Steps != want[i].Steps {
+				t.Fatalf("job completed in an outage with row %d = (%d, %d), want (%d, %d)",
+					i, r.Node, r.Steps, want[i].Node, want[i].Steps)
+			}
+		}
+	default:
+		t.Fatalf("terminal line %+v, want done or failed", term)
+	}
+	for i, tw := range tf.wks {
+		if st := tw.mgr.Engine().CacheStats(); st.UniqueNodes != 0 || st.Queries != 0 || st.Calls != 0 {
+			t.Fatalf("worker %d cached or charged failed fetches in an outage: %+v", i, st)
+		}
+	}
+
+	for _, tw := range tf.wks {
+		tw.mgr.Engine().Faults().EndOutage()
+	}
+	code, out := resolve()
+	for deadline := time.Now().Add(2 * time.Second); code != http.StatusOK && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond) // the breaker's cooldown
+		code, out = resolve()
+	}
+	if code != http.StatusOK || len(out.Lists) != 1 || len(out.Lists[0]) != g.Degree(int(owned)) || !out.First[0] {
+		t.Fatalf("resolve of node %d after the outage: %d %+v, want its %d neighbors as a first access",
+			owned, code, out, g.Degree(int(owned)))
 	}
 }
 

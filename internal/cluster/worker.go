@@ -351,7 +351,8 @@ func (w *Worker) resolveCall(ctx context.Context, addr string, reqBody ResolveRe
 
 // handleResolve is the owner side of the shard-resolution RPC: serve ids
 // this worker owns from the engine cache, fetching misses from the backend
-// in one batched call, and hand back the fleet-first verdicts.
+// in one fallible batch, and hand back the fleet-first verdicts — or 503
+// when any fetch failed.
 func (w *Worker) handleResolve(rw http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		serve.HTTPError(rw, http.StatusMethodNotAllowed, "POST a resolve request")
@@ -380,13 +381,11 @@ func (w *Worker) handleResolve(rw http.ResponseWriter, r *http.Request) {
 		Lists: make([][]int32, len(req.IDs)),
 		First: make([]bool, len(req.IDs)),
 	}
-	be := eng.Network().Backend()
-	err := eng.Cache().ResolveOwned(req.IDs, resp.Lists, resp.First, func(miss []int32, out [][]int32) error {
-		be.NeighborsBatch(miss, out)
-		return nil
-	})
+	err := eng.Cache().ResolveOwned(r.Context(), eng.Network().Backend(), req.IDs, resp.Lists, resp.First)
 	if err != nil {
-		serve.HTTPError(rw, http.StatusInternalServerError, err.Error())
+		// A fetch that failed is not an answer: nothing of it was cached or
+		// marked, and the requester falls back to its own fetch.
+		serve.HTTPError(rw, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 	// Empty lists must round-trip as [] (JSON null decodes to nil fine, but

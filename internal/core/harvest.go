@@ -149,6 +149,9 @@ func walkForward(buf []int, c *osn.Client, cfg *Config, h *History, rng fastrand
 // the usual cost checkpoints. Walks that yield multiple samples record the
 // same post-walk cost for each.
 func (s *HarvestSampler) SampleN(n int) (walk.Result, error) {
+	if n < 0 {
+		return walk.Result{}, fmt.Errorf("core: negative sample count %d", n)
+	}
 	res := walk.Result{
 		Nodes:     make([]int, 0, n),
 		Steps:     make([]int, 0, n),

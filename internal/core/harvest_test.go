@@ -140,6 +140,9 @@ func TestHarvestSamplerValidation(t *testing.T) {
 	if s.minStep != 3 {
 		t.Fatalf("default minStep = %d, want ceil(5/2)=3", s.minStep)
 	}
+	if _, err := s.SampleN(-1); err == nil {
+		t.Fatal("negative sample count should fail")
+	}
 }
 
 func TestHarvestSampleNCostMonotone(t *testing.T) {

@@ -66,13 +66,10 @@ func (s *Sampler) SampleNParallel(n, workers int) (walk.Result, error) {
 // RNG and cancelled runs return an error, so the per-(seed, workers)
 // determinism contract of *completed* runs is untouched.
 func (s *Sampler) SampleNParallelCtx(ctx context.Context, n, workers int) (walk.Result, error) {
-	if n < 0 {
-		return walk.Result{}, fmt.Errorf("core: negative sample count %d", n)
-	}
 	if workers < 1 {
 		return walk.Result{}, fmt.Errorf("core: need >= 1 worker, got %d", workers)
 	}
-	if workers == 1 {
+	if workers == 1 || n < 0 { // SampleNCtx refuses a negative n
 		return s.SampleNCtx(ctx, n)
 	}
 	res := walk.Result{

@@ -69,6 +69,9 @@ func TestSampleNParallelArgs(t *testing.T) {
 	if _, err := s.SampleNParallel(-1, 2); err == nil {
 		t.Error("negative n must error")
 	}
+	if _, err := s.SampleN(-1); err == nil {
+		t.Error("negative n must error on the sequential path too")
+	}
 	res, err := s.SampleNParallel(0, 2)
 	if err != nil || res.Len() != 0 {
 		t.Errorf("n=0: %v, %d samples", err, res.Len())

@@ -50,7 +50,8 @@ type Config struct {
 	// (Section 5.3).
 	UseWeighted bool
 	// BackwardReps is the base number of backward walks per candidate
-	// estimate; zero means 3. At most MaxWalksPerCandidate.
+	// estimate; zero means DefaultBackwardReps. At most
+	// MaxWalksPerCandidate.
 	BackwardReps int
 	// VarianceBudget bounds the top-up walks per candidate: when a
 	// candidate's BackwardReps base walks leave its estimate noisy
@@ -68,6 +69,10 @@ type Config struct {
 	// MaxAttempts bounds rejection rounds per sample; zero means 10000.
 	MaxAttempts int
 }
+
+// DefaultBackwardReps is the base number of backward walks per candidate
+// when Config.BackwardReps is zero.
+const DefaultBackwardReps = 3
 
 // MaxWalksPerCandidate bounds Config.BackwardReps and VarianceBudget. The
 // lockstep kernel holds one lane per walk of a wave for every candidate in
@@ -102,7 +107,7 @@ func (c *Config) crawlHops() int {
 
 func (c *Config) backwardReps() int {
 	if c.BackwardReps <= 0 {
-		return 3
+		return DefaultBackwardReps
 	}
 	return c.BackwardReps
 }
@@ -390,6 +395,9 @@ func (s *Sampler) SampleN(n int) (walk.Result, error) {
 // one in-flight candidate's queries are still charged. Runs that complete
 // are bit-identical to SampleN — the context check consumes no RNG.
 func (s *Sampler) SampleNCtx(ctx context.Context, n int) (walk.Result, error) {
+	if n < 0 {
+		return walk.Result{}, fmt.Errorf("core: negative sample count %d", n)
+	}
 	res := walk.Result{
 		Nodes:     make([]int, 0, n),
 		Steps:     make([]int, 0, n),

@@ -3,6 +3,7 @@ package osn
 import (
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -143,12 +144,23 @@ func TestNetworkOnDiskBackend(t *testing.T) {
 }
 
 // NeighborsBatch must be observationally identical to per-node Neighbors:
-// same lists, same query cost, same call count, same known-node set — for
-// any (graph, restriction, shared/private, frontier) combination.
+// same lists, same query cost, same call count, same failed fetches, same
+// known-node set — for any (graph, restriction, shared/private, frontier)
+// combination, over a plain backend, over a faulted one (transient faults
+// absorbed by a ResilientBackend, and one round in full outage), and in a
+// fleet-partitioned cache whose stub resolver is down for one round. Both
+// paths end in Client.admit, so this pins its batch-of-one form to its
+// batch form.
 func TestNeighborsBatchEquivalenceProperty(t *testing.T) {
-	prop := func(seed int64, useShared bool, restr uint8) bool {
+	const (
+		plain = iota
+		faulted
+		partitioned
+	)
+	prop := func(seed int64, useShared bool, restr, kind uint8) bool {
 		n := 60 + int(uint(seed)%40)
 		g := backendTestGraph(seed, n, 3*n)
+		kind %= 3
 		var opts []Option
 		switch restr % 3 {
 		case 1:
@@ -156,21 +168,52 @@ func TestNeighborsBatchEquivalenceProperty(t *testing.T) {
 		case 2:
 			opts = append(opts, WithRestriction(TruncateL{L: 4}))
 		}
-		mode := CostUniqueNodes
-		newPair := func() (*Client, *Client) {
-			netA := NewNetworkOn(NewMemBackend(g), opts...)
-			netB := NewNetworkOn(NewMemBackend(g), opts...)
-			var a, b *Client
-			if useShared {
-				a = NewClientShared(netA, mode, fastrand.New(seed), NewSharedCache())
-				b = NewClientShared(netB, mode, fastrand.New(seed), NewSharedCache())
-			} else {
-				a = NewClient(netA, mode, fastrand.New(seed))
-				b = NewClient(netB, mode, fastrand.New(seed))
-			}
-			return a, b
+		if kind == partitioned {
+			// Owners serve raw lists: partitions need a shared,
+			// unrestricted view.
+			useShared, opts = true, nil
 		}
-		a, b := newPair()
+		mode := CostUniqueNodes
+		// newClient returns a client and the switch that takes its backend
+		// (or its shard owners) down for a round.
+		newClient := func() (*Client, func(down bool)) {
+			switch kind {
+			case faulted:
+				fs, err := NewFaultSim(NewMemBackend(g), FaultConfig{Seed: seed, TransientRate: 0.1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res := NewResilientBackend(fs, ResilientPolicy{
+					MaxRetries:       8,
+					BaseBackoff:      time.Nanosecond,
+					MaxBackoff:       time.Nanosecond,
+					RetryBudget:      1e9,
+					BreakerThreshold: 1 << 30,
+				})
+				net := NewNetworkOn(res, opts...)
+				outage := func(down bool) {
+					if down {
+						fs.StartOutage()
+					} else {
+						fs.EndOutage()
+					}
+				}
+				if useShared {
+					return NewClientShared(net, mode, fastrand.New(seed), NewSharedCache()), outage
+				}
+				return NewClient(net, mode, fastrand.New(seed)), outage
+			case partitioned:
+				nets, caches, res := partitionedFleet(NewMemBackend(g), 3)
+				return NewClientShared(nets[0], mode, fastrand.New(seed), caches[0]), func(down bool) { res.fail = down }
+			}
+			net := NewNetworkOn(NewMemBackend(g), opts...)
+			if useShared {
+				return NewClientShared(net, mode, fastrand.New(seed), NewSharedCache()), func(bool) {}
+			}
+			return NewClient(net, mode, fastrand.New(seed)), func(bool) {}
+		}
+		a, downA := newClient()
+		b, downB := newClient()
 		frontRng := rand.New(rand.NewSource(seed ^ 0x5a5a))
 		for round := 0; round < 4; round++ {
 			k := 1 + frontRng.Intn(25)
@@ -178,37 +221,38 @@ func TestNeighborsBatchEquivalenceProperty(t *testing.T) {
 			for i := range vs {
 				vs[i] = int32(frontRng.Intn(n))
 			}
-			out := make([][]int32, k)
+			down := kind != plain && round == 2
+			if down && kind == faulted {
+				// A failed fetch is not cached, so per-node calls retry a
+				// repeated id where the batch fetches it once: keep the
+				// outage round's frontier distinct.
+				slices.Sort(vs)
+				vs = slices.Compact(vs)
+			}
+			downA(down)
+			downB(down)
+			out := make([][]int32, len(vs))
 			a.NeighborsBatch(vs, out)
 			for i, v := range vs {
-				want := b.Neighbors(int(v))
-				if len(out[i]) != len(want) {
+				if !slices.Equal(out[i], b.Neighbors(int(v))) {
 					return false
 				}
-				for j := range want {
-					if out[i][j] != want[j] {
-						return false
-					}
-				}
 			}
 		}
-		if a.Queries() != b.Queries() || a.Calls() != b.Calls() {
-			t.Logf("meters diverge: batch q=%d c=%d, per-node q=%d c=%d",
-				a.Queries(), a.Calls(), b.Queries(), b.Calls())
+		if a.Queries() != b.Queries() || a.TotalQueries() != b.TotalQueries() ||
+			a.Calls() != b.Calls() || a.FailedFetches() != b.FailedFetches() {
+			t.Logf("meters diverge: batch q=%d tq=%d c=%d f=%d, per-node q=%d tq=%d c=%d f=%d",
+				a.Queries(), a.TotalQueries(), a.Calls(), a.FailedFetches(),
+				b.Queries(), b.TotalQueries(), b.Calls(), b.FailedFetches())
 			return false
 		}
-		ka, kb := a.KnownNodes(), b.KnownNodes()
-		if len(ka) != len(kb) {
+		if kind == faulted && a.FailedFetches() == 0 {
+			t.Logf("faulted run saw no failed fetch")
 			return false
 		}
-		for i := range ka {
-			if ka[i] != kb[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(a.KnownNodes(), b.KnownNodes())
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(99))}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(99))}); err != nil {
 		t.Fatal(err)
 	}
 }

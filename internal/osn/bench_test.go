@@ -57,6 +57,23 @@ func BenchmarkNeighborsHotShared(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkNeighborsMiss measures the cold path every first access takes
+// (Client.admit as a batch of one): a fresh private client fetching 4,096
+// distinct nodes of the in-memory graph, reported as ns per miss.
+func BenchmarkNeighborsMiss(b *testing.B) {
+	net := benchNet(b)
+	const misses = 4096
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := NewClient(net, CostUniqueNodes, rand.New(rand.NewSource(3)))
+		for v := 0; v < misses; v++ {
+			c.Neighbors(v)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*misses), "ns/miss")
+}
+
 // TestNeighborsWarmAllocs is the allocation-regression guard for the warm
 // read path, private and shared: zero allocations.
 func TestNeighborsWarmAllocs(t *testing.T) {
@@ -83,6 +100,27 @@ func TestNeighborsWarmAllocs(t *testing.T) {
 	k := 0
 	if avg := testing.AllocsPerRun(pages-1, func() { fresh.Neighbors(k * l1Size); k++ }); avg != 0 {
 		t.Errorf("fresh shared client reading warm entries allocates %v/op, want 0", avg)
+	}
+}
+
+// TestNeighborsColdMissAllocs is the allocation guard for the miss path:
+// a Neighbors miss is a batch of one through Client.admit, held in client
+// scratch, so a miss into a page already allocated — private L1 and
+// accounting pages, or shared-cache pages — allocates nothing.
+func TestNeighborsColdMissAllocs(t *testing.T) {
+	net := benchNet(t)
+	private := NewClient(net, CostUniqueNodes, rand.New(rand.NewSource(3)))
+	shared := NewClientShared(net, CostUniqueNodes, rand.New(rand.NewSource(4)), NewSharedCache())
+	for name, c := range map[string]*Client{"private": private, "shared": shared} {
+		c.Neighbors(0) // allocates page 0 and the client's scratch
+		v := 1
+		avg := testing.AllocsPerRun(100, func() { c.Neighbors(v); v++ })
+		if avg != 0 {
+			t.Errorf("%s cold miss allocates %v/op, want 0", name, avg)
+		}
+		if c.Queries() != int64(v) || v >= l1Size {
+			t.Fatalf("%s: %d queries after %d misses in page 0", name, c.Queries(), v)
+		}
 	}
 }
 

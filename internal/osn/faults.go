@@ -100,8 +100,9 @@ func (e *BackendUnavailableError) Unwrap() error { return e.Last }
 // infallible Backend interface. Backends that can actually fail (FaultSim,
 // ResilientBackend, a future live HTTP backend) implement it alongside
 // Backend; the Client type-asserts for it at construction and, when present,
-// routes every cold fetch through it so a failure is never cached, never
-// charged, and is reported instead of silently degraded. The context carries
+// routes every cold fetch (Client.admit) through NeighborsBatchCtx, so a
+// failure is never cached, never charged, and is reported instead of
+// silently degraded. A single-node fetch is a batch of one. The context carries
 // the per-job deadline (waits in the resilience layer select on it) and
 // optionally a failure-cancel hook (WithFailureCancel).
 //
@@ -111,9 +112,7 @@ func (e *BackendUnavailableError) Unwrap() error { return e.Last }
 // (nil when every element succeeded). Successful elements of a partially
 // failed batch are still valid.
 type FallibleBackend interface {
-	NeighborsCtx(ctx context.Context, v int) ([]int32, error)
 	NeighborsBatchCtx(ctx context.Context, vs []int32, out [][]int32, failed []bool) error
-	DegreeCtx(ctx context.Context, v int) (int, error)
 	AttrCtx(ctx context.Context, name string, v int) (float64, bool, error)
 }
 
@@ -308,22 +307,6 @@ func (f *FaultSim) decide(v int32) *FaultError {
 	return nil
 }
 
-// NeighborsCtx implements FallibleBackend.
-func (f *FaultSim) NeighborsCtx(_ context.Context, v int) ([]int32, error) {
-	if fe := f.decide(int32(v)); fe != nil {
-		return nil, fe
-	}
-	return f.inner.Neighbors(v), nil
-}
-
-// DegreeCtx implements FallibleBackend.
-func (f *FaultSim) DegreeCtx(_ context.Context, v int) (int, error) {
-	if fe := f.decide(int32(v)); fe != nil {
-		return 0, fe
-	}
-	return f.inner.Degree(v), nil
-}
-
 // AttrCtx implements FallibleBackend.
 func (f *FaultSim) AttrCtx(_ context.Context, name string, v int) (float64, bool, error) {
 	if fe := f.decide(int32(v)); fe != nil {
@@ -386,21 +369,19 @@ func (f *FaultSim) NumEdges() int { return f.inner.NumEdges() }
 
 // Degree implements Backend; a fault degrades to 0.
 func (f *FaultSim) Degree(v int) int {
-	d, err := f.DegreeCtx(context.Background(), v)
-	if err != nil {
+	if f.decide(int32(v)) != nil {
 		return 0
 	}
-	return d
+	return f.inner.Degree(v)
 }
 
 // Neighbors implements Backend; a fault degrades to an empty list (safe for
 // every kernel: designs treat it as a stranded node).
 func (f *FaultSim) Neighbors(v int) []int32 {
-	nbr, err := f.NeighborsCtx(context.Background(), v)
-	if err != nil {
+	if f.decide(int32(v)) != nil {
 		return nil
 	}
-	return nbr
+	return f.inner.Neighbors(v)
 }
 
 // NeighborsBatch implements Backend; faulted elements degrade to nil.

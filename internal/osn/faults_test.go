@@ -10,7 +10,16 @@ import (
 	"repro/internal/gen"
 )
 
-// faultNet returns a BA graph network over a plain mem backend.
+// neighborsOne is the single-node form of the fallible surface: a batch of
+// one, as Client.admit issues for a Neighbors miss.
+func neighborsOne(fb FallibleBackend, ctx context.Context, v int) ([]int32, error) {
+	out := make([][]int32, 1)
+	failed := make([]bool, 1)
+	err := fb.NeighborsBatchCtx(ctx, []int32{int32(v)}, out, failed)
+	return out[0], err
+}
+
+// faultGraphBackend returns a BA graph over a plain mem backend.
 func faultGraphBackend(t *testing.T) MemBackend {
 	t.Helper()
 	g := gen.BarabasiAlbert(300, 3, rand.New(rand.NewSource(42)))
@@ -28,7 +37,7 @@ func TestFaultSimZeroRatePassThrough(t *testing.T) {
 	}
 	ctx := context.Background()
 	for v := 0; v < inner.NumNodes(); v++ {
-		got, err := fs.NeighborsCtx(ctx, v)
+		got, err := neighborsOne(fs, ctx, v)
 		if err != nil {
 			t.Fatalf("node %d: unexpected fault: %v", v, err)
 		}
@@ -69,7 +78,7 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 		ctx := context.Background()
 		out := make([]int, 0, 600)
 		for i := 0; i < 600; i++ {
-			_, err := fs.NeighborsCtx(ctx, i%inner.NumNodes())
+			_, err := neighborsOne(fs, ctx, i%inner.NumNodes())
 			var fe *FaultError
 			switch {
 			case err == nil:
@@ -122,7 +131,7 @@ func TestFaultScheduleBatchMatchesSingle(t *testing.T) {
 	single := mk()
 	wantFail := make([]bool, len(vs))
 	for i, v := range vs {
-		_, err := single.NeighborsCtx(ctx, int(v))
+		_, err := neighborsOne(single, ctx, int(v))
 		wantFail[i] = err != nil
 	}
 
@@ -171,7 +180,7 @@ func TestFaultSimOutageWindows(t *testing.T) {
 	}
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
-		_, err := fs.NeighborsCtx(ctx, 0)
+		_, err := neighborsOne(fs, ctx, 0)
 		inWindow := i >= 3 && i < 6
 		if inWindow && err == nil {
 			t.Fatalf("attempt %d inside the outage window succeeded", i)
@@ -186,11 +195,11 @@ func TestFaultSimOutageWindows(t *testing.T) {
 	}
 
 	fs.StartOutage()
-	if _, err := fs.NeighborsCtx(ctx, 0); err == nil {
+	if _, err := neighborsOne(fs, ctx, 0); err == nil {
 		t.Fatal("manual outage did not reject")
 	}
 	fs.EndOutage()
-	if _, err := fs.NeighborsCtx(ctx, 0); err != nil {
+	if _, err := neighborsOne(fs, ctx, 0); err != nil {
 		t.Fatalf("after EndOutage: %v", err)
 	}
 	if got := fs.Stats().Injected[FaultOutage]; got != 4 {
@@ -247,7 +256,7 @@ func TestFaultRateLimitRetryAfter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cerr := fs.NeighborsCtx(context.Background(), 0)
+	_, cerr := neighborsOne(fs, context.Background(), 0)
 	var fe *FaultError
 	if !errors.As(cerr, &fe) || fe.Kind != FaultRateLimit || fe.RetryAfter != 3*time.Millisecond {
 		t.Fatalf("want a rate-limit fault with retry-after 3ms, got %v", cerr)

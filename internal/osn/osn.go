@@ -344,18 +344,17 @@ type Client struct {
 	// lastErr is the first backend failure this client observed (Err).
 	lastErr     error
 	failedFetch int64
-	// Reusable scratch buffers for the batched access path (NeighborsBatch,
-	// Prefetch), so steady-state batches allocate nothing on the client.
-	batchPos    []int32   // positions in vs still unresolved after the cache pass
-	batchIDs    []int32   // deduplicated miss ids
-	batchLists  [][]int32 // lists aligned with batchIDs
-	batchFirst  []bool    // first-access flags aligned with batchIDs
-	batchFailed []bool    // per-element failure flags for the fallible batch path
-	prefetchBuf [][]int32 // Prefetch's throwaway out buffer
-	// Partitioned-fleet scratch (cluster mode only; see partition.go).
-	remoteIDs   []int32   // non-owned miss ids routed to shard owners
-	remoteLists [][]int32 // owner-resolved lists aligned with remoteIDs
-	remoteFirst []bool    // owner fleet-first verdicts aligned with remoteIDs
+	// Reusable scratch of the admission path (admit, NeighborsBatch,
+	// Prefetch), so steady-state misses allocate nothing on the client.
+	missID      [1]int32   // neighborsMiss's batch of one
+	missList    [1][]int32 // its list
+	batchPos    []int32    // positions in vs still unresolved after the cache pass
+	batchIDs    []int32    // deduplicated miss ids
+	batchLists  [][]int32  // lists aligned with batchIDs
+	batchFailed []bool     // per-element failure flags of the fallible fetch
+	remoteIDs   []int32    // non-owned miss ids routed to shard owners
+	remoteFirst []bool     // owner fleet-first verdicts aligned with remoteIDs
+	resolved    chan error // carries the owners' answer to admitSplit
 }
 
 func newClient(net *Network, mode CostMode, rng fastrand.RNG, sc *SharedCache) *Client {
@@ -449,10 +448,10 @@ func (c *Client) BindContext(ctx context.Context) {
 // typed error cancels the bound context's job.
 func (c *Client) Err() error { return c.lastErr }
 
-// FailedFetches returns how many cold fetches failed (post-retry).
+// FailedFetches returns how many node fetches failed (post-retry).
 func (c *Client) FailedFetches() int64 { return c.failedFetch }
 
-// noteFetchError records a failed cold fetch.
+// noteFetchError records the failed fetch of one node.
 func (c *Client) noteFetchError(err error) {
 	c.failedFetch++
 	if c.lastErr == nil {
@@ -524,69 +523,11 @@ func (c *Client) l1Lookup(v int32) ([]int32, bool) {
 	return nil, false
 }
 
-// neighborsMiss is the cold path of Neighbors: fall through to the network
-// (or, in a partitioned fleet, to the shard owner), apply any restriction,
-// cache, and charge.
+// neighborsMiss is the cold path of Neighbors: a batch of one through admit.
 func (c *Client) neighborsMiss(v int) []int32 {
-	vv := int32(v)
-	if c.shared != nil && c.fastPath {
-		// Fleet-partitioned cache: a miss on a shard another worker owns is
-		// resolved through the owner (one atomic load on the cold path; the
-		// warm path is untouched). Unrestricted views only.
-		if p := c.shared.part.Load(); p != nil && p.Resolver != nil && !p.Owns(vv) {
-			return c.neighborsRemote(vv, p)
-		}
-	}
-	var nbr []int32
-	if c.fb != nil {
-		var err error
-		nbr, err = c.fb.NeighborsCtx(c.ctx, v)
-		if err != nil {
-			// A failed fetch is never cached (a degraded answer must not
-			// poison the L1 or a daemon's shared cache) and never charged
-			// (the crawler got nothing for it). The walk kernel sees an
-			// empty list — a stranded node — while the typed error cancels
-			// the bound job context, so the run fails promptly above.
-			c.noteFetchError(err)
-			return nil
-		}
-	} else {
-		nbr = c.net.be.Neighbors(v)
-	}
-	if c.fastPath {
-		// Unrestricted view: the ground-truth list is the answer and is
-		// always cacheable.
-		nbr = c.cache(vv, nbr)
-		c.charge(vv)
-		return nbr
-	}
-	if c.net.restriction != nil {
-		nbr = c.net.restriction.Apply(nbr, v, c.rng)
-	}
-	if c.cacheable {
-		nbr = c.cache(vv, nbr)
-	}
-	c.charge(vv)
-	return nbr
-}
-
-// cache installs nbr as v's cached list — in the shared cache when one is
-// attached, returning the winner of a concurrent fill, in the private L1
-// otherwise — and returns the list every later read of v will see.
-func (c *Client) cache(v int32, nbr []int32) []int32 {
-	if c.shared != nil {
-		return c.shared.store(v, nbr)
-	}
-	pi := uint32(v) >> l1Shift
-	pg := c.l1[pi]
-	if pg == nil {
-		pg = new(l1Page)
-		c.l1[pi] = pg
-	}
-	o := uint32(v) & l1Mask
-	pg.nbrs[o] = nbr
-	pg.present[o>>6] |= 1 << (o & 63)
-	return nbr
+	c.missID[0] = int32(v)
+	c.admit(c.missID[:], c.missList[:])
+	return c.missList[0]
 }
 
 // Degree returns the number of neighbors visible through the interface
@@ -606,8 +547,8 @@ func (c *Client) Attr(name string, v int) (float64, error) {
 	if !ok {
 		return 0, fmt.Errorf("osn: unknown attribute %q", name)
 	}
-	if !c.wasQueried(int32(v)) {
-		c.charge(int32(v))
+	if c.markQueried(int32(v)) {
+		c.chargeBatch(1, 1)
 	}
 	return val, nil
 }
@@ -626,29 +567,6 @@ func contains(xs []int32, x int32) bool {
 		}
 	}
 	return false
-}
-
-func (c *Client) charge(v int32) {
-	c.calls++
-	if c.shared != nil {
-		c.shared.calls.Add(1)
-	}
-	if c.markQueried(v) {
-		c.queries++
-		if c.shared != nil {
-			c.shared.queries.Add(1)
-		}
-	}
-	if c.fastPath {
-		return // precomputed: no rate limit installed
-	}
-	if rl := c.net.rateLimit; rl != nil && rl.PerWindow > 0 {
-		c.inWindow++
-		if c.inWindow > rl.PerWindow {
-			c.waited += rl.Window
-			c.inWindow = 1
-		}
-	}
 }
 
 // markQueried records the access of v and reports whether it was the first —
@@ -671,20 +589,6 @@ func (c *Client) markQueried(v int32) bool {
 	pg.queried[w] |= bit
 	c.nQueried++
 	return true
-}
-
-// wasQueried reports whether v has been accessed — by this client, or by any
-// client of the shared cache when one is attached.
-func (c *Client) wasQueried(v int32) bool {
-	if c.shared != nil {
-		return c.shared.wasQueried(v)
-	}
-	pg := c.acct[uint32(v)>>l1Shift]
-	if pg == nil {
-		return false
-	}
-	o := uint32(v) & l1Mask
-	return pg.queried[o>>6]&(1<<(o&63)) != 0
 }
 
 // Queries returns the query cost this client incurred itself under its

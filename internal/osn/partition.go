@@ -96,74 +96,48 @@ func (sc *SharedCache) ownsLocal(p *Partition, v int32) bool {
 }
 
 // ResolveOwned answers a shard-owner lookup for ids this cache's worker
-// owns: each id is served from the cache or — for the misses — fetched in
-// one batched fetch call, stored (concurrent winners kept), and test-and-set
-// against the owner's queried bitset, which is the fleet authority for these
-// shards. lists[i] and first[i] are filled for every ids[i]; first[i] is the
-// fleet-first verdict the requester charges with. Safe for concurrent use;
+// owns: each id is served from the cache or — for the misses — fetched from
+// be in one batch (through its fallible surface when it has one, under ctx),
+// published (concurrent winners kept), and test-and-set against the owner's
+// queried bitset, which is the fleet authority for these shards. lists[i] and
+// first[i] are filled for every resolved ids[i]; first[i] is the fleet-first
+// verdict the requester charges with. A failed fetch is neither published
+// nor marked: its list stays nil and ResolveOwned returns the failure, so
+// the requester falls back to its own fetch. Safe for concurrent use;
 // racing resolves of the same id hand first=true to exactly one caller.
-func (sc *SharedCache) ResolveOwned(ids []int32, lists [][]int32, first []bool, fetch func(miss []int32, out [][]int32) error) error {
+func (sc *SharedCache) ResolveOwned(ctx context.Context, be Backend, ids []int32, lists [][]int32, first []bool) error {
 	var missIDs []int32
 	var missPos []int
 	for i, v := range ids {
 		nbr, ok := sc.lookup(v)
 		lists[i] = nbr
-		if !ok {
+		if ok {
+			first[i] = sc.markQueried(v)
+		} else {
 			missIDs = append(missIDs, v)
 			missPos = append(missPos, i)
 		}
 	}
-	if len(missIDs) > 0 {
-		missLists := make([][]int32, len(missIDs))
-		if err := fetch(missIDs, missLists); err != nil {
-			return err
-		}
-		for j, v := range missIDs {
-			lists[missPos[j]] = sc.store(v, missLists[j])
-		}
+	if len(missIDs) == 0 {
+		return nil
 	}
-	for i, v := range ids {
+	missLists := make([][]int32, len(missIDs))
+	failed := make([]bool, len(missIDs))
+	var err error
+	if fb, ok := be.(FallibleBackend); ok {
+		err = fb.NeighborsBatchCtx(ctx, missIDs, missLists, failed)
+	} else {
+		be.NeighborsBatch(missIDs, missLists)
+	}
+	for j, v := range missIDs {
+		if err != nil && failed[j] {
+			continue
+		}
+		i := missPos[j]
+		lists[i] = sc.store(v, missLists[j])
 		first[i] = sc.markQueried(v)
 	}
-	return nil
-}
-
-// neighborsRemote resolves a single non-owned miss through the shard owner:
-// the returned list is absorbed into the local cache (uncharged against the
-// owned meter — the owner counted it), and the owner's fleet-first verdict
-// drives this client's charge.
-func (c *Client) neighborsRemote(v int32, p *Partition) []int32 {
-	ids := [1]int32{v}
-	var lists [1][]int32
-	var first [1]bool
-	if err := p.Resolver.ResolveShards(c.ctx, ids[:], lists[:], first[:]); err != nil {
-		c.shared.remoteFallbacks.Add(1)
-		return c.neighborsFallback(v)
-	}
-	nbr := c.shared.absorb(v, lists[0])
-	c.chargeBatch(1, first[:])
-	return nbr
-}
-
-// neighborsFallback is the owner-unreachable path: fetch v from the local
-// backend and absorb it as if owned, so the walk completes. The charge uses
-// the local first-mark — approximate fleet-wide, exact again once owners are
-// back (documented on RemoteFallbacks).
-func (c *Client) neighborsFallback(v int32) []int32 {
-	var nbr []int32
-	if c.fb != nil {
-		var err error
-		nbr, err = c.fb.NeighborsCtx(c.ctx, int(v))
-		if err != nil {
-			c.noteFetchError(err)
-			return nil
-		}
-	} else {
-		nbr = c.net.be.Neighbors(int(v))
-	}
-	nbr = c.shared.store(v, nbr)
-	c.charge(v)
-	return nbr
+	return err
 }
 
 // absorb stores an owner-resolved list of non-owned v and marks v queried
@@ -173,44 +147,4 @@ func (sc *SharedCache) absorb(v int32, nbr []int32) []int32 {
 	nbr = sc.store(v, nbr)
 	sc.markQueried(v)
 	return nbr
-}
-
-// resolvePartitioned splits a deduplicated miss batch into locally-owned ids
-// — returned for the caller's usual backend pass — and remote ids, which are
-// resolved through their shard owners in one ShardResolver call, absorbed
-// into the local cache, and charged with the owners' fleet-first verdicts.
-// On resolver error the remote ids are handed back for local fetching
-// (fallback), keeping the batch complete.
-func (c *Client) resolvePartitioned(p *Partition, fetch []int32) []int32 {
-	k := 0
-	remote := c.remoteIDs[:0]
-	for _, v := range fetch {
-		if p.Owns(v) {
-			fetch[k] = v
-			k++
-		} else {
-			remote = append(remote, v)
-		}
-	}
-	c.remoteIDs = remote
-	if len(remote) == 0 {
-		return fetch[:k]
-	}
-	if cap(c.remoteLists) < len(remote) {
-		c.remoteLists = make([][]int32, len(remote), 2*len(remote))
-	}
-	lists := c.remoteLists[:len(remote)]
-	if cap(c.remoteFirst) < len(remote) {
-		c.remoteFirst = make([]bool, len(remote), 2*len(remote))
-	}
-	first := c.remoteFirst[:len(remote)]
-	if err := p.Resolver.ResolveShards(c.ctx, remote, lists, first); err != nil {
-		c.shared.remoteFallbacks.Add(int64(len(remote)))
-		return append(fetch[:k], remote...)
-	}
-	for i, v := range remote {
-		c.shared.absorb(v, lists[i])
-	}
-	c.chargeBatch(len(remote), first)
-	return fetch[:k]
 }

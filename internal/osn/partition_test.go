@@ -3,7 +3,10 @@ package osn
 import (
 	"context"
 	"errors"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/fastrand"
 )
@@ -16,19 +19,13 @@ type loopResolver struct {
 	fail   bool
 }
 
-func (r *loopResolver) ResolveShards(_ context.Context, ids []int32, lists [][]int32, first []bool) error {
+func (r *loopResolver) ResolveShards(ctx context.Context, ids []int32, lists [][]int32, first []bool) error {
 	if r.fail {
 		return errors.New("owners unreachable")
 	}
 	for i, v := range ids {
 		owner := r.caches[0].Partition().OwnerOf(v)
-		one := lists[i : i+1]
-		f := first[i : i+1]
-		err := r.caches[owner].ResolveOwned(ids[i:i+1], one, f, func(miss []int32, out [][]int32) error {
-			r.be.NeighborsBatch(miss, out)
-			return nil
-		})
-		if err != nil {
+		if err := r.caches[owner].ResolveOwned(ctx, r.be, ids[i:i+1], lists[i:i+1], first[i:i+1]); err != nil {
 			return err
 		}
 	}
@@ -222,5 +219,76 @@ func TestPartitionFallbackOnResolverError(t *testing.T) {
 	// this worker.
 	if c.Queries() != 56 {
 		t.Fatalf("fallback charged %d, want 56 (one per unique node)", c.Queries())
+	}
+}
+
+// fetchSignal closes started when its first non-empty batch fetch begins.
+type fetchSignal struct {
+	Backend
+	started chan struct{}
+	once    sync.Once
+}
+
+func (b *fetchSignal) NeighborsBatch(vs []int32, out [][]int32) {
+	if len(vs) > 0 {
+		b.once.Do(func() { close(b.started) })
+	}
+	b.Backend.NeighborsBatch(vs, out)
+}
+
+// waitResolver resolves like loopResolver once the requester's local fetch
+// has begun, or after a timeout, and records which came first.
+type waitResolver struct {
+	loopResolver
+	started    <-chan struct{}
+	overlapped bool
+}
+
+func (r *waitResolver) ResolveShards(ctx context.Context, ids []int32, lists [][]int32, first []bool) error {
+	select {
+	case <-r.started:
+		r.overlapped = true
+	case <-time.After(2 * time.Second):
+	}
+	return r.loopResolver.ResolveShards(ctx, ids, lists, first)
+}
+
+// A miss batch spanning owned and non-owned ids resolves the non-owned ones
+// while the owned ones are being fetched, so a frontier costs one round trip
+// rather than the resolver's plus the backend's; lists and charges match a
+// single cache.
+func TestPartitionedBatchOverlapsResolveWithFetch(t *testing.T) {
+	g := backendTestGraph(14, 200, 600)
+	be := NewMemBackend(g)
+	const w = 3
+	caches := make([]*SharedCache, w)
+	res := &waitResolver{loopResolver: loopResolver{caches: caches, be: be}}
+	for i := range caches {
+		caches[i] = NewSharedCache()
+		caches[i].SetPartition(&Partition{Index: i, Workers: w, Resolver: res})
+	}
+	sig := &fetchSignal{Backend: be, started: make(chan struct{})}
+	res.started = sig.started
+	c := NewClientShared(NewNetworkOn(sig), CostUniqueNodes, fastrand.New(1), caches[0])
+	ref := NewClientShared(NewNetworkOn(be), CostUniqueNodes, fastrand.New(1), NewSharedCache())
+
+	vs := []int32{0, 1, 2, 3, 64, 65, 1}
+	out := make([][]int32, len(vs))
+	refOut := make([][]int32, len(vs))
+	c.NeighborsBatch(vs, out)
+	ref.NeighborsBatch(vs, refOut)
+	if !res.overlapped {
+		t.Fatal("the owners were asked only after the local fetch finished")
+	}
+	for i := range vs {
+		if !slices.Equal(out[i], refOut[i]) {
+			t.Fatalf("batch[%d] = %v, want %v", i, out[i], refOut[i])
+		}
+	}
+	if c.Queries() != ref.Queries() || c.Calls() != ref.Calls() {
+		t.Fatalf("charged %d queries over %d calls, want %d over %d", c.Queries(), c.Calls(), ref.Queries(), ref.Calls())
+	}
+	if caches[0].RemoteFallbacks() != 0 {
+		t.Fatalf("%d fallbacks with reachable owners", caches[0].RemoteFallbacks())
 	}
 }

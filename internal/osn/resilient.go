@@ -439,40 +439,6 @@ func (r *ResilientBackend) do(ctx context.Context, call func() error) error {
 	}
 }
 
-// NeighborsCtx implements FallibleBackend.
-func (r *ResilientBackend) NeighborsCtx(ctx context.Context, v int) ([]int32, error) {
-	if r.fb == nil {
-		return r.be.Neighbors(v), nil
-	}
-	var nbr []int32
-	err := r.do(ctx, func() error {
-		var e error
-		nbr, e = r.fb.NeighborsCtx(ctx, v)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-	return nbr, nil
-}
-
-// DegreeCtx implements FallibleBackend.
-func (r *ResilientBackend) DegreeCtx(ctx context.Context, v int) (int, error) {
-	if r.fb == nil {
-		return r.be.Degree(v), nil
-	}
-	var d int
-	err := r.do(ctx, func() error {
-		var e error
-		d, e = r.fb.DegreeCtx(ctx, v)
-		return e
-	})
-	if err != nil {
-		return 0, err
-	}
-	return d, nil
-}
-
 // AttrCtx implements FallibleBackend.
 func (r *ResilientBackend) AttrCtx(ctx context.Context, name string, v int) (float64, bool, error) {
 	if r.fb == nil {
@@ -613,25 +579,18 @@ func (r *ResilientBackend) NumNodes() int { return r.be.NumNodes() }
 // NumEdges implements Backend.
 func (r *ResilientBackend) NumEdges() int { return r.be.NumEdges() }
 
-// Degree implements Backend; an unabsorbed failure degrades to 0.
-func (r *ResilientBackend) Degree(v int) int {
-	d, err := r.DegreeCtx(context.Background(), v)
-	if err != nil {
-		return 0
-	}
-	return d
-}
+// Degree implements Backend as the length of v's neighbor list; an
+// unabsorbed failure degrades to 0.
+func (r *ResilientBackend) Degree(v int) int { return len(r.Neighbors(v)) }
 
-// Neighbors implements Backend; an unabsorbed failure degrades to an empty
-// list (kernels treat the node as stranded). Callers that need the typed
-// error use the FallibleBackend surface — the metered Client does so
-// automatically when bound to a context.
+// Neighbors implements Backend as a batch of one; an unabsorbed failure
+// degrades to an empty list (kernels treat the node as stranded). Callers
+// that need the typed error use the FallibleBackend surface — the metered
+// Client does so automatically when bound to a context.
 func (r *ResilientBackend) Neighbors(v int) []int32 {
-	nbr, err := r.NeighborsCtx(context.Background(), v)
-	if err != nil {
-		return nil
-	}
-	return nbr
+	out := make([][]int32, 1)
+	r.NeighborsBatch([]int32{int32(v)}, out)
+	return out[0]
 }
 
 // NeighborsBatch implements Backend; failed elements degrade to nil.

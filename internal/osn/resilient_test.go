@@ -168,7 +168,7 @@ func TestResilientBreakerLifecycle(t *testing.T) {
 	ctx := context.Background()
 
 	fs.StartOutage()
-	if _, err := res.NeighborsCtx(ctx, 0); err == nil {
+	if _, err := neighborsOne(res, ctx, 0); err == nil {
 		t.Fatal("outage call succeeded")
 	}
 	if st := res.BreakerState(); st != BreakerOpen {
@@ -179,7 +179,7 @@ func TestResilientBreakerLifecycle(t *testing.T) {
 	// probe goes through, fails against the ongoing outage, and reopens the
 	// breaker — so of the call's 2 attempts at most 1 reaches the backend.
 	attemptsWhenOpen := fs.Stats().Attempts
-	_, gerr := res.NeighborsCtx(ctx, 1)
+	_, gerr := neighborsOne(res, ctx, 1)
 	var bu *BackendUnavailableError
 	if !errors.As(gerr, &bu) {
 		t.Fatalf("open-breaker call: %v, want a typed give-up", gerr)
@@ -196,7 +196,7 @@ func TestResilientBreakerLifecycle(t *testing.T) {
 
 	fs.EndOutage()
 	time.Sleep(pol.BreakerCooldown + time.Millisecond)
-	if nbr, err := res.NeighborsCtx(ctx, 2); err != nil || len(nbr) == 0 {
+	if nbr, err := neighborsOne(res, ctx, 2); err != nil || len(nbr) == 0 {
 		t.Fatalf("half-open probe failed: %v", err)
 	}
 	if st := res.BreakerState(); st != BreakerClosed {
@@ -217,7 +217,7 @@ func TestResilientRetryBudgetExhaustion(t *testing.T) {
 	pol := fastPolicy()
 	pol.RetryBudget = 0.5 // half a token: the first retry is already denied
 	res := NewResilientBackend(fs, pol)
-	_, gerr := res.NeighborsCtx(context.Background(), 0)
+	_, gerr := neighborsOne(res, context.Background(), 0)
 	var bu *BackendUnavailableError
 	if !errors.As(gerr, &bu) || bu.Reason != "retry_budget_exhausted" {
 		t.Fatalf("got %v, want retry_budget_exhausted give-up", gerr)
@@ -274,7 +274,7 @@ type flakyOnce struct {
 	failed map[int]bool
 }
 
-func (f *flakyOnce) NeighborsCtx(_ context.Context, v int) ([]int32, error) {
+func (f *flakyOnce) neighbors(v int) ([]int32, error) {
 	if !f.failed[v] {
 		f.failed[v] = true
 		return nil, &FaultError{Kind: FaultRateLimit, Node: int32(v), RetryAfter: f.hint}
@@ -285,17 +285,13 @@ func (f *flakyOnce) NeighborsCtx(_ context.Context, v int) ([]int32, error) {
 func (f *flakyOnce) NeighborsBatchCtx(_ context.Context, vs []int32, out [][]int32, failed []bool) error {
 	var first error
 	for i, v := range vs {
-		nbr, err := f.NeighborsCtx(nil, int(v))
+		nbr, err := f.neighbors(int(v))
 		out[i], failed[i] = nbr, err != nil
 		if err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
-}
-
-func (f *flakyOnce) DegreeCtx(_ context.Context, v int) (int, error) {
-	return f.MemBackend.Degree(v), nil
 }
 
 func (f *flakyOnce) AttrCtx(_ context.Context, name string, v int) (float64, bool, error) {
@@ -312,7 +308,7 @@ func TestResilientHonorsRetryAfter(t *testing.T) {
 	res := NewResilientBackend(fb, fastPolicy())
 
 	began := time.Now()
-	nbr, err := res.NeighborsCtx(context.Background(), 3)
+	nbr, err := neighborsOne(res, context.Background(), 3)
 	if err != nil || len(nbr) == 0 {
 		t.Fatalf("retry did not recover: %v", err)
 	}

@@ -26,8 +26,8 @@ import (
 // returns the winner's list and every client shares one slice per node.
 //
 // Charging. First-access verdicts are an atomic test-and-set on the queried
-// bit, independent of the fill: whichever path touches v first — a per-node
-// miss, a batched fill, an attribute read, or a ResolveOwned on behalf of a
+// bit, independent of the fill: whichever path touches v first — a client
+// admitting a miss, an attribute read, or a ResolveOwned on behalf of a
 // fleet peer — sees the bit clear and sets it; every later or racing caller
 // sees it set. Each node is thus "first" for exactly one caller, so the fleet
 // meter is charged once per unique node with no lock around the pair.
@@ -160,16 +160,6 @@ func (sc *SharedCache) markQueried(v int32) bool {
 		sc.owned.Add(1)
 	}
 	return true
-}
-
-// wasQueried reports whether any attached client has accessed v.
-func (sc *SharedCache) wasQueried(v int32) bool {
-	pg := sc.page(v)
-	if pg == nil {
-		return false
-	}
-	o := uint32(v) & l1Mask
-	return pg.queried[o>>6].Load()&(1<<(o&63)) != 0
 }
 
 // Queries returns the total query cost accumulated across all attached

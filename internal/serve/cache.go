@@ -112,6 +112,9 @@ func NormalizeSpec(spec JobSpec, env NormEnv) (JobSpec, error) {
 	if spec.BackwardReps < 0 || spec.BackwardReps > core.MaxWalksPerCandidate {
 		return spec, fmt.Errorf("serve: backward_reps %d out of range [0, %d]", spec.BackwardReps, core.MaxWalksPerCandidate)
 	}
+	if spec.BackwardReps == 0 {
+		spec.BackwardReps = core.DefaultBackwardReps
+	}
 	if spec.VarianceBudget < 0 || spec.VarianceBudget > core.MaxWalksPerCandidate {
 		return spec, fmt.Errorf("serve: variance_budget %d out of range [0, %d]", spec.VarianceBudget, core.MaxWalksPerCandidate)
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/osn"
 )
@@ -52,6 +53,9 @@ func TestSpecDigestEquivalentVariants(t *testing.T) {
 			WalkLength: env.DefaultWalkLen, CrawlHops: 2, Attr: "degree"},
 		"design case alias":      {Design: "SRW"},
 		"deadline elided vs set": {DeadlineMS: 120000},
+		// The sampler runs DefaultBackwardReps base walks for 0, so both
+		// spellings draw the same rows and must share one digest.
+		"explicit backward_reps": {BackwardReps: core.DefaultBackwardReps},
 	}
 	var want string
 	for name, spec := range variants {

@@ -51,8 +51,8 @@ type JobSpec struct {
 	NoWeighted bool `json:"no_weighted,omitempty"`
 	// BackwardReps is the number of base backward walks per candidate and
 	// VarianceBudget the most top-up walks a candidate runs, in waves,
-	// while its estimate stays noisy (core.Config; 0 = core defaults: 3
-	// base walks, no top-up). A wave's walks are paid in full, so a
+	// while its estimate stays noisy (core.Config; 0 = core defaults:
+	// core.DefaultBackwardReps base walks, no top-up). A wave's walks are paid in full, so a
 	// budget's cost grows with the walks a candidate uses, up to about
 	// twice them. Each lies in [0, 1024] (core.MaxWalksPerCandidate);
 	// other values are refused with 400.

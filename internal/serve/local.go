@@ -235,12 +235,7 @@ func (m *Manager) run(job *Job) (*JobResult, error) {
 				runtime.Gosched()
 			}
 		}
-		var res walk.Result
-		if spec.Workers > 1 {
-			res, err = s.SampleNParallelCtx(runCtx, spec.Count, spec.Workers)
-		} else {
-			res, err = s.SampleNCtx(runCtx, spec.Count)
-		}
+		res, err := s.SampleNParallelCtx(runCtx, spec.Count, spec.Workers)
 		out := &JobResult{
 			Samples:        res.Len(),
 			Queries:        s.Queries(),
