@@ -411,8 +411,9 @@ func sameOutcome(t *testing.T, what string, got, want outcome, charges, wire boo
 // over every comparison of the column, and every stream's total-variation
 // distance to the design's exact stationary π must stay within the graph's
 // declared bound. The bounds sit just above the values measured at the
-// commit that introduced the matrix (EXPERIMENTS.md), so a bias cannot grow
-// unseen: Barbell(21)'s comes from the bootstrapped 10th-percentile
+// commit that introduced the matrix, so a bias cannot grow unseen; a change
+// of draws moves one only when a seed sweep shows sampling noise
+// (EXPERIMENTS.md), as BA(40,2) SRW's did at draw version 3. Barbell(21)'s comes from the bootstrapped 10th-percentile
 // acceptance scale on a low-conductance graph, and Hypercube(5)'s is
 // structural — the graph is bipartite and t = 2·5+1 is odd, so p_t is zero
 // on half the nodes and every stream sits exactly 0.5 from π.
@@ -423,9 +424,9 @@ func testTargetDistribution(t *testing.T) {
 		g    *graph.Graph
 		tv   map[string]float64 // per design, over weighted on/off and every path
 	}{
-		// Measured maxima: SRW 0.045, MHRW 0.124.
-		{"ba40", gen.BarabasiAlbert(40, 2, rand.New(rand.NewSource(40))), map[string]float64{"srw": 0.05, "mhrw": 0.13}},
-		// Measured maxima: SRW 0.387, MHRW 0.327.
+		// Measured maxima: SRW 0.051, MHRW 0.115.
+		{"ba40", gen.BarabasiAlbert(40, 2, rand.New(rand.NewSource(40))), map[string]float64{"srw": 0.055, "mhrw": 0.13}},
+		// Measured maxima: SRW 0.388, MHRW 0.328.
 		{"barbell21", gen.Barbell(21), map[string]float64{"srw": 0.40, "mhrw": 0.34}},
 		// Exactly 0.5 on every path.
 		{"hypercube5", gen.Hypercube(5), map[string]float64{"srw": 0.501, "mhrw": 0.501}},

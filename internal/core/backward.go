@@ -27,8 +27,8 @@ import (
 // Configuration freeze: Client and Design must be set before the
 // first estimate and not mutated afterwards — the step kernel caches values
 // derived from them on first use. Crawl and Hist, and Hist's contents, may
-// change between estimates (the parallel pipeline refreshes its workers'
-// frozen history in place between batches).
+// change between estimates (the sampling pipeline records each batch's
+// forward walks into the history before estimating the batch).
 type Estimator struct {
 	Client *osn.Client
 	Design walk.Design
@@ -63,6 +63,8 @@ type Estimator struct {
 	// lockstep kernel (batch.go).
 	rng fastrand.Rand
 	vec *vecState
+	// heads is Sampler.estimate's reusable buffer of lane headers.
+	heads []*BatchCand
 }
 
 // epsilon is WS-BW's minimum uniform mixing mass (Algorithm 2, line 4): the

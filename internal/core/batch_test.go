@@ -234,7 +234,7 @@ func TestParallelSamplerVectorizedMatchesScalar(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					return res, s.est.StepsTaken, c.TotalQueries()
+					return res, s.BackwardSteps(), c.TotalQueries()
 				}
 				want, wantSteps, wantQ := run(true)
 				got, gotSteps, gotQ := run(false)
@@ -308,13 +308,12 @@ func TestLockstepRoundTrips(t *testing.T) {
 		if !s.lockstep() {
 			t.Fatal("a concurrent-batch backend must select the lockstep kernels")
 		}
-		cands := make([]*pcand, 8)
-		for i := range cands {
-			cands[i] = &pcand{}
-			s.draw(cands[i])
+		b := &batch{cands: make([]pcand, 8)}
+		for i := range b.cands {
+			s.draw(&b.cands[i])
 		}
 		pre := be.calls.Load()
-		s.walkBatch(cands, s.lockstep())
+		s.walkBatch(b, s.lockstep())
 		calls := be.calls.Load() - pre
 		t.Logf("%s: 8-walk forward batch: %d backend calls", tc.d.Name(), calls)
 		if calls > tc.fwdMax {
@@ -322,7 +321,7 @@ func TestLockstepRoundTrips(t *testing.T) {
 		}
 
 		toppedUp := 0
-		for i, cd := range cands {
+		for i, cd := range b.cands {
 			e := &Estimator{Client: client(), Design: tc.d, Start: 0}
 			bc := &BatchCand{V: cd.V, Seed: cd.Seed}
 			pre := be.calls.Load()

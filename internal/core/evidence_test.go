@@ -3,8 +3,8 @@ package core
 // Tests for the WS-BW evidence rows: a clear evidence bit must prove z = 0
 // on every history the samplers record, the gate must stay off where that
 // proof does not hold (restricted views, RecordWalk-only histories), and
-// the parallel pipeline's frozen history must carry exactly the
-// producer's evidence.
+// the history a parallel run's workers read must hold exactly the walks of
+// the batches it dispatched.
 
 import (
 	"math"
@@ -52,8 +52,7 @@ func checkEvidenceSound(t *testing.T, name string, g *graph.Graph, d walk.Design
 }
 
 // TestEvidenceSoundness records histories through every sampler path —
-// sequential, parallel (live history and the workers' frozen copy) and
-// harvest — on a scale-free, a bipartite and a low-conductance graph under
+// sequential, parallel and harvest — on a scale-free, a bipartite and a low-conductance graph under
 // SRW and MHRW (whose self-loop slot the evidence must cover too).
 func TestEvidenceSoundness(t *testing.T) {
 	graphs := map[string]*graph.Graph{
@@ -86,8 +85,7 @@ func TestEvidenceSoundness(t *testing.T) {
 			if _, err := p.SampleNParallel(6, 2); err != nil {
 				t.Fatal(err)
 			}
-			checkEvidenceSound(t, name+"/par-live", g, d, p.hist, tlen)
-			checkEvidenceSound(t, name+"/par-frozen", g, d, p.snapHist, tlen)
+			checkEvidenceSound(t, name+"/par", g, d, p.hist, tlen)
 
 			hs, err := NewHarvestSampler(newClient(3), cfg, 0, fastrand.New(3))
 			if err != nil {
@@ -165,8 +163,9 @@ func TestEvidenceGateScope(t *testing.T) {
 }
 
 // TestEvidenceParallelGolden runs the golden mem-par4 stream on its own, so
-// it can be repeated under -race: the producer records walks (and their
-// evidence) into the live history while four workers read the frozen copy.
+// it can be repeated under -race: the producer walks the speculative next
+// batch while four workers read the history, and records walks (and their
+// evidence) into it only at the batch barrier.
 func TestEvidenceParallelGolden(t *testing.T) {
 	g := gen.BarabasiAlbert(2000, 3, rand.New(rand.NewSource(42)))
 	rng := rand.New(rand.NewSource(11))
@@ -184,7 +183,46 @@ func TestEvidenceParallelGolden(t *testing.T) {
 	if !reflect.DeepEqual(got, goldenPar4) {
 		t.Fatalf("got %#v\nwant %#v", got, goldenPar4)
 	}
-	if s.snapHist.evRows != 9 {
-		t.Fatalf("frozen evRows = %d, want 9", s.snapHist.evRows)
+	if s.hist.evRows != 9 {
+		t.Fatalf("evRows = %d, want 9", s.hist.evRows)
+	}
+}
+
+// TestHistoryHoldsDispatchedBatches checks that a speculative batch the run
+// never dispatches never enters the history. Without a crawl table an SRW
+// backward walk on a connected graph runs exactly t steps, so with no
+// top-up every dispatched candidate — consumed, or estimated after the
+// run's last acceptance — costs reps·t backward steps, and BackwardSteps
+// counts the dispatched candidates independently of the history.
+func TestHistoryHoldsDispatchedBatches(t *testing.T) {
+	const tlen, reps = 7, 2
+	g := gen.BarabasiAlbert(600, 3, rand.New(rand.NewSource(3)))
+	discarded := 0
+	for seed := int64(1); seed <= 6; seed++ {
+		c := osn.NewClient(osn.NewNetwork(g), osn.CostUniqueNodes, fastrand.New(seed))
+		s, err := NewSampler(c, Config{Design: walk.SRW{}, WalkLength: tlen, UseWeighted: true,
+			BackwardReps: reps}, fastrand.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, call := range [][2]int{{5, 2}, {3, 1}, {7, 4}} {
+			if _, err := s.SampleNParallel(call[0], call[1]); err != nil {
+				t.Fatal(err)
+			}
+			walked, dispatched := int(s.ForwardSteps()/tlen), int(s.BackwardSteps()/(reps*tlen))
+			if s.BackwardSteps()%(reps*tlen) != 0 {
+				t.Fatalf("seed %d: %d backward steps, not whole candidates of %d", seed, s.BackwardSteps(), reps*tlen)
+			}
+			if got := s.hist.Walks(); got != dispatched {
+				t.Fatalf("seed %d after %v: history holds %d walks, %d candidates dispatched (%d walked)",
+					seed, call, got, dispatched, walked)
+			}
+			if walked > dispatched {
+				discarded++
+			}
+		}
+	}
+	if discarded == 0 {
+		t.Fatal("no run discarded a speculative batch; the check covers only dispatched ones")
 	}
 }

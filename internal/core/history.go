@@ -31,9 +31,8 @@ import (
 // proof holds; one walk recorded without neighbor lists (RecordWalk) drops
 // it to 0.
 //
-// A History is written by one goroutine. The parallel pipeline gives its
-// estimation workers a second, frozen History that syncTo rewrites at the
-// batch barrier, while no worker reads it.
+// A History is written by one goroutine. The sampling pipeline records a
+// batch's walks at the batch barrier, while no estimation worker reads it.
 type History struct {
 	pages  [][]*histPage // pages[step][node>>histPageShift]
 	walks  int
@@ -235,43 +234,9 @@ func (h *History) Hits(node, step int) int {
 // Walks returns n_hw, the number of recorded forward walks.
 func (h *History) Walks() int { return h.walks }
 
-// syncTo makes dst an exact copy of h. dst must be empty or hold an
-// earlier state of h — h has only recorded walks since, so it covers
-// every page dst holds. Each page of h is copied into dst's page at the
-// same place, reusing dst's directories, pages and counter arrays, so a
-// repeat sync allocates only for the pages and counters h gained since.
-// The parallel pipeline syncs its frozen history at the batch barrier,
-// while no worker reads it.
-func (h *History) syncTo(dst *History) {
-	for len(dst.pages) < len(h.pages) {
-		dst.pages = append(dst.pages, nil)
-	}
-	for step, row := range h.pages {
-		drow := dst.pages[step]
-		if len(drow) < len(row) {
-			drow = append(drow, make([]*histPage, len(row)-len(drow))...)
-			dst.pages[step] = drow
-		}
-		for pi, pg := range row {
-			if pg == nil {
-				continue
-			}
-			d := drow[pi]
-			if d == nil {
-				d = pagePool.Get().(*histPage)
-				drow[pi] = d
-			}
-			counts := d.counts
-			*d = *pg
-			d.counts = append(counts[:0], pg.counts...)
-		}
-	}
-	dst.walks, dst.evRows = h.walks, h.evRows
-}
-
 // Release returns the history's pages to the pool and empties it. Call it
 // only once no goroutine can still be reading the history: a service
-// releases a job's histories after the run has returned. A released
+// releases a job's history after the run has returned. A released
 // history is empty but valid — recording into it again starts from
 // scratch.
 func (h *History) Release() {

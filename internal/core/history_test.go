@@ -1,10 +1,9 @@
 package core
 
 // Tests for the paged History representation: agreement with a dense
-// reference on random record/read/sync interleavings, frozen-copy
-// semantics of syncTo under the page pool, and the visited-mass memory
-// bound (sparse visits on a 5M-max-id fixture must sync in O(visited),
-// not O(maxId)).
+// reference on random record/read/release interleavings, page-pool reuse,
+// and the visited-mass memory bound (sparse visits on a 5M-max-id fixture
+// must record in O(visited), not O(maxId)).
 
 import (
 	"fmt"
@@ -54,15 +53,6 @@ func (h *denseHistory) Hits(node, step int) int {
 		return 0
 	}
 	return int(row[node])
-}
-
-func (h *denseHistory) clone() *denseHistory {
-	s := &denseHistory{walks: h.walks}
-	s.counts = make([][]int32, len(h.counts))
-	for i, row := range h.counts {
-		s.counts[i] = append([]int32(nil), row...)
-	}
-	return s
 }
 
 // agreesWithDense checks h against the dense reference: walk counts and
@@ -115,17 +105,13 @@ func agreesWithDense(t *testing.T, what string, h *History, ref *denseHistory, f
 
 // TestHistoryMatchesDenseReference drives the paged history and the dense
 // reference through identical random interleavings of walk recording,
-// point reads, releases, and syncs into one frozen history. After every
-// op the live history must agree with the reference and the frozen one
-// with the reference copy taken at its last sync, so later live writes
-// (into the same pages, or growing the directories) stay invisible to it.
-// Every cell is compared at each sync, release and trial end; random
-// probes in between.
+// point reads and releases. After every op the history must agree with the
+// reference: every cell at each release and trial end, random probes in
+// between.
 func TestHistoryMatchesDenseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 20; trial++ {
-		paged, frozen := NewHistory(), NewHistory()
-		dense, frozenRef := &denseHistory{}, &denseHistory{}
+		paged, dense := NewHistory(), &denseHistory{}
 		// Id spread crosses several page boundaries; occasionally huge to
 		// exercise directory growth.
 		randomID := func() int {
@@ -143,14 +129,9 @@ func TestHistoryMatchesDenseReference(t *testing.T) {
 		for op := 0; op < 300; op++ {
 			full := op == 299
 			switch rng.Intn(12) {
-			case 0: // release both, as Sampler.ReleasePages does
+			case 0: // release, as Sampler.ReleasePages does
 				paged.Release()
-				frozen.Release()
-				dense, frozenRef = &denseHistory{}, &denseHistory{}
-				full = true
-			case 1: // sync the frozen history
-				paged.syncTo(frozen)
-				frozenRef = dense.clone()
+				dense = &denseHistory{}
 				full = true
 			default: // record a walk
 				path := make([]int, 1+rng.Intn(12))
@@ -160,25 +141,21 @@ func TestHistoryMatchesDenseReference(t *testing.T) {
 				paged.RecordWalk(path)
 				dense.RecordWalk(path)
 			}
-			agreesWithDense(t, fmt.Sprintf("trial %d op %d live", trial, op), paged, dense, full, randomID, rng)
-			agreesWithDense(t, fmt.Sprintf("trial %d op %d frozen", trial, op), frozen, frozenRef, full, randomID, rng)
+			agreesWithDense(t, fmt.Sprintf("trial %d op %d", trial, op), paged, dense, full, randomID, rng)
 		}
-		frozen.Release()
 		paged.Release()
 	}
 }
 
 // TestHistoryPoolReuse checks that Release returns pages to the pool and
 // that a subsequent history drawing from it starts empty — stale counters
-// from the previous owner, live or frozen, must never leak through.
+// from the previous owner must never leak through.
 func TestHistoryPoolReuse(t *testing.T) {
-	h, frozen := NewHistory(), NewHistory()
+	h := NewHistory()
 	h.RecordWalk([]int{7, 8, 9})
-	h.syncTo(frozen)
-	frozen.Release()
 	h.Release()
-	if h.Walks() != 0 || h.Hits(7, 0) != 0 || frozen.Walks() != 0 || frozen.Hits(8, 1) != 0 {
-		t.Fatalf("released histories not empty: walks=%d/%d", h.Walks(), frozen.Walks())
+	if h.Walks() != 0 || h.Hits(7, 0) != 0 || h.Hits(8, 1) != 0 {
+		t.Fatalf("released history not empty: walks=%d", h.Walks())
 	}
 	h2 := NewHistory()
 	h2.RecordWalk([]int{7, 100, 9})
@@ -190,63 +167,60 @@ func TestHistoryPoolReuse(t *testing.T) {
 	}
 }
 
-// sparseFixture records sparse walks whose ids reach up to ~5M — the
+// sparseWalks returns sparse walks whose ids reach up to ~5M — the
 // multi-million-node regime the paged layout exists for: a few hundred
-// distinct (node, step) cells against a 5M-wide id space. It returns the
-// largest id recorded.
-func sparseFixture(h *History) (maxID int) {
+// distinct (node, step) cells against a 5M-wide id space — and the largest
+// id among them.
+func sparseWalks() (walks [][]int, maxID int) {
 	rng := rand.New(rand.NewSource(5))
-	path := make([]int, 16)
 	for w := 0; w < 50; w++ {
+		path := make([]int, 16)
 		for i := range path {
 			path[i] = rng.Intn(5_000_000)
 			maxID = max(maxID, path[i])
 		}
-		h.RecordWalk(path)
+		walks = append(walks, path)
 	}
-	return maxID
+	return walks, maxID
 }
 
-// TestHistorySyncMemoryBound is the visited-mass regression test: the
-// first sync of a sparse 5M-max-id history into an empty one must
-// allocate O(visited) — a copy of its pages and page directories, nothing
-// per untouched id — and at least 100× less than a copy of the dense
-// layout, (maxId+1) int32 counters for each of the 16 steps (~320 MB for
-// this fixture). A repeat sync with no new walks reuses every page and
+// TestHistoryRecordMemoryBound is the visited-mass regression test: first
+// recording sparse walks of a 5M-max-id id space into an empty history must
+// allocate O(visited) — its pages and page directories, nothing per
+// untouched id — and at least 100× less than the dense layout, (maxId+1)
+// int32 counters for each of the 16 steps (~320 MB for this fixture).
+// Recording the same walks again finds every page and counter in place and
 // allocates nothing.
-func TestHistorySyncMemoryBound(t *testing.T) {
-	h := NewHistory()
-	maxID := sparseFixture(h)
+func TestHistoryRecordMemoryBound(t *testing.T) {
+	walks, maxID := sparseWalks()
 	dense := uint64(maxID+1) * 16 * 4
-	// Each page copy costs at most its struct rounded up to the 1280 B
-	// size class plus a small counter array; directories at most their
-	// live capacity. Twice the live history's bytes bounds both.
-	budget := uint64(2 * historyBytes(h))
+	h := NewHistory()
 	var before, after runtime.MemStats
-	frozen := NewHistory()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	h.syncTo(frozen)
+	for _, path := range walks {
+		h.RecordWalk(path)
+	}
 	runtime.ReadMemStats(&after)
 	first := after.TotalAlloc - before.TotalAlloc
-	if first > budget {
-		t.Fatalf("first sparse sync allocates %d B, want <= %d B (visited-mass bound)", first, budget)
+	// Each page costs at most its struct rounded up to the 1280 B size class
+	// plus its counter array's growth; directories at most their regrowth.
+	// Twice the recorded history's bytes bounds both.
+	if budget := uint64(2 * historyBytes(h)); first > budget {
+		t.Fatalf("first sparse record allocates %d B, want <= %d B (visited-mass bound)", first, budget)
 	}
 	if first*100 > dense {
-		t.Fatalf("first sparse sync allocates %d B, want 100× under the %d B dense copy", first, dense)
+		t.Fatalf("first sparse record allocates %d B, want 100× under the %d B dense layout", first, dense)
 	}
-	if repeat := testing.AllocsPerRun(10, func() { h.syncTo(frozen) }); repeat != 0 {
-		t.Fatalf("repeat sync allocates %.0f times, want 0", repeat)
-	}
-	for step := 0; step < 16; step++ {
-		for _, v := range []int{0, 4_999_999} {
-			if frozen.Hits(v, step) != h.Hits(v, step) {
-				t.Fatalf("frozen Hits(%d,%d) = %d, live %d", v, step, frozen.Hits(v, step), h.Hits(v, step))
-			}
+	if repeat := testing.AllocsPerRun(10, func() {
+		for _, path := range walks {
+			h.RecordWalk(path)
 		}
+	}); repeat != 0 {
+		t.Fatalf("repeat record allocates %.0f times, want 0", repeat)
 	}
-	t.Logf("sparse 5M-max-id first sync: %d B (budget %d B, dense copy %d B, %.0f× smaller)",
-		first, budget, dense, float64(dense)/float64(first))
+	t.Logf("sparse 5M-max-id first record: %d B (dense layout %d B, %.0f× smaller)",
+		first, dense, float64(dense)/float64(first))
 }
 
 // historyBytes is the memory a history holds: its page directories, its

@@ -190,10 +190,9 @@ func TestEstimateBatchWarmAllocs(t *testing.T) {
 	}
 	scalar := false
 	s.scalarKernel = &scalar
-	walks := make([]*pcand, 8)
-	for i := range walks {
-		walks[i] = &pcand{}
-		s.draw(walks[i])
+	walks := &batch{cands: make([]pcand, 8)}
+	for i := range walks.cands {
+		s.draw(&walks.cands[i])
 	}
 	s.walkBatch(walks, s.lockstep())
 	if avg := testing.AllocsPerRun(100, func() { s.walkBatch(walks, s.lockstep()) }); avg != 0 {

@@ -9,16 +9,16 @@ import (
 	"repro/internal/walk"
 )
 
-// This file is the concurrent WALK-ESTIMATE engine: a speculative
-// walk→estimate→accept pipeline (SampleNParallel). The concurrency model —
-// what is shared, what is per-worker, and the determinism contract — is
-// documented in DESIGN.md.
+// This file is the sampling driver: a speculative walk→estimate→accept
+// pipeline (run) that every Sampler call goes through, sequential calls at
+// width 1. The concurrency model — what is shared, what is per-worker, and
+// the determinism contract — is documented in DESIGN.md.
 //
 // Shared across workers: the osn.SharedCache (neighbor lists + unique-node
-// accounting), the immutable CrawlTable, and the frozen WS-BW history.
-// Per worker: an osn.Client (own cost meter, reading the shared cache), an
-// Estimator (own scratch buffer, own StepsTaken meter, own walk
-// substreams).
+// accounting), the immutable CrawlTable, and the live WS-BW history, which
+// only the producer writes, while no worker estimates. Per worker: an
+// osn.Client (own cost meter, reading the shared cache), an Estimator (own
+// scratch buffer, own StepsTaken meter, own walk substreams).
 
 // pcand is one candidate of a batch. The producer fills its draws and
 // forward-walk endpoint (V); exactly one estimator fills PHat, Steps, Err
@@ -31,21 +31,33 @@ type pcand struct {
 	q         float64 // target weight q(v)
 }
 
+// batch is one batch of the pipeline: its candidates, and their forward
+// walks back to back (cands[i]'s walk is paths[i*(t+1):(i+1)*(t+1)]) until
+// record enters them into the WS-BW history. ev reports whether the walks
+// may set evidence rows (walkBatch). A sampler keeps two, the batch being
+// estimated and the speculative next one, and reuses their storage.
+type batch struct {
+	cands []pcand
+	paths []int
+	ev    bool
+}
+
+// generate draws size candidates into b from the sampler stream and runs
+// their forward walks.
+func (s *Sampler) generate(b *batch, size int, lockstep bool) {
+	if cap(b.cands) < size {
+		b.cands = make([]pcand, size)
+	}
+	b.cands = b.cands[:size]
+	for i := range b.cands {
+		s.draw(&b.cands[i])
+	}
+	s.walkBatch(b, lockstep)
+}
+
 // SampleNParallel draws n samples like SampleN but runs the backward
-// estimates — the dominant cost of WALK-ESTIMATE — on `workers` goroutines.
-//
-// Pipeline: the producer (the calling goroutine) generates forward-walk
-// candidates in batches, drawing each candidate's forward-walk seed,
-// estimation seed and acceptance uniform from the sampler's RNG at
-// generation time (the same three draws SampleN takes); a worker
-// pool estimates a batch while the producer speculatively generates the
-// next; the consumer then applies bootstrap updates and acceptance tests in
-// candidate arrival order. Because every random decision is either made
-// sequentially by the producer/consumer or derived from a per-candidate
-// seed, the returned node sequence is a deterministic function of (sampler
-// seed, workers) regardless of goroutine scheduling — see the determinism
-// contract in DESIGN.md (type-1 neighbor-list restrictions, which
-// re-randomize per call, void it).
+// estimates — the dominant cost of WALK-ESTIMATE — on `workers` goroutines
+// (see run). At one worker it is SampleN.
 //
 // Workers share the client's neighbor cache (promoting it to an
 // osn.SharedCache on first use), so CostAfter reports the fleet-wide
@@ -58,8 +70,8 @@ func (s *Sampler) SampleNParallel(n, workers int) (walk.Result, error) {
 
 // SampleNParallelCtx is SampleNParallel with cancellation. The context is
 // checked at the two places work is committed: by the producer before each
-// batch is prefetched and dispatched, and by every estimation worker before
-// each candidate's backward walks. Once ctx is cancelled, in-flight
+// batch is generated or dispatched, and by every estimation worker before
+// each chunk of backward walks. Once ctx is cancelled, in-flight
 // candidates are abandoned (their slot resolves to ctx's error instead of an
 // estimate) and no further forward walk, prefetch, or backward walk starts —
 // so the run stops charging queries within one batch. The checks consume no
@@ -69,8 +81,63 @@ func (s *Sampler) SampleNParallelCtx(ctx context.Context, n, workers int) (walk.
 	if workers < 1 {
 		return walk.Result{}, fmt.Errorf("core: need >= 1 worker, got %d", workers)
 	}
-	if workers == 1 || n < 0 { // SampleNCtx refuses a negative n
-		return s.SampleNCtx(ctx, n)
+	return s.run(ctx, n, workers)
+}
+
+// pool returns the estimation workers of a width above 1: one Estimator per
+// worker over a client forked from the sampler's — forking promotes the
+// private cache into an osn.SharedCache all workers and the producer share
+// — reading the live WS-BW history. The pool persists across calls, and
+// with it the workers' clients; a call of another width replaces it, and
+// Queries keeps the retired workers' charges.
+func (s *Sampler) pool(workers int) []*Estimator {
+	if len(s.workerEsts) == workers {
+		return s.workerEsts
+	}
+	for _, e := range s.workerEsts {
+		s.retiredQueries += e.Client.Queries()
+	}
+	s.workerEsts = make([]*Estimator, workers)
+	for w := range s.workerEsts {
+		s.workerEsts[w] = &Estimator{
+			Client: s.c.Fork(fastrand.New(s.rng.Int63())),
+			Design: s.cfg.Design,
+			Start:  s.cfg.Start,
+			Crawl:  s.est.Crawl,
+			Hist:   s.hist,
+		}
+	}
+	return s.workerEsts
+}
+
+// run draws n samples through the pipeline at the given width.
+//
+// The producer (the calling goroutine) generates candidates in batches,
+// drawing each candidate's forward-walk seed, estimation seed and
+// acceptance uniform from the sampler's RNG and running the forward walks.
+// Just before a batch is estimated, its walks enter the WS-BW history
+// (record), so every estimate reads the walks of all batches dispatched so
+// far, its own batch included. The consumer then applies bootstrap updates
+// and acceptance tests in candidate order.
+//
+// At width 1 a batch is one candidate, estimated inline on the sampler's
+// own estimator: draw, walk, record, estimate, accept. Above width 1 a
+// batch of max(2·workers, 8) candidates is estimated in one chunk per
+// worker while the producer speculatively generates the next batch —
+// drawing and walking it, not recording it, so nothing writes the history
+// while the workers read it. A speculative batch that is never dispatched
+// never enters the history.
+//
+// Because every random decision is either made sequentially by the
+// producer/consumer or derived from a per-candidate seed, and the history a
+// batch reads is a function of the batches before it, the returned node
+// sequence is a deterministic function of (sampler seed, workers)
+// regardless of goroutine scheduling — see the determinism contract in
+// DESIGN.md (type-1 neighbor-list restrictions, which re-randomize per
+// call, void it).
+func (s *Sampler) run(ctx context.Context, n, workers int) (walk.Result, error) {
+	if n < 0 {
+		return walk.Result{}, fmt.Errorf("core: negative sample count %d", n)
 	}
 	res := walk.Result{
 		Nodes:     make([]int, 0, n),
@@ -84,24 +151,6 @@ func (s *Sampler) SampleNParallelCtx(ctx context.Context, n, workers int) (walk.
 	t := s.cfg.WalkLength
 	maxAttempts := s.cfg.maxAttempts()
 
-	// Per-worker estimators over forked clients. Forking promotes s.c's
-	// private cache into a SharedCache all workers (and the producer) share.
-	// The pool persists across calls, and with it the workers' clients.
-	if len(s.workerEsts) != workers {
-		s.workerEsts = make([]*Estimator, workers)
-		for w := range s.workerEsts {
-			wc := s.c.Fork(fastrand.New(s.rng.Int63()))
-			s.workerEsts[w] = &Estimator{
-				Client: wc,
-				Design: s.cfg.Design,
-				Start:  s.cfg.Start,
-				Crawl:  s.est.Crawl,
-				Hist:   s.snapHist,
-			}
-		}
-	}
-	ests := s.workerEsts
-
 	// Kernel selection (lockstep): forward and backward walks run in
 	// lockstep when the backend answers batch requests concurrently, one
 	// after another otherwise. Either way every walk draws from its own
@@ -110,73 +159,35 @@ func (s *Sampler) SampleNParallelCtx(ctx context.Context, n, workers int) (walk.
 	// batch is chunked across workers.
 	lockstep := s.lockstep()
 
-	batch := 2 * workers
-	if batch < 8 {
-		batch = 8
-	}
-	jobs := make(chan []*pcand, workers)
+	fullBatch := 1
+	var jobs chan []pcand
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		go func(e *Estimator) {
-			var bcs []*BatchCand // reused lane headers
-			for chunk := range jobs {
-				if err := ctx.Err(); err != nil {
-					// Abandon promptly: the batch still drains (the barrier
-					// stays intact) but no further backward walk starts, so
-					// no further query is charged. Cause, not Err: a typed
-					// backend failure that cancelled the job context must
-					// surface as itself, not as a bare context.Canceled.
-					cause := context.Cause(ctx)
-					for _, cd := range chunk {
-						cd.Err = cause
+	if workers > 1 {
+		fullBatch = max(2*workers, 8)
+		jobs = make(chan []pcand, workers)
+		for _, e := range s.pool(workers) {
+			go func(e *Estimator) {
+				for chunk := range jobs {
+					if err := ctx.Err(); err != nil {
+						// Abandon promptly: the batch still drains (the
+						// barrier stays intact) but no further backward walk
+						// starts, so no further query is charged. Cause, not
+						// Err: a typed backend failure that cancelled the job
+						// context must surface as itself, not as a bare
+						// context.Canceled.
+						cause := context.Cause(ctx)
+						for i := range chunk {
+							chunk[i].Err = cause
+						}
+					} else {
+						s.estimate(e, chunk, lockstep)
 					}
 					wg.Done()
-					continue
 				}
-				s.estimate(e, chunk, lockstep, &bcs)
-				wg.Done()
-			}
-		}(ests[w])
-	}
-	defer close(jobs)
-
-	// generate draws one batch's candidates from the sampler stream and
-	// runs their forward walks on the producer goroutine (recording WS-BW
-	// history), then decides whether the batch sees a refreshed frozen
-	// history.
-	generate := func(size int) []*pcand {
-		out := make([]*pcand, size)
-		for i := range out {
-			out[i] = &pcand{}
-			s.draw(out[i])
+			}(e)
 		}
-		s.walkBatch(out, lockstep)
-		// Throttled refresh: only when the live history has grown ≥ 50%
-		// since the last one (copying it every batch would serialize the
-		// pipeline). Estimating against a slightly stale history is still
-		// unbiased — any full-support pick distribution is (see the WS-BW
-		// note in backward.go) — and the schedule depends only on walk
-		// counts, so determinism is preserved. Workers may still be
-		// reading the frozen history, so the copy waits for syncFrozen.
-		if s.hist != nil && s.hist.Walks() >= s.snapWalks+s.snapWalks/2 {
-			s.snapWalks = s.hist.Walks()
-		}
-		return out
+		defer close(jobs)
 	}
-
-	// syncFrozen performs a refresh generate decided, copying the live
-	// history into the frozen one. It runs only while no worker reads the
-	// frozen history: before a batch is dispatched, and on the way out, so
-	// a refresh decided for a speculative batch that is never dispatched
-	// still lands before a later call (or a sequential one in between)
-	// records more walks. Both are points where the live history holds
-	// exactly the walks it held when the refresh was decided.
-	syncFrozen := func() {
-		if s.hist != nil && s.snapHist.Walks() != s.snapWalks {
-			s.hist.syncTo(s.snapHist)
-		}
-	}
-	defer syncFrozen()
 
 	attemptsSince := 0   // attempts since the last accepted sample
 	var stepsSince int64 // walk steps since the last accepted sample
@@ -187,17 +198,18 @@ func (s *Sampler) SampleNParallelCtx(ctx context.Context, n, workers int) (walk.
 	// resolves to ctx's error, so a run either never observed cancellation
 	// (and is bit-identical to an uncancelled one) or returns an error —
 	// there is no third state.
-	consume := func(cands []*pcand) (done bool, err error) {
+	consume := func(cands []pcand) (done bool, err error) {
 		if err := ctx.Err(); err != nil {
 			return false, context.Cause(ctx)
 		}
-		for i, cd := range cands {
+		for i := range cands {
+			cd := &cands[i]
 			if cd.Err != nil {
 				return false, cd.Err
 			}
 			s.attempts++
 			attemptsSince++
-			s.est.StepsTaken += cd.Steps
+			s.backwardSteps += cd.Steps
 			stepsSince += int64(t) + cd.Steps
 			if cd.q > 0 {
 				s.boot.Observe(cd.PHat / cd.q)
@@ -222,7 +234,7 @@ func (s *Sampler) SampleNParallelCtx(ctx context.Context, n, workers int) (walk.
 						// already-estimated speculative candidates.
 						for _, rest := range cands[i+1:] {
 							if rest.Err == nil {
-								s.est.StepsTaken += rest.Steps
+								s.backwardSteps += rest.Steps
 							}
 						}
 						return true, nil
@@ -241,82 +253,72 @@ func (s *Sampler) SampleNParallelCtx(ctx context.Context, n, workers int) (walk.
 	// candidates than a full batch (with 2x headroom), shrink accordingly.
 	// All inputs are deterministic counters, so sizing is deterministic too.
 	batchSize := func() int {
-		rem := n - len(res.Nodes)
 		if s.accepted == 0 {
-			return batch
+			return fullBatch
 		}
 		rate := float64(s.accepted) / float64(s.attempts)
-		need := int(2*float64(rem)/rate) + 1
-		if need < workers {
-			need = workers
-		}
-		if need < batch {
-			return need
-		}
-		return batch
+		need := int(2*float64(n-len(res.Nodes))/rate) + 1
+		return min(max(need, workers), fullBatch)
 	}
 
-	cur := generate(batchSize())
-	for {
+	speculated := false // the batch of this round was generated last round
+	for slot := 0; ; slot ^= 1 {
 		// Producer-side cancellation point: between batches, before any of
-		// the next batch's queries (prefetch, estimates) are charged.
+		// the next batch's queries (forward walks, prefetch, estimates) are
+		// charged.
 		if err := ctx.Err(); err != nil {
 			return res, context.Cause(ctx)
 		}
-		// Batched frontier prefetch, at dispatch time: the batch's candidate
-		// endpoints are exactly the nodes every estimation worker queries
-		// first (each backward walk starts at its candidate), so issue the
-		// whole frontier as one batched fill — one shared-cache locked pass
-		// per shard and one backend round trip — before the workers fan out.
-		// Prefetching here rather than in generate keeps the query-cost axis
-		// untouched: only batches that are actually estimated are
-		// prefetched, so every prefetched node is accessed by the workers
-		// regardless (a speculative batch discarded after the run completes
-		// is never estimated, and must not be charged). Prefetch consumes no
-		// RNG and is a no-op under type-1 restrictions, preserving the
-		// determinism contract.
-		s.frontier = s.frontier[:0]
-		for _, cd := range cur {
-			s.frontier = append(s.frontier, int32(cd.V))
+		cur := &s.batches[slot]
+		if !speculated {
+			s.generate(cur, batchSize(), lockstep)
 		}
-		s.c.Prefetch(s.frontier)
-		syncFrozen()
-		// One contiguous chunk per worker: wide lanes amortize the batched
-		// frontier resolutions without idling workers.
-		chunkSz := (len(cur) + workers - 1) / workers
-		for lo := 0; lo < len(cur); lo += chunkSz {
-			hi := lo + chunkSz
-			if hi > len(cur) {
-				hi = len(cur)
+		speculated = false
+		// The barrier: no estimate runs, so the batch's walks enter the
+		// history its estimates read.
+		s.record(cur)
+		if workers == 1 {
+			s.estimate(s.est, cur.cands, lockstep)
+		} else {
+			// Batched frontier prefetch, at dispatch time: the batch's
+			// candidate endpoints are exactly the nodes every estimation
+			// worker queries first (each backward walk starts at its
+			// candidate), so issue the whole frontier as one batched fill —
+			// one shared-cache locked pass per shard and one backend round
+			// trip — before the workers fan out. Only batches that are
+			// actually estimated are prefetched, so every prefetched node is
+			// accessed by the workers regardless and the query-cost axis is
+			// untouched. Prefetch consumes no RNG and is a no-op under type-1
+			// restrictions, preserving the determinism contract.
+			s.frontier = s.frontier[:0]
+			for i := range cur.cands {
+				s.frontier = append(s.frontier, int32(cur.cands[i].V))
 			}
-			wg.Add(1)
-			jobs <- cur[lo:hi]
+			s.c.Prefetch(s.frontier)
+			// One contiguous chunk per worker: wide lanes amortize the
+			// batched frontier resolutions without idling workers.
+			chunkSz := (len(cur.cands) + workers - 1) / workers
+			for lo := 0; lo < len(cur.cands); lo += chunkSz {
+				wg.Add(1)
+				jobs <- cur.cands[lo:min(lo+chunkSz, len(cur.cands))]
+			}
+			// Speculate the next batch while the pool estimates cur — unless
+			// cur alone will in all likelihood finish the run, in which case
+			// speculating would only burn wasted forward walks, or the run
+			// is cancelled and about to error out of consume.
+			likelyAccepts := 0
+			if s.attempts > 0 {
+				likelyAccepts = int(2 * float64(s.accepted) / float64(s.attempts) * float64(len(cur.cands)))
+			}
+			if likelyAccepts < n-len(res.Nodes) && ctx.Err() == nil {
+				s.generate(&s.batches[slot^1], batchSize(), lockstep)
+				speculated = true
+			}
+			wg.Wait()
 		}
-		// Speculate the next batch while the pool estimates cur — unless
-		// cur alone will in all likelihood finish the run, in which case
-		// speculating would only burn wasted forward walks and estimates.
-		var next []*pcand
-		rem := n - len(res.Nodes)
-		likelyAccepts := 0
-		if s.attempts > 0 {
-			likelyAccepts = int(2 * float64(s.accepted) / float64(s.attempts) * float64(len(cur)))
-		}
-		// A cancelled run is about to error out of consume — speculating a
-		// next batch would only charge forward walks nobody will estimate.
-		if likelyAccepts < rem && ctx.Err() == nil {
-			next = generate(batchSize())
-		}
-		wg.Wait()
-		done, err := consume(cur)
-		if err != nil {
+		done, err := consume(cur.cands)
+		if err != nil || done {
 			return res, err
 		}
-		if done {
-			return res, nil
-		}
-		if next == nil {
-			next = generate(batchSize())
-		}
-		cur = next
 	}
 }

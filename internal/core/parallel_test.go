@@ -32,7 +32,9 @@ func parallelTestSampler(t *testing.T, seed int64) *Sampler {
 
 // TestSampleNParallelAccounting checks that the parallel run reports sane
 // bookkeeping: positive step counts per sample, a nondecreasing fleet-wide
-// cost axis, and acceptance counters consistent with the result.
+// cost axis, acceptance counters consistent with the result, and the
+// sampler's own charges equal to the fleet meter, across a call that
+// replaces the worker pool too.
 func TestSampleNParallelAccounting(t *testing.T) {
 	s := parallelTestSampler(t, 9)
 	res, err := s.SampleNParallel(20, 3)
@@ -58,6 +60,19 @@ func TestSampleNParallelAccounting(t *testing.T) {
 	if s.c.Shared() == nil {
 		t.Error("parallel run should have promoted the client to a shared cache")
 	}
+	if q, fleet := s.Queries(), s.c.TotalQueries(); q != fleet {
+		t.Errorf("Queries() = %d, fleet meter %d", q, fleet)
+	}
+
+	s = parallelTestSampler(t, 9)
+	for _, workers := range []int{2, 4} {
+		if _, err := s.SampleNParallel(10, workers); err != nil {
+			t.Fatal(err)
+		}
+		if q, fleet := s.Queries(), s.c.TotalQueries(); q != fleet {
+			t.Errorf("after a call at %d workers: Queries() = %d, fleet meter %d", workers, q, fleet)
+		}
+	}
 }
 
 // TestSampleNParallelArgs covers the edge and error paths.
@@ -76,7 +91,7 @@ func TestSampleNParallelArgs(t *testing.T) {
 	if err != nil || res.Len() != 0 {
 		t.Errorf("n=0: %v, %d samples", err, res.Len())
 	}
-	res, err = s.SampleNParallel(3, 1) // delegates to the sequential path
+	res, err = s.SampleNParallel(3, 1) // the sequential path
 	if err != nil || res.Len() != 3 {
 		t.Errorf("workers=1: %v, %d samples", err, res.Len())
 	}

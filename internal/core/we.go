@@ -16,9 +16,14 @@ import (
 //
 // Version 2 gives every walk its own substream (forward walks from
 // per-candidate seeds, backward walk r from repSeed) and tops up a noisy
-// estimate in waves of walks. Version 1, which journal records without a version
+// estimate in waves of walks. Version 3 keeps that and lets a batch's
+// estimates read every forward walk of the batches dispatched so far, its
+// own included (the pipeline records a batch into the WS-BW history just
+// before estimating it), where version 2 gave the workers of a width
+// above 1 a copy refreshed once the history had grown by half; at width 1
+// the two draw alike. Version 1, which journal records without a version
 // carry implicitly, drew every walk from the sampler's one stream.
-const DrawVersion = 2
+const DrawVersion = 3
 
 // Config parameterizes a WALK-ESTIMATE sampler. The zero value is not
 // usable: Design, Start and WalkLength must be set. Defaults follow the
@@ -132,40 +137,34 @@ type Sampler struct {
 	boot ScaleBootstrap
 
 	// OnSample, when set, is invoked synchronously for each accepted sample
-	// of SampleN/SampleNCtx and SampleNParallel/SampleNParallelCtx, in
-	// acceptance order, from the sampler's own goroutine (the parallel
-	// engine's consumer runs on the calling goroutine too). A service uses
-	// it to stream accepted samples to clients while a job is still
-	// running. The hook must not call back into the sampler.
+	// of every sampling call, in acceptance order, from the calling
+	// goroutine (the pipeline's consumer runs there). A service uses it to
+	// stream accepted samples to clients while a job is still running. The
+	// hook must not call back into the sampler.
 	OnSample func(SampleEvent)
 
-	// scalarKernel, when non-nil, overrides the kernel choice of SampleN
-	// and SampleNParallel (see lockstep): true pins the scalar kernels,
-	// false the lockstep ones, forward and backward alike. Both draw
+	// scalarKernel, when non-nil, overrides the kernel choice of the
+	// sampling calls (see lockstep): true pins the scalar kernels, false
+	// the lockstep ones, forward and backward alike. Both draw
 	// bit-identical results; only the kernel-equivalence tests set it, to
 	// run both kernels on one backend.
 	scalarKernel *bool
 
-	forwardSteps int64
-	attempts     int64
-	accepted     int64
+	forwardSteps  int64
+	backwardSteps int64
+	attempts      int64
+	accepted      int64
 
-	// Forward-walk state (walkBatch): the batch's paths, back to back, and
-	// one substream per walk. seq is SampleN's one-candidate batch and bcs
-	// its lane headers (estimate).
-	paths []int
-	fwd   []fastrand.Rand
-	seq   [1]*pcand
-	bcs   []*BatchCand
-
-	// Parallel-engine state (see parallel.go): the persistent worker pool,
-	// the frozen WS-BW history the estimation workers read (nil without
-	// the heuristic), the live walk count its latest refresh was decided
-	// at, and the reusable frontier buffer for batched prefetch.
-	workerEsts []*Estimator
-	snapHist   *History
-	snapWalks  int
-	frontier   []int32
+	// Pipeline state (see parallel.go): the batch being estimated and the
+	// speculative next one, whose storage every attempt and call reuses,
+	// one substream per forward walk, the reusable frontier buffer for
+	// batched prefetch, the estimation worker pool of a width above 1, and
+	// the query charges of the pools it replaced.
+	batches        [2]batch
+	fwd            []fastrand.Rand
+	frontier       []int32
+	workerEsts     []*Estimator
+	retiredQueries int64
 }
 
 // NewSampler builds a WALK-ESTIMATE sampler over the given metered client.
@@ -175,7 +174,7 @@ func NewSampler(c *osn.Client, cfg Config, rng fastrand.RNG) (*Sampler, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	s := &Sampler{cfg: cfg, c: c, rng: rng, seq: [1]*pcand{{}}}
+	s := &Sampler{cfg: cfg, c: c, rng: rng}
 	crawl := cfg.Crawl
 	if crawl == nil && cfg.UseCrawl {
 		var err error
@@ -185,7 +184,7 @@ func NewSampler(c *osn.Client, cfg Config, rng fastrand.RNG) (*Sampler, error) {
 		}
 	}
 	if cfg.UseWeighted {
-		s.hist, s.snapHist = NewHistory(), NewHistory()
+		s.hist = NewHistory()
 	}
 	s.est = &Estimator{
 		Client: c,
@@ -197,18 +196,15 @@ func NewSampler(c *osn.Client, cfg Config, rng fastrand.RNG) (*Sampler, error) {
 	return s, nil
 }
 
-// ReleasePages returns every history page the sampler still holds — the
-// live WS-BW history and the workers' frozen copy — to the page pool, so a
+// ReleasePages returns the WS-BW history's pages to the page pool, so a
 // service recycles them into the next job's history.
-// Call it only after the sampling calls have returned (SampleN* quiesce
-// their workers before returning, so nothing can still be reading the
-// pages) and treat it as terminal: drawing further samples afterwards is
-// valid but restarts the weighted heuristic from an empty history.
+// Call it only after the sampling calls have returned (they quiesce their
+// workers before returning, so nothing can still be reading the pages) and
+// treat it as terminal: drawing further samples afterwards is valid but
+// restarts the weighted heuristic from an empty history.
 func (s *Sampler) ReleasePages() {
 	if s.hist != nil {
 		s.hist.Release()
-		s.snapHist.Release()
-		s.snapWalks = 0
 	}
 }
 
@@ -225,46 +221,11 @@ type SampleEvent struct {
 // Sample draws one node from the target distribution. It walks, estimates,
 // and rejects until a candidate is accepted (bounded by MaxAttempts).
 func (s *Sampler) Sample() (int, error) {
-	return s.sample(context.Background())
-}
-
-// sample is Sample with a cancellation context, checked once per rejection
-// attempt — the natural quantum of the sequential sampler: after a cancelled
-// check, no further forward walk or backward estimate is started, so no
-// further query is charged. The check consumes no RNG, so runs that complete
-// are bit-identical with and without a context.
-func (s *Sampler) sample(ctx context.Context) (int, error) {
-	lockstep := s.lockstep()
-	cands := s.seq[:]
-	cd := cands[0]
-	for attempt := 0; attempt < s.cfg.maxAttempts(); attempt++ {
-		if err := ctx.Err(); err != nil {
-			// Cause, not Err: a typed backend failure that cancelled the
-			// job context surfaces as itself.
-			return 0, context.Cause(ctx)
-		}
-		s.attempts++
-		s.draw(cd)
-		// One walk has no lockstep partner: the scalar forward kernel.
-		s.walkBatch(cands, false)
-		s.estimate(s.est, cands, lockstep, &s.bcs)
-		if cd.Err != nil {
-			return 0, cd.Err
-		}
-		if cd.q <= 0 {
-			continue // invisible-degree node; cannot weigh it, skip
-		}
-		s.boot.Observe(cd.PHat / cd.q)
-		beta, err := s.boot.AcceptProb(cd.PHat, cd.q)
-		if err != nil {
-			return 0, err
-		}
-		if cd.acceptU < beta {
-			s.accepted++
-			return cd.V, nil
-		}
+	res, err := s.SampleN(1)
+	if err != nil {
+		return 0, err
 	}
-	return 0, fmt.Errorf("core: no candidate accepted after %d attempts (walk length %d likely far too short for this graph)", s.cfg.maxAttempts(), s.cfg.WalkLength)
+	return res.Nodes[0], nil
 }
 
 // lockstep reports whether the sampler runs its lockstep kernels: when the
@@ -289,33 +250,36 @@ func (s *Sampler) draw(cd *pcand) {
 	cd.acceptU = s.rng.Float64()
 }
 
-// walkBatch runs the forward walks of cands, walk i drawing from the
-// substream fastrand.New(cands[i].fwdSeed), sets each candidate to its
-// walk's endpoint and records the walks into the WS-BW history in
-// candidate order, so the history is a function of the walks, not of how
-// they ran. The walks advance together, step by step; in lockstep one
-// Prefetch resolves each step's frontier first (and one more MHRW's
-// proposals), otherwise each walk fetches its own lists. Both draw the
-// same paths.
+// walkBatch runs the forward walks of b's candidates into b.paths, walk i
+// drawing from the substream fastrand.New(b.cands[i].fwdSeed), and sets
+// each candidate to its walk's endpoint. The walks advance together, step
+// by step; in lockstep one Prefetch resolves each step's frontier first
+// (and one more MHRW's proposals), otherwise each walk fetches its own
+// lists. Both draw the same paths. The walks enter the WS-BW history only
+// when the batch is dispatched (record).
 //
-// A walk's evidence rows are recorded only on a symmetric view and only
-// when every list the batch stepped from was fetched: a failed fetch is not
-// cached, and re-reading its list would go back to the backend.
-func (s *Sampler) walkBatch(cands []*pcand, lockstep bool) {
+// b.ev records whether the walks may set evidence rows: only on a
+// symmetric view and only when every list the batch stepped from was
+// fetched — a failed fetch is not cached, and re-reading its list would go
+// back to the backend.
+func (s *Sampler) walkBatch(b *batch, lockstep bool) {
+	cands := b.cands
 	t := s.cfg.WalkLength
 	n := t + 1
-	if cap(s.paths) < len(cands)*n {
-		s.paths = make([]int, len(cands)*n)
+	if cap(b.paths) < len(cands)*n {
+		b.paths = make([]int, len(cands)*n)
 	}
-	paths := s.paths[:len(cands)*n]
+	b.paths = b.paths[:len(cands)*n]
+	paths := b.paths
 	for len(s.fwd) < len(cands) {
 		s.fwd = append(s.fwd, fastrand.Rand{})
 	}
 	failed := s.c.FailedFetches()
-	for i, cd := range cands {
-		s.fwd[i].Seed(cd.fwdSeed)
+	for i := range cands {
+		s.fwd[i].Seed(cands[i].fwdSeed)
 		paths[i*n] = s.cfg.Start
 	}
+	lockstep = lockstep && len(cands) > 1 // one walk has no lockstep partner
 	mhrw, isMHRW := s.cfg.Design.(walk.MHRW)
 	for step := 0; step < t; step++ {
 		if lockstep {
@@ -343,41 +307,53 @@ func (s *Sampler) walkBatch(cands []*pcand, lockstep bool) {
 		}
 	}
 	s.forwardSteps += int64(len(cands) * t)
-	ev := s.c
-	if !s.c.SymmetricView() || s.c.FailedFetches() != failed {
-		ev = nil // no evidence rows
+	for i := range cands {
+		cands[i].V = paths[i*n+t]
 	}
-	for i, cd := range cands {
-		path := paths[i*n : (i+1)*n]
-		cd.V = path[t]
-		if s.hist != nil {
-			s.hist.record(path, ev)
-		}
+	b.ev = s.c.SymmetricView() && s.c.FailedFetches() == failed
+}
+
+// record enters b's forward walks into the WS-BW history in candidate
+// order, so the history is a function of the walks, not of how they ran.
+// The pipeline records a batch just before it estimates the batch, while
+// no estimate reads the history. Evidence rows read the lists the walks
+// fetched, which the client still caches.
+func (s *Sampler) record(b *batch) {
+	if s.hist == nil {
+		return
+	}
+	var ev *osn.Client
+	if b.ev {
+		ev = s.c
+	}
+	n := s.cfg.WalkLength + 1
+	for i := range b.cands {
+		s.hist.record(b.paths[i*n:(i+1)*n], ev)
 	}
 }
 
 // estimate runs the backward estimates of cands on e — the lockstep kernel
 // or the scalar oracle, which draw identically — and weighs every
-// candidate that did not fail with its target weight q(v). bcs is the
-// caller's reusable buffer of lane headers.
-func (s *Sampler) estimate(e *Estimator, cands []*pcand, lockstep bool, bcs *[]*BatchCand) {
+// candidate that did not fail with its target weight q(v).
+func (s *Sampler) estimate(e *Estimator, cands []pcand, lockstep bool) {
 	t, baseReps, budget := s.cfg.WalkLength, s.cfg.backwardReps(), s.cfg.VarianceBudget
 	if lockstep {
-		b := (*bcs)[:0]
-		for _, cd := range cands {
-			b = append(b, &cd.BatchCand)
+		heads := e.heads[:0]
+		for i := range cands {
+			heads = append(heads, &cands[i].BatchCand)
 		}
-		*bcs = b
-		EstimateAdaptiveBatch(e, b, t, baseReps, budget)
+		e.heads = heads
+		EstimateAdaptiveBatch(e, heads, t, baseReps, budget)
 	} else {
-		for _, cd := range cands {
+		for i := range cands {
+			cd := &cands[i]
 			pre := e.StepsTaken
 			cd.PHat, cd.Err = EstimateAdaptive(e, cd.V, t, baseReps, budget, cd.Seed)
 			cd.Steps = e.StepsTaken - pre
 		}
 	}
-	for _, cd := range cands {
-		if cd.Err == nil {
+	for i := range cands {
+		if cd := &cands[i]; cd.Err == nil {
 			cd.q = s.cfg.Design.TargetWeight(e.Client, cd.V)
 		}
 	}
@@ -393,34 +369,10 @@ func (s *Sampler) SampleN(n int) (walk.Result, error) {
 // SampleNCtx is SampleN with cancellation: once ctx is cancelled the sampler
 // returns ctx's error before starting another rejection attempt, so at most
 // one in-flight candidate's queries are still charged. Runs that complete
-// are bit-identical to SampleN — the context check consumes no RNG.
+// are bit-identical to SampleN — the context check consumes no RNG. It is
+// the sampling pipeline (run) at width 1.
 func (s *Sampler) SampleNCtx(ctx context.Context, n int) (walk.Result, error) {
-	if n < 0 {
-		return walk.Result{}, fmt.Errorf("core: negative sample count %d", n)
-	}
-	res := walk.Result{
-		Nodes:     make([]int, 0, n),
-		Steps:     make([]int, 0, n),
-		CostAfter: make([]int64, 0, n),
-	}
-	for i := 0; i < n; i++ {
-		prevSteps := s.TotalSteps()
-		v, err := s.sample(ctx)
-		if err != nil {
-			return res, err
-		}
-		res.Nodes = append(res.Nodes, v)
-		res.Steps = append(res.Steps, int(s.TotalSteps()-prevSteps))
-		// TotalQueries, not Queries: identical for a never-forked client,
-		// but keeps the cost axis consistent (and monotone) when sequential
-		// and parallel draws are mixed on one sampler.
-		res.CostAfter = append(res.CostAfter, s.c.TotalQueries())
-		if s.OnSample != nil {
-			s.OnSample(SampleEvent{Index: i, Node: v,
-				Steps: res.Steps[i], CostAfter: res.CostAfter[i]})
-		}
-	}
-	return res, nil
+	return s.run(ctx, n, 1)
 }
 
 // AcceptanceRate returns accepted/attempted candidates so far (0 before the
@@ -435,21 +387,22 @@ func (s *Sampler) AcceptanceRate() float64 {
 // TotalSteps returns forward plus backward walk steps taken so far — the
 // y-axis of Figure 5.
 func (s *Sampler) TotalSteps() int64 {
-	return s.forwardSteps + s.est.StepsTaken
+	return s.forwardSteps + s.backwardSteps
 }
 
 // ForwardSteps returns the forward-walk steps taken so far.
 func (s *Sampler) ForwardSteps() int64 { return s.forwardSteps }
 
 // BackwardSteps returns the backward-walk steps taken so far.
-func (s *Sampler) BackwardSteps() int64 { return s.est.StepsTaken }
+func (s *Sampler) BackwardSteps() int64 { return s.backwardSteps }
 
 // Queries returns the query charges of the sampler's own clients: its client
-// plus the estimation workers' forks. Under a shared cache each unique node
-// is charged to exactly one client, so the Queries of samplers that share
-// one cache add up to its fleet meter.
+// plus the estimation workers' forks, those of replaced worker pools
+// included. Under a shared cache each unique node is charged to exactly one
+// client, so the Queries of samplers that share one cache add up to its
+// fleet meter.
 func (s *Sampler) Queries() int64 {
-	q := s.c.Queries()
+	q := s.c.Queries() + s.retiredQueries
 	for _, e := range s.workerEsts {
 		q += e.Client.Queries()
 	}

@@ -245,26 +245,3 @@ func FromEdges(n int, edges [][2]int) *Graph {
 	}
 	return b.Build()
 }
-
-// Subgraph returns the induced subgraph on the given nodes together with the
-// mapping newID -> oldID. Nodes must be valid ids; duplicates are collapsed.
-func (g *Graph) Subgraph(nodes []int) (*Graph, []int) {
-	keep := make([]int, 0, len(nodes))
-	oldToNew := make(map[int]int, len(nodes))
-	for _, v := range nodes {
-		if _, dup := oldToNew[v]; dup {
-			continue
-		}
-		oldToNew[v] = len(keep)
-		keep = append(keep, v)
-	}
-	b := NewBuilder(len(keep))
-	for newU, oldU := range keep {
-		for _, w := range g.Neighbors(oldU) {
-			if newW, ok := oldToNew[int(w)]; ok && newU < newW {
-				b.AddEdge(newU, newW)
-			}
-		}
-	}
-	return b.Build(), keep
-}

@@ -50,25 +50,6 @@ func (m *Matrix) Prob(u, v int) float64 {
 	return 0
 }
 
-// CheckRowStochastic verifies every row sums to 1 within tol and has
-// non-negative entries. Used by tests and defensive callers.
-func (m *Matrix) CheckRowStochastic(tol float64) error {
-	for u := 0; u < m.n; u++ {
-		_, vals := m.Row(u)
-		sum := 0.0
-		for _, v := range vals {
-			if v < 0 {
-				return fmt.Errorf("linalg: negative entry in row %d", u)
-			}
-			sum += v
-		}
-		if math.Abs(sum-1) > tol {
-			return fmt.Errorf("linalg: row %d sums to %v", u, sum)
-		}
-	}
-	return nil
-}
-
 // NewSRW builds the Simple Random Walk transition matrix (Definition 1):
 // T(u,v) = 1/|N(u)| for v in N(u). Isolated nodes get a self-loop of 1 so the
 // matrix stays stochastic.

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,11 +11,43 @@ import (
 	"repro/internal/graph"
 )
 
+// checkRowStochastic verifies every row of m sums to 1 within tol and has
+// non-negative entries.
+func checkRowStochastic(m *Matrix, tol float64) error {
+	for u := 0; u < m.n; u++ {
+		_, vals := m.Row(u)
+		sum := 0.0
+		for _, v := range vals {
+			if v < 0 {
+				return fmt.Errorf("linalg: negative entry in row %d", u)
+			}
+			sum += v
+		}
+		if math.Abs(sum-1) > tol {
+			return fmt.Errorf("linalg: row %d sums to %v", u, sum)
+		}
+	}
+	return nil
+}
+
+// relPointwiseDist returns the paper's Δ(t): the maximum over all start
+// nodes u and targets v of |T^t(u,v) − π(v)|/π(v), one distribution
+// evolution of t steps per start.
+func relPointwiseDist(m *Matrix, pi []float64, t int) float64 {
+	worst := 0.0
+	for u := 0; u < m.n; u++ {
+		if d := m.RelPointwiseDistFrom(pi, u, t); d > worst {
+			worst = d
+		}
+	}
+	return worst
+}
+
 func TestSRWMatrixSmall(t *testing.T) {
 	// Triangle with pendant: 0-1, 1-2, 0-2, 2-3.
 	g := graph.FromEdges(4, [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
 	m := NewSRW(g)
-	if err := m.CheckRowStochastic(1e-12); err != nil {
+	if err := checkRowStochastic(m, 1e-12); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Prob(0, 1); math.Abs(got-0.5) > 1e-12 {
@@ -37,7 +70,7 @@ func TestSRWMatrixSmall(t *testing.T) {
 func TestMHRWMatrixSmall(t *testing.T) {
 	g := graph.FromEdges(4, [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
 	m := NewMHRW(g)
-	if err := m.CheckRowStochastic(1e-12); err != nil {
+	if err := checkRowStochastic(m, 1e-12); err != nil {
 		t.Fatal(err)
 	}
 	// Node 2 (deg 3) -> node 3 (deg 1): (1/3)·min(1, 3/1) = 1/3.
@@ -84,7 +117,7 @@ func TestIsolatedNodeSelfLoop(t *testing.T) {
 	b.AddEdge(0, 1) // node 2 isolated
 	g := b.Build()
 	for _, m := range []*Matrix{NewSRW(g), NewMHRW(g), NewLazy(g, 0.5)} {
-		if err := m.CheckRowStochastic(1e-12); err != nil {
+		if err := checkRowStochastic(m, 1e-12); err != nil {
 			t.Fatal(err)
 		}
 		if got := m.Prob(2, 2); got != 1 {
@@ -96,7 +129,7 @@ func TestIsolatedNodeSelfLoop(t *testing.T) {
 func TestLazyMatrix(t *testing.T) {
 	g := gen.Cycle(6)
 	m := NewLazy(g, 0.3)
-	if err := m.CheckRowStochastic(1e-12); err != nil {
+	if err := checkRowStochastic(m, 1e-12); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Prob(0, 0); math.Abs(got-0.3) > 1e-12 {
@@ -120,7 +153,7 @@ func TestLazyMatrix(t *testing.T) {
 func TestLazify(t *testing.T) {
 	g := graph.FromEdges(4, [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
 	m := Lazify(NewMHRW(g), 0.25)
-	if err := m.CheckRowStochastic(1e-12); err != nil {
+	if err := checkRowStochastic(m, 1e-12); err != nil {
 		t.Fatal(err)
 	}
 	base := NewMHRW(g)
@@ -159,7 +192,7 @@ func TestPropertyRowStochastic(t *testing.T) {
 		n := 5 + rng.Intn(40)
 		g := gen.ErdosRenyiGNP(n, 0.2, rng)
 		for _, m := range []*Matrix{NewSRW(g), NewMHRW(g), NewLazy(g, 0.5)} {
-			if m.CheckRowStochastic(1e-9) != nil {
+			if checkRowStochastic(m, 1e-9) != nil {
 				return false
 			}
 		}
@@ -237,8 +270,8 @@ func TestRelPointwiseDistanceDecreases(t *testing.T) {
 	g := gen.BarabasiAlbert(31, 3, rng)
 	m := NewLazy(g, 0.1)
 	pi, _ := SRWStationary(g)
-	d5 := m.RelPointwiseDist(pi, 5)
-	d50 := m.RelPointwiseDist(pi, 50)
+	d5 := relPointwiseDist(m, pi, 5)
+	d50 := relPointwiseDist(m, pi, 50)
 	if d50 >= d5 {
 		t.Fatalf("Δ(50)=%v should be < Δ(5)=%v", d50, d5)
 	}

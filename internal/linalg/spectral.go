@@ -21,19 +21,6 @@ func (m *Matrix) RelPointwiseDistFrom(pi []float64, start, t int) float64 {
 	return worst
 }
 
-// RelPointwiseDist returns the paper's Δ(t): the maximum over all start
-// nodes u and targets v of |T^t(u,v) − π(v)|/π(v). Cost is n distribution
-// evolutions of t steps each — intended for the small case-study graphs.
-func (m *Matrix) RelPointwiseDist(pi []float64, t int) float64 {
-	worst := 0.0
-	for u := 0; u < m.n; u++ {
-		if d := m.RelPointwiseDistFrom(pi, u, t); d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
 // BurnIn returns the smallest t <= tmax with Δ(t) <= eps (Definition 3's
 // burn-in period), or tmax+1 if the chain has not mixed by tmax. It evolves
 // all n rows simultaneously, O(tmax·n·nnz) total.

@@ -113,7 +113,7 @@ func TestNetworkOnDiskBackend(t *testing.T) {
 	if net.NumNodes() != g.NumNodes() {
 		t.Fatalf("NumNodes = %d", net.NumNodes())
 	}
-	mean, err := net.TrueMean("stars")
+	mean, err := trueMean(net, "stars")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,10 +123,10 @@ func TestNetworkOnDiskBackend(t *testing.T) {
 	}
 	want /= float64(len(attr))
 	if mean != want {
-		t.Fatalf("TrueMean(stars) = %v, want %v", mean, want)
+		t.Fatalf("trueMean(stars) = %v, want %v", mean, want)
 	}
-	if dm, err := net.TrueMean(AttrDegree); err != nil || dm != g.AvgDegree() {
-		t.Fatalf("TrueMean(degree) = %v, %v", dm, err)
+	if dm, err := trueMean(net, AttrDegree); err != nil || dm != g.AvgDegree() {
+		t.Fatalf("trueMean(degree) = %v, %v", dm, err)
 	}
 	found := false
 	for _, name := range net.AttrNames() {
@@ -376,34 +376,6 @@ func TestRemoteSimJitterBounds(t *testing.T) {
 	}
 }
 
-// Evaluation-only ground-truth reads must bypass RemoteSim entirely: no
-// simulated sleeps, no round-trip accounting.
-func TestTrueMeanBypassesRemoteSim(t *testing.T) {
-	g := backendTestGraph(51, 200, 600)
-	sim := NewRemoteSim(diskBackendFor(t, g), time.Hour, 0, 1)
-	net := NewNetworkOn(sim)
-	done := make(chan error, 1)
-	go func() {
-		if _, err := net.TrueMean("attr"); err != nil {
-			done <- err
-			return
-		}
-		_, err := net.TrueMean(AttrDegree)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("TrueMean slept on the simulated backend")
-	}
-	if sim.RoundTrips() != 0 {
-		t.Fatalf("TrueMean charged %d simulated round trips", sim.RoundTrips())
-	}
-}
-
 // A mem backend decoded from a CSR file (attrs included) must present the
 // same network as the disk backend over that file.
 func TestMemBackendWithAttrsMatchesDisk(t *testing.T) {
@@ -415,7 +387,7 @@ func TestMemBackendWithAttrsMatchesDisk(t *testing.T) {
 	tables := map[string][]float64{"score": attr}
 	mem := NewMemBackendWithAttrs(g, tables)
 	netM := NewNetworkOn(mem)
-	mMean, err := netM.TrueMean("score")
+	mMean, err := trueMean(netM, "score")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,12 +400,12 @@ func TestMemBackendWithAttrsMatchesDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mapped.Close()
-	dMean, err := NewNetworkOn(disk).TrueMean("score")
+	dMean, err := trueMean(NewNetworkOn(disk), "score")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mMean != dMean {
-		t.Fatalf("TrueMean(score): mem %v != disk %v", mMean, dMean)
+		t.Fatalf("trueMean(score): mem %v != disk %v", mMean, dMean)
 	}
 	if got := mem.AttrNames(); len(got) != 1 || got[0] != "score" {
 		t.Fatalf("AttrNames = %v", got)

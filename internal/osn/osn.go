@@ -26,17 +26,12 @@ import (
 // not touch directly. Construct with NewNetwork or NewNetworkOn; access
 // through a Client.
 type Network struct {
-	be Backend
-	// truth is the innermost backend (RemoteSim wrappers unwrapped) used by
-	// evaluation-only reads like TrueMean, which must pay neither simulated
-	// latency nor round-trip accounting.
-	truth       Backend
+	be          Backend
 	g           *graph.Graph // ground-truth view for evaluation; nil when the backend has none
 	attrs       map[string][]float64
 	attrFns     map[string]func(int) float64
-	attrMu      sync.Mutex // guards attrCache and meanCache (clients may share a Network across goroutines)
+	attrMu      sync.Mutex // guards attrCache (clients may share a Network across goroutines)
 	attrCache   map[string]map[int]float64
-	meanCache   map[string]float64
 	restriction Restriction
 	rateLimit   *RateLimit
 	// concBatch records whether any backend layer answers batch requests
@@ -57,8 +52,7 @@ func WithAttribute(name string, values []float64) Option {
 // WithAttrFunc attaches a lazily-computed per-node attribute (e.g. local
 // clustering coefficient or mean shortest-path length, which are too
 // expensive to precompute for every node of a large graph). Values are
-// memoized per node. TrueMean is unavailable for function attributes — the
-// dataset layer records ground truth for those separately.
+// memoized per node.
 func WithAttrFunc(name string, fn func(node int) float64) Option {
 	return func(n *Network) { n.attrFns[name] = fn }
 }
@@ -84,26 +78,23 @@ func NewNetwork(g *graph.Graph, opts ...Option) *Network {
 // NewNetworkOn wraps any access backend — in-memory, memory-mapped CSR, or
 // simulated remote API — as a simulated online social network.
 func NewNetworkOn(be Backend, opts ...Option) *Network {
-	truth := be
 	concBatch := false
-	for {
-		if cb, ok := truth.(interface{ ConcurrentBatch() bool }); ok && cb.ConcurrentBatch() {
+	for layer := be; ; {
+		if cb, ok := layer.(interface{ ConcurrentBatch() bool }); ok && cb.ConcurrentBatch() {
 			concBatch = true
 		}
-		u, ok := truth.(interface{ Inner() Backend })
+		u, ok := layer.(interface{ Inner() Backend })
 		if !ok {
 			break
 		}
-		truth = u.Inner()
+		layer = u.Inner()
 	}
 	n := &Network{
 		be:        be,
-		truth:     truth,
 		concBatch: concBatch,
 		attrs:     make(map[string][]float64),
 		attrFns:   make(map[string]func(int) float64),
 		attrCache: make(map[string]map[int]float64),
-		meanCache: make(map[string]float64),
 	}
 	if gv, ok := be.(GraphViewer); ok {
 		n.g = gv.GraphView()
@@ -132,66 +123,6 @@ func (n *Network) Backend() Backend { return n.be }
 
 // NumNodes returns the hidden |V| (evaluation only).
 func (n *Network) NumNodes() int { return n.be.NumNodes() }
-
-// TrueMean returns the exact population mean of an attribute, or of degree
-// when name is "degree" and the attribute table has no explicit entry.
-// This is the ground truth for the paper's relative-error measure.
-// The sum is memoized per attribute — the eval layer calls TrueMean per
-// figure point, and attribute tables are immutable once attached.
-func (n *Network) TrueMean(name string) (float64, error) {
-	n.attrMu.Lock()
-	mean, hit := n.meanCache[name]
-	n.attrMu.Unlock()
-	if hit {
-		return mean, nil
-	}
-	vals, ok := n.attrs[name]
-	if !ok {
-		// Evaluation-only reads go through the innermost backend: a
-		// RemoteSim must charge samplers for access, never the ground-truth
-		// bookkeeping (its latency and round-trip meters would otherwise be
-		// corrupted by every figure point).
-		if _, isBackend := probeAttr(n.truth, name); isBackend {
-			// Backend-stored table (e.g. embedded in a CSR file): sum once
-			// and memoize like any other attribute.
-			sum := 0.0
-			for v := 0; v < n.truth.NumNodes(); v++ {
-				val, _ := n.truth.Attr(name, v)
-				sum += val
-			}
-			mean = sum / float64(n.truth.NumNodes())
-			n.attrMu.Lock()
-			n.meanCache[name] = mean
-			n.attrMu.Unlock()
-			return mean, nil
-		}
-		if name == AttrDegree {
-			if n.truth.NumNodes() == 0 {
-				return 0, nil // match graph.AvgDegree's empty-graph contract
-			}
-			return 2 * float64(n.truth.NumEdges()) / float64(n.truth.NumNodes()), nil
-		}
-		return 0, fmt.Errorf("osn: unknown attribute %q", name)
-	}
-	sum := 0.0
-	for _, v := range vals {
-		sum += v
-	}
-	mean = sum / float64(len(vals))
-	n.attrMu.Lock()
-	n.meanCache[name] = mean
-	n.attrMu.Unlock()
-	return mean, nil
-}
-
-// probeAttr reports whether the backend stores a table under name (safe on
-// empty graphs, where no per-node probe is possible).
-func probeAttr(be Backend, name string) (float64, bool) {
-	if be.NumNodes() == 0 {
-		return 0, false
-	}
-	return be.Attr(name, 0)
-}
 
 // AttrNames lists the attributes attached to the network (table, function,
 // and backend-stored attributes alike), in unspecified order.
