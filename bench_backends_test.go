@@ -71,19 +71,17 @@ func TestBatchedStepBeatsScalar(t *testing.T) {
 	g := gen.BarabasiAlbert(3000, 3, rand.New(rand.NewSource(5)))
 	net := osn.NewNetworkOn(osn.NewRemoteSim(osn.NewMemBackend(g), 10*time.Millisecond, 0, 64))
 	// Forward-walk setup, shared by both runs, over the same graph without
-	// latency: record a WS-BW history and collect the candidate endpoints.
+	// latency: collect the candidate endpoints.
 	setupC := osn.NewClient(osn.NewNetwork(g), osn.CostUniqueNodes, fastrand.New(1))
-	hist := core.NewHistory()
 	walkRNG := fastrand.New(2)
 	nodes := make([]int, width)
 	for i := range nodes {
 		path := walk.Path(setupC, d, 0, tSteps, walkRNG)
-		hist.RecordWalk(path)
 		nodes[i] = path[len(path)-1]
 	}
 	run := func(batched bool) time.Duration {
 		c := osn.NewClient(net, osn.CostUniqueNodes, fastrand.New(3))
-		e := &core.Estimator{Client: c, Design: d, Start: 0, Hist: hist}
+		e := &core.Estimator{Client: c, Design: d, Start: 0}
 		start := time.Now()
 		if batched {
 			cands := make([]*core.BatchCand, width)

@@ -185,12 +185,11 @@ func BenchmarkBackwardEstimate(b *testing.B) {
 func BenchmarkWESample(b *testing.B) {
 	g, c, rng := benchGraphAndClient(b, 5000, 5)
 	s, err := wnw.NewWalkEstimate(c, wnw.WEConfig{
-		Design:      wnw.SimpleRandomWalk(),
-		Start:       0,
-		WalkLength:  2*g.EstimateDiameter(2, rng) + 1,
-		UseCrawl:    true,
-		CrawlHops:   2,
-		UseWeighted: true,
+		Design:     wnw.SimpleRandomWalk(),
+		Start:      0,
+		WalkLength: 2*g.EstimateDiameter(2, rng) + 1,
+		UseCrawl:   true,
+		CrawlHops:  2,
 	}, rng)
 	if err != nil {
 		b.Fatal(err)
@@ -225,29 +224,25 @@ func BenchmarkCrawlTable(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationWEVariants compares the full WALK-ESTIMATE against its
-// heuristic ablations (the DESIGN.md design-choice ablation): time per
-// accepted sample with neither heuristic, crawl only, weighting only, both.
+// BenchmarkAblationWEVariants compares WALK-ESTIMATE with and without its
+// initial-crawling heuristic: time per accepted sample.
 func BenchmarkAblationWEVariants(b *testing.B) {
 	variants := []struct {
-		name            string
-		crawl, weighted bool
+		name  string
+		crawl bool
 	}{
-		{"None", false, false},
-		{"Crawl", true, false},
-		{"Weighted", false, true},
-		{"Full", true, true},
+		{"None", false},
+		{"Crawl", true},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
 			g, c, rng := benchGraphAndClient(b, 5000, 5)
 			s, err := wnw.NewWalkEstimate(c, wnw.WEConfig{
-				Design:      wnw.SimpleRandomWalk(),
-				Start:       0,
-				WalkLength:  2*g.EstimateDiameter(2, rng) + 1,
-				UseCrawl:    v.crawl,
-				CrawlHops:   2,
-				UseWeighted: v.weighted,
+				Design:     wnw.SimpleRandomWalk(),
+				Start:      0,
+				WalkLength: 2*g.EstimateDiameter(2, rng) + 1,
+				UseCrawl:   v.crawl,
+				CrawlHops:  2,
 			}, rng)
 			if err != nil {
 				b.Fatal(err)
@@ -283,7 +278,6 @@ func BenchmarkParallelWE(b *testing.B) {
 		WalkLength:     13,
 		UseCrawl:       true,
 		CrawlHops:      2,
-		UseWeighted:    true,
 		BackwardReps:   4,
 		VarianceBudget: 8,
 	}

@@ -145,12 +145,11 @@ func run(in, backendName string, latency, jitter time.Duration, fanout int,
 			walkLen = 2*g.EstimateDiameter(4, rand.New(rand.NewSource(seed))) + 1
 		}
 		s, err := wnw.NewWalkEstimate(c, wnw.WEConfig{
-			Design:      d,
-			Start:       start,
-			WalkLength:  walkLen,
-			UseCrawl:    true,
-			CrawlHops:   hops,
-			UseWeighted: true,
+			Design:     d,
+			Start:      start,
+			WalkLength: walkLen,
+			UseCrawl:   true,
+			CrawlHops:  hops,
 		}, rng)
 		if err != nil {
 			return err

@@ -57,12 +57,11 @@ func main() {
 	c2 := wnw.NewClient(net, wnw.CostUniqueNodes, rng)
 	walkLen := 2*g.Diameter() + 1
 	s, err := wnw.NewWalkEstimate(c2, wnw.WEConfig{
-		Design:      wnw.SimpleRandomWalk(),
-		Start:       0,
-		WalkLength:  walkLen,
-		UseCrawl:    true,
-		CrawlHops:   2,
-		UseWeighted: true,
+		Design:     wnw.SimpleRandomWalk(),
+		Start:      0,
+		WalkLength: walkLen,
+		UseCrawl:   true,
+		CrawlHops:  2,
 	}, rng)
 	if err != nil {
 		log.Fatal(err)

@@ -25,12 +25,11 @@ func main() {
 
 	const samples = 200
 	cfg := wnw.WEConfig{
-		Design:      wnw.SimpleRandomWalk(),
-		Start:       0,
-		WalkLength:  2*g.EstimateDiameter(4, rng) + 1,
-		UseCrawl:    true,
-		CrawlHops:   2,
-		UseWeighted: true,
+		Design:     wnw.SimpleRandomWalk(),
+		Start:      0,
+		WalkLength: 2*g.EstimateDiameter(4, rng) + 1,
+		UseCrawl:   true,
+		CrawlHops:  2,
 	}
 
 	// Plain WALK-ESTIMATE: one candidate per forward walk.

@@ -43,12 +43,11 @@ func main() {
 	// backward, accept/reject to the same degree-proportional target.
 	cWE := wnw.NewClient(net, wnw.CostUniqueNodes, rng)
 	sampler, err := wnw.NewWalkEstimate(cWE, wnw.WEConfig{
-		Design:      wnw.SimpleRandomWalk(),
-		Start:       start,
-		WalkLength:  2*g.EstimateDiameter(4, rng) + 1,
-		UseCrawl:    true,
-		CrawlHops:   2,
-		UseWeighted: true,
+		Design:     wnw.SimpleRandomWalk(),
+		Start:      start,
+		WalkLength: 2*g.EstimateDiameter(4, rng) + 1,
+		UseCrawl:   true,
+		CrawlHops:  2,
 	}, rng)
 	if err != nil {
 		log.Fatal(err)

@@ -72,12 +72,11 @@ func main() {
 	// the visible graph; their efficiency comparison is unchanged.
 	c4 := wnw.NewClient(net3, wnw.CostUniqueNodes, rng)
 	s, err := wnw.NewWalkEstimate(c4, wnw.WEConfig{
-		Design:      wnw.SimpleRandomWalk(),
-		Start:       hub,
-		WalkLength:  2*g.Diameter() + 1,
-		UseCrawl:    true,
-		CrawlHops:   2,
-		UseWeighted: true,
+		Design:     wnw.SimpleRandomWalk(),
+		Start:      hub,
+		WalkLength: 2*g.Diameter() + 1,
+		UseCrawl:   true,
+		CrawlHops:  2,
 	}, rng)
 	if err != nil {
 		log.Fatal(err)

@@ -44,12 +44,11 @@ func main() {
 		if useWE {
 			var s *wnw.WESampler
 			s, err = wnw.NewWalkEstimate(c, wnw.WEConfig{
-				Design:      d,
-				Start:       ds.StartNode,
-				WalkLength:  ds.WalkLength(),
-				UseCrawl:    true,
-				CrawlHops:   ds.CrawlHops,
-				UseWeighted: true,
+				Design:     d,
+				Start:      ds.StartNode,
+				WalkLength: ds.WalkLength(),
+				UseCrawl:   true,
+				CrawlHops:  ds.CrawlHops,
 			}, rng)
 			if err == nil {
 				res, err = s.SampleN(samples)

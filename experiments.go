@@ -67,7 +67,7 @@ var (
 	Fig7 = exp.Fig7
 	// Fig8: Twitter error-vs-cost (4 panels).
 	Fig8 = exp.Fig8
-	// Fig9: heuristic ablation WE-None/WE-Crawl/WE-Weighted/WE (4 panels).
+	// Fig9: heuristic ablation WE-None/WE-Crawl (4 panels).
 	Fig9 = exp.Fig9
 	// Fig10: Google Plus error-vs-sample-count (4 panels).
 	Fig10 = exp.Fig10

@@ -105,11 +105,10 @@ func TestPublicAPIConcurrentEngine(t *testing.T) {
 	// Parallel WALK-ESTIMATE through the facade.
 	c := wnw.NewClient(net, wnw.CostUniqueNodes, rand.New(rand.NewSource(43)))
 	s, err := wnw.NewWalkEstimate(c, wnw.WEConfig{
-		Design:      wnw.SimpleRandomWalk(),
-		Start:       0,
-		WalkLength:  9,
-		UseCrawl:    true,
-		UseWeighted: true,
+		Design:     wnw.SimpleRandomWalk(),
+		Start:      0,
+		WalkLength: 9,
+		UseCrawl:   true,
 	}, rand.New(rand.NewSource(44)))
 	if err != nil {
 		t.Fatal(err)

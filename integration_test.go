@@ -28,12 +28,11 @@ func TestIntegrationYelpPipeline(t *testing.T) {
 	// WALK-ESTIMATE over SRW.
 	cWE := wnw.NewClient(ds.Net, wnw.CostUniqueNodes, rng)
 	s, err := wnw.NewWalkEstimate(cWE, wnw.WEConfig{
-		Design:      wnw.SimpleRandomWalk(),
-		Start:       ds.StartNode,
-		WalkLength:  ds.WalkLength(),
-		UseCrawl:    true,
-		CrawlHops:   ds.CrawlHops,
-		UseWeighted: true,
+		Design:     wnw.SimpleRandomWalk(),
+		Start:      ds.StartNode,
+		WalkLength: ds.WalkLength(),
+		UseCrawl:   true,
+		CrawlHops:  ds.CrawlHops,
 	}, rng)
 	if err != nil {
 		t.Fatal(err)

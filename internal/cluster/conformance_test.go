@@ -32,6 +32,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -84,6 +85,9 @@ func confCases(t *testing.T, g *graph.Graph) map[string]serve.JobSpec {
 	cases := map[string]serve.JobSpec{
 		"estimate": {Type: serve.TypeEstimateMean, Count: 10, Seed: 3},
 	}
+	// no_weighted normalizes away (draw version 4): the -noweighted and
+	// -plain cases run the specs of their crawl twins, so every path shows
+	// the field inert.
 	for _, d := range []string{"srw", "mhrw"} {
 		cases[d] = serve.JobSpec{Design: d, Count: 20, Seed: 7}
 		cases[d+"-nocrawl"] = serve.JobSpec{Design: d, Count: 20, Seed: 7, NoCrawl: true}
@@ -406,15 +410,18 @@ func sameOutcome(t *testing.T, what string, got, want outcome, charges, wire boo
 }
 
 // testTargetDistribution is the matrix's distribution column: seq, par2
-// and par4 each draw confN samples per (graph, design). par2 and par4 must
+// and par4 each draw confN samples per (graph, design). Each path runs
+// twice, with no_weighted set and unset, and the two runs must draw the
+// same counts: the field is inert since draw version 4. par2 and par4 must
 // pass a two-sample χ² test against seq at α = 0.001, Bonferroni-corrected
 // over every comparison of the column, and every stream's total-variation
 // distance to the design's exact stationary π must stay within the graph's
 // declared bound. The bounds sit just above the values measured at the
 // commit that introduced the matrix, so a bias cannot grow unseen; a change
 // of draws moves one only when a seed sweep shows sampling noise
-// (EXPERIMENTS.md), as BA(40,2) SRW's did at draw version 3. Barbell(21)'s comes from the bootstrapped 10th-percentile
-// acceptance scale on a low-conductance graph, and Hypercube(5)'s is
+// (EXPERIMENTS.md), as BA(40,2) SRW's did at draw version 3. Barbell(21)'s
+// comes from the bootstrapped 10th-percentile acceptance scale on a
+// low-conductance graph, and Hypercube(5)'s is
 // structural — the graph is bipartite and t = 2·5+1 is odd, so p_t is zero
 // on half the nodes and every stream sits exactly 0.5 from π.
 func testTargetDistribution(t *testing.T) {
@@ -422,7 +429,7 @@ func testTargetDistribution(t *testing.T) {
 	graphs := []struct {
 		name string
 		g    *graph.Graph
-		tv   map[string]float64 // per design, over weighted on/off and every path
+		tv   map[string]float64 // per design, over every path
 	}{
 		// Measured maxima: SRW 0.051, MHRW 0.115.
 		{"ba40", gen.BarabasiAlbert(40, 2, rand.New(rand.NewSource(40))), map[string]float64{"srw": 0.055, "mhrw": 0.13}},
@@ -432,39 +439,48 @@ func testTargetDistribution(t *testing.T) {
 		{"hypercube5", gen.Hypercube(5), map[string]float64{"srw": 0.501, "mhrw": 0.501}},
 	}
 	paths := []int{1, 2, 4}
-	designs := []serve.JobSpec{{Design: "srw"}, {Design: "srw", NoWeighted: true}, {Design: "mhrw"}, {Design: "mhrw", NoWeighted: true}}
+	designs := []string{"srw", "mhrw"}
 	alpha := 0.001 / float64(len(graphs)*len(designs)*(len(paths)-1))
 	start := 0
 	for _, gc := range graphs {
-		for _, spec := range designs {
-			name := fmt.Sprintf("%s %s weighted=%v", gc.name, spec.Design, !spec.NoWeighted)
+		for _, design := range designs {
+			name := fmt.Sprintf("%s %s", gc.name, design)
 			pi := linalg.UniformStationary(gc.g.NumNodes())
-			if spec.Design == "srw" {
+			if design == "srw" {
 				var err error
 				if pi, err = linalg.SRWStationary(gc.g); err != nil {
 					t.Fatal(err)
 				}
 			}
-			spec.Count, spec.Seed, spec.Start = confN, 11, &start
-			spec.WalkLength, spec.CrawlHops = 2*gc.g.Diameter()+1, 1
-			spec.BackwardReps, spec.VarianceBudget = 4, 8
+			spec := serve.JobSpec{Design: design, Count: confN, Seed: 11, Start: &start,
+				WalkLength: 2*gc.g.Diameter() + 1, CrawlHops: 1, BackwardReps: 4, VarianceBudget: 8}
+			counts := func(noWeighted bool) []int {
+				spec.NoWeighted = noWeighted
+				c := make([]int, gc.g.NumNodes())
+				for _, r := range libRun(t, osn.NewMemBackend(gc.g), spec).rows {
+					c[r.Node]++
+				}
+				return c
+			}
 			var seq []int
 			for _, w := range paths {
 				spec.Workers = w
-				counts := make([]int, gc.g.NumNodes())
-				for _, r := range libRun(t, osn.NewMemBackend(gc.g), spec).rows {
-					counts[r.Node]++
+				got := counts(true)
+				// no_weighted no longer changes the draws: the stream with
+				// it unset must be this one, count for count.
+				if !slices.Equal(counts(false), got) {
+					t.Errorf("%s workers %d: weighted=true draws differ from weighted=false", name, w)
 				}
-				dist := tv(counts, pi)
+				dist := tv(got, pi)
 				t.Logf("%s workers %d: TV %.3f", name, w, dist)
-				if dist > gc.tv[spec.Design] {
-					t.Errorf("%s workers %d: TV to π %.3f above the bound %.3f", name, w, dist, gc.tv[spec.Design])
+				if dist > gc.tv[design] {
+					t.Errorf("%s workers %d: TV to π %.3f above the bound %.3f", name, w, dist, gc.tv[design])
 				}
 				if w == 1 {
-					seq = counts
+					seq = got
 					continue
 				}
-				stat, dof := chi2(seq, counts)
+				stat, dof := chi2(seq, got)
 				q := chi2Quantile(alpha, dof)
 				t.Logf("%s workers %d: χ² %.1f on %d dof (critical %.1f)", name, w, stat, dof, q)
 				if stat > q {

@@ -85,75 +85,6 @@ func TestUnbiasedEstimateWithCrawl(t *testing.T) {
 	}
 }
 
-func TestUnbiasedEstimateWithWeightedSampling(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	g := gen.BarabasiAlbert(15, 2, rng)
-	c := newClient(g, 17)
-	const start, steps = 0, 4
-	// Record real forward walks so the history is representative.
-	hist := NewHistory()
-	for i := 0; i < 50; i++ {
-		hist.RecordWalk(walk.Path(c, walk.SRW{}, start, steps, rng))
-	}
-	m := linalg.NewSRW(g)
-	e := &Estimator{Client: c, Design: walk.SRW{}, Start: start, Hist: hist}
-	for _, u := range []int{2, 6, 11} {
-		exact := m.DistFrom(start, steps)[u]
-		checkUnbiased(t, e, exact, u, steps, 60000, rng)
-	}
-}
-
-func TestWeightedSamplingReducesVariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	g := gen.BarabasiAlbert(40, 3, rng)
-	c := newClient(g, 19)
-	const start, steps, reps = 0, 5, 8000
-
-	// Candidate: a node actually reached by forward walks.
-	path := walk.Path(c, walk.SRW{}, start, steps, rng)
-	u := path[len(path)-1]
-
-	hist := NewHistory()
-	for i := 0; i < 200; i++ {
-		hist.RecordWalk(walk.Path(c, walk.SRW{}, start, steps, rng))
-	}
-
-	variance := func(e *Estimator) float64 {
-		var m mathx.Moments
-		for i := 0; i < reps; i++ {
-			v, err := e.EstimateOnce(u, steps, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.Add(v)
-		}
-		return m.Variance()
-	}
-	plain := variance(&Estimator{Client: c, Design: walk.SRW{}, Start: start})
-	weighted := variance(&Estimator{Client: c, Design: walk.SRW{}, Start: start, Hist: hist})
-	if weighted >= plain {
-		t.Fatalf("weighted sampling variance %v should beat plain %v", weighted, plain)
-	}
-}
-
-func TestHistory(t *testing.T) {
-	h := NewHistory()
-	if h.Walks() != 0 || h.Hits(0, 0) != 0 {
-		t.Fatal("fresh history should be empty")
-	}
-	h.RecordWalk([]int{3, 1, 4})
-	h.RecordWalk([]int{3, 1, 5})
-	if h.Walks() != 2 {
-		t.Fatalf("walks = %d", h.Walks())
-	}
-	if h.Hits(3, 0) != 2 || h.Hits(1, 1) != 2 || h.Hits(4, 2) != 1 || h.Hits(5, 2) != 1 {
-		t.Fatal("hit counts wrong")
-	}
-	if h.Hits(4, 1) != 0 {
-		t.Fatal("phantom hit")
-	}
-}
-
 func TestEstimateMeanVariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	g := gen.Cycle(9)

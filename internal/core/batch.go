@@ -293,7 +293,7 @@ func (e *Estimator) stepVec(active []int32) []int32 {
 	fids = fids[:0]
 	for _, li := range live {
 		ln := &lanes[li]
-		w, pick, err := e.backStep(ln.node, ln.step, ln.nbr, &ln.rng)
+		w, pick, err := e.backStep(ln.node, ln.nbr, &ln.rng)
 		if err != nil {
 			vs.cands[ln.ci].Err = err
 			ln.step = -1 // poisoned; dropped in phase 4

@@ -22,8 +22,8 @@ import (
 )
 
 // batchFixture builds two identically-configured estimators (private
-// clients over one shared network, identical WS-BW histories,
-// shared crawl table) plus a candidate set drawn from walk endpoints.
+// clients over one shared network, shared crawl table) plus a candidate
+// set drawn from walk endpoints.
 func batchFixture(t *testing.T, d walk.Design, useCrawl bool) (scalar, vec *Estimator, cands []int) {
 	t.Helper()
 	g := gen.BarabasiAlbert(3000, 4, rand.New(rand.NewSource(51)))
@@ -44,14 +44,10 @@ func batchFixture(t *testing.T, d walk.Design, useCrawl bool) (scalar, vec *Esti
 	}
 	walker := osn.NewClient(net, osn.CostUniqueNodes, fastrand.New(6))
 	walkRNG := rand.New(rand.NewSource(52))
-	hs, hv := NewHistory(), NewHistory()
 	for i := 0; i < 40; i++ {
 		path := walk.Path(walker, d, 0, 11, walkRNG)
-		hs.RecordWalk(path)
-		hv.RecordWalk(path)
 		cands = append(cands, path[len(path)-1])
 	}
-	scalar.Hist, vec.Hist = hs, hv
 	return scalar, vec, cands
 }
 
@@ -220,7 +216,6 @@ func TestParallelSamplerVectorizedMatchesScalar(t *testing.T) {
 						WalkLength:     9,
 						UseCrawl:       true,
 						CrawlHops:      2,
-						UseWeighted:    true,
 						VarianceBudget: 4,
 					}, rng)
 					if err != nil {
@@ -301,16 +296,16 @@ func TestLockstepRoundTrips(t *testing.T) {
 		net := osn.NewNetworkOn(be)
 		client := func() *osn.Client { return osn.NewClient(net, osn.CostUniqueNodes, fastrand.New(1)) }
 
-		s, err := NewSampler(client(), Config{Design: tc.d, WalkLength: steps, UseWeighted: true}, fastrand.New(2))
+		s, err := NewSampler(client(), Config{Design: tc.d, WalkLength: steps}, fastrand.New(2))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !s.lockstep() {
 			t.Fatal("a concurrent-batch backend must select the lockstep kernels")
 		}
-		b := &batch{cands: make([]pcand, 8)}
-		for i := range b.cands {
-			s.draw(&b.cands[i])
+		b := make([]pcand, 8)
+		for i := range b {
+			s.draw(&b[i])
 		}
 		pre := be.calls.Load()
 		s.walkBatch(b, s.lockstep())
@@ -321,7 +316,7 @@ func TestLockstepRoundTrips(t *testing.T) {
 		}
 
 		toppedUp := 0
-		for i, cd := range b.cands {
+		for i, cd := range b {
 			e := &Estimator{Client: client(), Design: tc.d, Start: 0}
 			bc := &BatchCand{V: cd.V, Seed: cd.Seed}
 			pre := be.calls.Load()

@@ -49,7 +49,7 @@ func TestSampleNParallelCtxCancelStopsCharging(t *testing.T) {
 	c := osn.NewClient(net, osn.CostUniqueNodes, rng)
 	s, err := NewSampler(c, Config{
 		Design: walk.SRW{}, Start: 0, WalkLength: 9,
-		UseCrawl: true, UseWeighted: true,
+		UseCrawl: true,
 	}, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,6 @@ func TestPrebuiltCrawlInjection(t *testing.T) {
 		c := osn.NewClient(net, osn.CostUniqueNodes, rng)
 		cfg := Config{
 			Design: walk.SRW{}, Start: 0, WalkLength: 9,
-			UseWeighted: true,
 		}
 		if inject {
 			ct, err := BuildCrawlTable(c, cfg.Design, cfg.Start, 2)

@@ -130,23 +130,31 @@ func (ct *CrawlTable) Lookup(v, tau int) (p float64, ok bool) {
 // diagnostics.
 func (ct *CrawlTable) Size() int { return ct.size }
 
-// idSet is a set of node ids kept in bitset pages of histPageSize ids,
+// idSet is a set of node ids kept in bitset pages of idPageSize ids,
 // allocated on first touch, so its memory follows the visited mass rather
 // than the id space.
-type idSet []*[histPageWords]uint64
+type idSet []*[idPageWords]uint64
+
+// Page geometry: 4096 ids, a 512 B bitset, per page.
+const (
+	idPageShift = 12
+	idPageSize  = 1 << idPageShift
+	idPageMask  = idPageSize - 1
+	idPageWords = idPageSize / 64
+)
 
 // add inserts v and reports whether it was absent.
 func (s *idSet) add(v int32) bool {
-	pi := int(v >> histPageShift)
+	pi := int(v >> idPageShift)
 	for pi >= len(*s) {
 		*s = append(*s, nil)
 	}
 	pg := (*s)[pi]
 	if pg == nil {
-		pg = new([histPageWords]uint64)
+		pg = new([idPageWords]uint64)
 		(*s)[pi] = pg
 	}
-	o := uint(v) & histPageMask
+	o := uint(v) & idPageMask
 	if pg[o>>6]&(1<<(o&63)) != 0 {
 		return false
 	}

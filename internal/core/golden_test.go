@@ -9,13 +9,11 @@ package core
 // paste them into goldenWant when a change is meant to alter the draws.
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
-	"repro/internal/fastrand"
 	"repro/internal/gen"
 	"repro/internal/osn"
 	"repro/internal/walk"
@@ -28,58 +26,60 @@ type goldenRun struct {
 
 // goldenWant: the mem and sim pipelines run different worker kernels (the
 // scalar loop and the batch kernel) and must agree with each other too.
+// Draw version 4 re-pinned every entry to the value draw version 3 drew
+// with UseWeighted off.
 var goldenWant = map[string]goldenRun{
 	"seq": {
-		Nodes:   []int{605, 433, 299, 106, 1052, 114, 8, 1952, 392, 1273, 1066, 1066, 765, 1429, 14, 1194},
-		Steps:   []int{58, 58, 320, 58, 116, 58, 58, 58, 146, 146, 30, 58, 524, 148, 30, 116},
-		Queries: 1346, Back: 1631,
+		Nodes:   []int{605, 433, 1371, 299, 106, 8, 1952, 392, 1273, 1066, 953, 765, 14, 334, 89, 1264},
+		Steps:   []int{58, 58, 58, 262, 58, 232, 58, 146, 146, 30, 494, 88, 206, 146, 58, 322},
+		Queries: 1413, Back: 1988,
 	},
 	"mem-par2": goldenPar2,
 	"mem-par4": goldenPar4,
 	"sim-par2": goldenPar2,
 	"sim-par4": goldenPar4,
 	// MHRW exercises the self-loop candidate slot; the restricted view
-	// (FixedK, deterministic, so cached) is not symmetric and must keep
-	// the full WS-BW gather on every step.
+	// (FixedK, deterministic, so cached) is not symmetric, so every
+	// transition weight takes the membership scan.
 	"mhrw-seq": {
-		Nodes:   []int{740, 1604, 1874, 1046, 691, 892, 1144, 244, 949, 1293, 1924, 1257, 867, 837, 420, 1478},
-		Steps:   []int{58, 58, 58, 58, 290, 378, 348, 348, 176, 436, 58, 118, 204, 174, 58, 58},
-		Queries: 1509, Back: 2401,
+		Nodes:   []int{740, 1604, 1874, 1046, 691, 892, 1144, 244, 949, 1293, 1924, 1257, 631, 867, 837, 420},
+		Steps:   []int{58, 58, 58, 58, 262, 378, 292, 348, 204, 436, 58, 174, 118, 58, 174, 58},
+		Queries: 1498, Back: 2324,
 	},
 	"mhrw-par2": {
-		Nodes:   []int{978, 479, 1536, 669, 1998, 1704, 933, 1291, 1143, 501, 622, 1120, 1850, 1350, 1772, 1168},
-		Steps:   []int{58, 58, 58, 580, 58, 116, 524, 232, 668, 348, 58, 320, 58, 30, 58, 174},
-		Queries: 1623, Back: 2968,
+		Nodes:   []int{978, 479, 1536, 1268, 1998, 1704, 1996, 933, 1291, 1498, 610, 1143, 501, 622, 1120, 1850},
+		Steps:   []int{58, 58, 58, 174, 436, 116, 320, 204, 232, 174, 58, 436, 348, 58, 348, 58},
+		Queries: 1580, Back: 2632,
 	},
 	"restricted-seq": {
 		Nodes:   []int{102, 559, 1203, 9, 47, 668, 731, 116, 278, 923, 1935, 218, 229, 841, 486, 265},
-		Steps:   []int{33, 27, 27, 24, 52, 42, 41, 29, 39, 38, 22, 26, 44, 45, 30, 25},
-		Queries: 246, Back: 400,
+		Steps:   []int{33, 29, 27, 24, 46, 31, 41, 29, 39, 36, 22, 28, 44, 45, 30, 25},
+		Queries: 242, Back: 385,
 	},
 	"restricted-par2": {
 		Nodes:   []int{569, 74, 1005, 403, 14, 1671, 1123, 1865, 274, 17, 242, 45, 443, 1385, 558, 951},
-		Steps:   []int{40, 34, 31, 33, 40, 35, 40, 39, 37, 40, 22, 24, 29, 30, 29, 28},
-		Queries: 246, Back: 387,
+		Steps:   []int{45, 34, 31, 35, 40, 35, 40, 39, 42, 41, 22, 24, 29, 30, 29, 28},
+		Queries: 249, Back: 400,
 	},
 	"mixed": {
-		Nodes: []int{605, 433, 299, 106, 1052, 114, 8, 1952, 468, 277, 59, 579, 132, 1775, 9, 1927,
-			2, 77, 1937, 384, 886, 1063, 1983, 103},
-		Steps: []int{58, 58, 320, 58, 116, 58, 58, 58, 116, 204, 58, 58, 60, 88, 204, 58,
-			60, 58, 88, 30, 58, 118, 30, 174},
-		Queries: 1412, Back: 1981,
+		Nodes: []int{605, 433, 1371, 299, 106, 8, 1952, 392, 277, 59, 579, 132, 1775, 9, 1927, 1344,
+			2, 384, 886, 103, 1816, 1192, 1555, 1790},
+		Steps: []int{58, 58, 58, 262, 58, 232, 58, 146, 118, 58, 58, 60, 88, 204, 58, 30,
+			148, 176, 58, 322, 58, 60, 116, 58},
+		Queries: 1457, Back: 2261,
 	},
 }
 
 var goldenPar2 = goldenRun{
-	Nodes:   []int{26, 29, 651, 103, 468, 277, 59, 579, 1775, 9, 1344, 2, 384, 886, 103, 1555},
-	Steps:   []int{58, 116, 116, 58, 524, 176, 58, 58, 176, 204, 88, 206, 176, 58, 322, 290},
-	Queries: 1468, Back: 2296,
+	Nodes:   []int{26, 29, 651, 103, 433, 468, 277, 59, 579, 1775, 9, 1344, 2, 384, 886, 103},
+	Steps:   []int{58, 116, 116, 58, 408, 116, 176, 58, 58, 148, 204, 88, 206, 176, 58, 322},
+	Queries: 1445, Back: 2163,
 }
 
 var goldenPar4 = goldenRun{
-	Nodes:   []int{117, 414, 107, 231, 154, 1436, 1791, 198, 608, 1854, 1235, 1000, 105, 841, 5, 1153},
-	Steps:   []int{58, 58, 88, 30, 88, 58, 118, 30, 58, 58, 116, 58, 58, 146, 58, 58},
-	Queries: 1179, Back: 980,
+	Nodes:   []int{117, 414, 107, 231, 154, 1436, 40, 198, 608, 1235, 1000, 841, 5, 1153, 269, 51},
+	Steps:   []int{30, 58, 88, 30, 88, 58, 116, 60, 58, 174, 58, 204, 58, 58, 58, 58},
+	Queries: 1214, Back: 1148,
 }
 
 func TestGoldenSampleStreams(t *testing.T) {
@@ -96,7 +96,6 @@ func TestGoldenSampleStreams(t *testing.T) {
 			WalkLength:     9,
 			UseCrawl:       true,
 			CrawlHops:      2,
-			UseWeighted:    true,
 			VarianceBudget: 4,
 		}, rng)
 		if err != nil {
@@ -141,8 +140,8 @@ func TestGoldenSampleStreams(t *testing.T) {
 		"restricted-seq":  run(mem(), 0, srw, restricted),
 		"restricted-par2": run(mem(), 2, srw, restricted),
 		// One sampler alternating sequential and parallel calls: each call
-		// reads the history the calls before it recorded, and a
-		// speculative batch a parallel call discards is never recorded.
+		// continues the sampler stream and the scale bootstrap the calls
+		// before it left.
 		"mixed": calls(mem(), srw, nil, [2]int{8, 0}, [2]int{8, 2}, [2]int{4, 0}, [2]int{4, 2}),
 	}
 	for _, name := range []string{"seq", "mem-par2", "mem-par4", "sim-par2", "sim-par4",
@@ -153,37 +152,42 @@ func TestGoldenSampleStreams(t *testing.T) {
 	}
 }
 
-// TestGoldenRecordWalkHistory pins the WS-BW picks over a history filled
-// only through the public RecordWalk(path), which carries no neighbor
-// lists: such a history must keep the full gather on every step. The test
-// folds every (node, step) pick of a sweep into one hash, so any change
-// to which candidate is drawn, or with what probability, moves it.
-func TestGoldenRecordWalkHistory(t *testing.T) {
+// TestUseWeightedIsNoOp pins Config.UseWeighted as accepted and inert:
+// with it on and off a sampler draws the same nodes and steps, charges the
+// same queries and walks the same backward steps, on every path the
+// golden streams cover.
+func TestUseWeightedIsNoOp(t *testing.T) {
 	g := gen.BarabasiAlbert(2000, 3, rand.New(rand.NewSource(42)))
-	want := map[string]uint64{"SRW": 0xf0923dafd2092d05, "MHRW": 0x43c66440ff7560a4}
-	for _, d := range []walk.Design{walk.SRW{}, walk.MHRW{}} {
-		rng := rand.New(rand.NewSource(5))
-		c := osn.NewClient(osn.NewNetwork(g), osn.CostUniqueNodes, rng)
-		h := NewHistory()
-		for i := 0; i < 60; i++ {
-			h.RecordWalk(walk.Path(c, d, 0, 9, rng))
-		}
-		e := &Estimator{Client: c, Design: d, Start: 0, Hist: h}
-		frng := fastrand.New(9)
-		var sum uint64 = 14695981039346656037
-		for v := 0; v < g.NumNodes(); v++ {
-			nbr := c.Neighbors(v)
-			for step := 1; step <= 9; step++ {
-				w, pick, err := e.backStep(v, step, nbr, frng)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sum = (sum ^ uint64(w)) * 1099511628211
-				sum = (sum ^ math.Float64bits(pick)) * 1099511628211
+	restricted := osn.WithRestriction(osn.FixedK{K: 5, Seed: 99})
+	for _, tc := range []struct {
+		name    string
+		d       walk.Design
+		workers int
+		opts    []osn.Option
+	}{
+		{"seq", walk.SRW{}, 1, nil},
+		{"par2", walk.SRW{}, 2, nil},
+		{"mhrw-seq", walk.MHRW{}, 1, nil},
+		{"mhrw-par2", walk.MHRW{}, 2, nil},
+		{"restricted-seq", walk.SRW{}, 1, []osn.Option{restricted}},
+		{"restricted-par2", walk.SRW{}, 2, []osn.Option{restricted}},
+	} {
+		run := func(weighted bool) goldenRun {
+			rng := rand.New(rand.NewSource(11))
+			c := osn.NewClient(osn.NewNetworkOn(osn.NewMemBackend(g), tc.opts...), osn.CostUniqueNodes, rng)
+			s, err := NewSampler(c, Config{Design: tc.d, WalkLength: 9, UseCrawl: true, CrawlHops: 2,
+				UseWeighted: weighted, VarianceBudget: 4}, rng)
+			if err != nil {
+				t.Fatal(err)
 			}
+			res, err := s.SampleNParallel(16, tc.workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return goldenRun{res.Nodes, res.Steps, c.TotalQueries(), s.BackwardSteps()}
 		}
-		if sum != want[d.Name()] {
-			t.Errorf("%s: pick hash %#x, want %#x", d.Name(), sum, want[d.Name()])
+		if on, off := run(true), run(false); !reflect.DeepEqual(on, off) {
+			t.Errorf("%s: UseWeighted on %#v\noff %#v", tc.name, on, off)
 		}
 	}
 }

@@ -29,7 +29,6 @@ type HarvestSampler struct {
 	c       *osn.Client
 	rng     fastrand.RNG
 	est     *Estimator
-	hist    *History
 	pathBuf []int // reusable forward-walk buffer (walk.PathInto)
 	// boots holds one scale bootstrap per harvested step: p_τ magnitudes
 	// differ across τ, so the rejection scales must not be pooled.
@@ -62,16 +61,7 @@ func NewHarvestSampler(c *osn.Client, cfg Config, minStep int, rng fastrand.RNG)
 			return nil, err
 		}
 	}
-	if cfg.UseWeighted {
-		s.hist = NewHistory()
-	}
-	s.est = &Estimator{
-		Client: c,
-		Design: cfg.Design,
-		Start:  cfg.Start,
-		Crawl:  crawl,
-		Hist:   s.hist,
-	}
+	s.est = &Estimator{Client: c, Design: cfg.Design, Start: cfg.Start, Crawl: crawl}
 	return s, nil
 }
 
@@ -88,7 +78,7 @@ func (s *HarvestSampler) boot(step int) *ScaleBootstrap {
 // along the path (possibly none). Queries are charged to the client.
 func (s *HarvestSampler) Harvest() ([]int, error) {
 	t := s.cfg.WalkLength
-	path := walkForward(s.pathBuf, s.c, &s.cfg, s.hist, s.rng)
+	path := walk.PathInto(s.pathBuf, s.c, s.cfg.Design, s.cfg.Start, t, s.rng)
 	s.pathBuf = path
 	s.forwardSteps += int64(t)
 	var out []int
@@ -128,21 +118,6 @@ func (s *HarvestSampler) estimate(v, tau int) (float64, error) {
 		sum += e
 	}
 	return sum / float64(reps), nil
-}
-
-// walkForward runs one forward walk of cfg.WalkLength steps into buf and,
-// when h is non-nil, records it, with the evidence rule of
-// Sampler.walkBatch.
-func walkForward(buf []int, c *osn.Client, cfg *Config, h *History, rng fastrand.RNG) []int {
-	failed := c.FailedFetches()
-	path := walk.PathInto(buf, c, cfg.Design, cfg.Start, cfg.WalkLength, rng)
-	if h != nil {
-		if !c.SymmetricView() || c.FailedFetches() != failed {
-			c = nil // no evidence rows
-		}
-		h.record(path, c)
-	}
-	return path
 }
 
 // SampleN harvests walks until n samples are collected, returning them with

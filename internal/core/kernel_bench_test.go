@@ -1,14 +1,16 @@
 package core
 
 // Micro-benchmarks and allocation-regression guards for the dense hot-path
-// kernels: backStep (the WS-BW pick taken on every backward step, with and
-// without history evidence at the predecessor step), History.Row, and the
-// full EstimateOnce backward walk. The Test*Allocs functions below hold the
-// zero-allocation contract; the benchmarks time the same kernels.
+// kernels: backStep (the uniform backward pick taken on every backward
+// step), the full EstimateOnce backward walk and the lockstep kernels, plus
+// BenchmarkSampleNJob, the end-to-end job of webench's lib-mem workloads.
+// The Test*Allocs functions below hold the zero-allocation contract; the
+// benchmarks time the same kernels.
 
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/fastrand"
 	"repro/internal/gen"
@@ -16,97 +18,40 @@ import (
 	"repro/internal/walk"
 )
 
-// kernelFixture builds a warm estimator with a populated WS-BW history over
-// a 20k-node BA graph, mirroring the state of a mid-run sampler: walks are
-// recorded with their evidence rows, as the samplers record them.
+// kernelFixture builds a warm estimator over a 20k-node BA graph, mirroring
+// the state of a mid-run sampler: the client has fetched the lists of 200
+// forward walks. It returns the last walk's endpoint.
 func kernelFixture(tb testing.TB, t int) (*Estimator, int) {
 	tb.Helper()
 	g := gen.BarabasiAlbert(20000, 5, rand.New(rand.NewSource(2)))
 	net := osn.NewNetwork(g)
 	rng := rand.New(rand.NewSource(3))
 	c := osn.NewClient(net, osn.CostUniqueNodes, rng)
-	hist := NewHistory()
 	var v int
 	for i := 0; i < 200; i++ {
 		path := walk.Path(c, walk.SRW{}, 0, t, rng)
-		hist.record(path, c)
 		v = path[len(path)-1]
 	}
-	e := &Estimator{Client: c, Design: walk.SRW{}, Start: 0, Hist: hist}
-	return e, v
+	return &Estimator{Client: c, Design: walk.SRW{}, Start: 0}, v
 }
 
-// BenchmarkBackStep measures one weighted backward step at a warm node —
-// the dense row scan plus the fused tempered-mix inverse-CDF selection. It
+// BenchmarkBackStep measures one uniform backward step at a warm node. It
 // must report 0 allocs/op.
 func BenchmarkBackStep(b *testing.B) {
-	const t = 13
-	e, v := kernelFixture(b, t)
-	rng := fastrand.New(7)
-	nbr := e.Client.Neighbors(v)
-	if _, _, err := e.backStep(v, t, nbr, rng); err != nil { // grow scratch
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := e.backStep(v, t, nbr, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBackStepNoEvidence measures a backward step whose evidence bit
-// is clear — no recorded walk visited any candidate at the predecessor
-// step — so the gate skips the gather and draws the uniform pick. It must
-// report 0 allocs/op.
-func BenchmarkBackStepNoEvidence(b *testing.B) {
-	const t = 13
-	e, _ := kernelFixture(b, t)
-	v := noEvidenceNode(b, e, t)
-	rng := fastrand.New(7)
-	nbr := e.Client.Neighbors(v)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := e.backStep(v, t, nbr, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// noEvidenceNode returns the highest-degree node among the first 2,000
-// whose evidence bit at the predecessor row of step t is clear.
-func noEvidenceNode(tb testing.TB, e *Estimator, t int) int {
-	tb.Helper()
-	row := e.Hist.Row(t - 1)
-	best := -1
-	for v := 0; v < 2000; v++ {
-		if !row.evident(v) && (best < 0 || e.Client.Degree(v) > e.Client.Degree(best)) {
-			best = v
-		}
-	}
-	if best < 0 {
-		tb.Fatal("fixture has no node without evidence")
-	}
-	return best
-}
-
-// BenchmarkHistoryRow measures the per-step row handoff plus one candidate
-// hit probe — the unit of work the WS-BW scan performs per candidate.
-func BenchmarkHistoryRow(b *testing.B) {
 	e, v := kernelFixture(b, 13)
+	rng := fastrand.New(7)
+	nbr := e.Client.Neighbors(v)
 	b.ReportAllocs()
 	b.ResetTimer()
-	var sink int32
 	for i := 0; i < b.N; i++ {
-		sink += e.Hist.Row(i % 13).Hits(v)
+		if _, _, err := e.backStep(v, nbr, rng); err != nil {
+			b.Fatal(err)
+		}
 	}
-	_ = sink
 }
 
 // BenchmarkEstimateOnce measures a full backward walk (no crawl shortcut):
-// t weighted steps, each one backStep + one warm Neighbors + the
+// t uniform steps, each one backStep + one warm Neighbors + the
 // degree-cached transition probability.
 func BenchmarkEstimateOnce(b *testing.B) {
 	const t = 13
@@ -182,17 +127,17 @@ func TestEstimateBatchWarmAllocs(t *testing.T) {
 		t.Errorf("%d candidates topped up, %d ran a second wave; want both > 0", toppedUp, waves)
 	}
 
-	// The forward kernel, without a history (recording grows its pages):
-	// the same eight walks each run, so the cache is warm after the first.
+	// The forward kernel: the same eight walks each run, so the cache is
+	// warm after the first.
 	s, err := NewSampler(e.Client, Config{Design: walk.SRW{}, WalkLength: steps}, fastrand.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	scalar := false
 	s.scalarKernel = &scalar
-	walks := &batch{cands: make([]pcand, 8)}
-	for i := range walks.cands {
-		s.draw(&walks.cands[i])
+	walks := make([]pcand, 8)
+	for i := range walks {
+		s.draw(&walks[i])
 	}
 	s.walkBatch(walks, s.lockstep())
 	if avg := testing.AllocsPerRun(100, func() { s.walkBatch(walks, s.lockstep()) }); avg != 0 {
@@ -200,69 +145,18 @@ func TestEstimateBatchWarmAllocs(t *testing.T) {
 	}
 }
 
-// TestBackStepAllocs is the allocation-regression guard for the WS-BW inner
-// loop: after the scratch buffer's first growth, a backward step must not
-// allocate — weighted, evidence-gated and uniform (no history) alike.
+// TestBackStepAllocs is the allocation-regression guard for the backward
+// step: it must not allocate.
 func TestBackStepAllocs(t *testing.T) {
-	const steps = 13
-	e, v := kernelFixture(t, steps)
+	e, v := kernelFixture(t, 13)
 	rng := fastrand.New(7)
 	nbr := e.Client.Neighbors(v)
-	if _, _, err := e.backStep(v, steps, nbr, rng); err != nil {
-		t.Fatal(err)
-	}
 	if avg := testing.AllocsPerRun(1000, func() {
-		if _, _, err := e.backStep(v, steps, nbr, rng); err != nil {
+		if _, _, err := e.backStep(v, nbr, rng); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
-		t.Errorf("weighted backStep allocates %v/op, want 0", avg)
-	}
-
-	u := noEvidenceNode(t, e, steps) // gated: no evidence, no gather
-	unbr := e.Client.Neighbors(u)
-	if avg := testing.AllocsPerRun(1000, func() {
-		if _, _, err := e.backStep(u, steps, unbr, rng); err != nil {
-			t.Fatal(err)
-		}
-	}); avg != 0 {
-		t.Errorf("gated backStep allocates %v/op, want 0", avg)
-	}
-
-	e.Hist = nil // UNBIASED-ESTIMATE uniform path
-	if avg := testing.AllocsPerRun(1000, func() {
-		if _, _, err := e.backStep(v, steps, nbr, rng); err != nil {
-			t.Fatal(err)
-		}
-	}); avg != 0 {
-		t.Errorf("uniform backStep allocates %v/op, want 0", avg)
-	}
-}
-
-// TestHistoryRowAllocs guards the Row/Hits zero-allocation contract and
-// the accessor's agreement with History.Hits, including across page
-// boundaries.
-func TestHistoryRowAllocs(t *testing.T) {
-	h := NewHistory()
-	h.RecordWalk([]int{3, 1, 4})
-	h.RecordWalk([]int{3, 5, 4})
-	h.RecordWalk([]int{3, 5000, 4}) // second page of step 1
-	if avg := testing.AllocsPerRun(1000, func() {
-		row := h.Row(1)
-		row.Hits(5)
-		row.Hits(5000)
-		row.Hits(1 << 20)
-	}); avg != 0 {
-		t.Errorf("History.Row/Hits allocates %v/op, want 0", avg)
-	}
-	probes := []int{0, 1, 3, 4, 5, 7, 4095, 4096, 5000, 8191, 1 << 20}
-	for step := -1; step <= 3; step++ {
-		row := h.Row(step)
-		for _, node := range probes {
-			if got, want := int(row.Hits(node)), h.Hits(node, step); got != want {
-				t.Errorf("Row(%d).Hits(%d) = %d disagrees with Hits = %d", step, node, got, want)
-			}
-		}
+		t.Errorf("backStep allocates %v/op, want 0", avg)
 	}
 }
 
@@ -318,5 +212,53 @@ func TestEdgeProbFastMatchesProb(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkSampleNJob is webench's lib-mem job loop in one command: over
+// BA(50k,5) with graph seed 7 and an injected 2-hop SRW crawl table from
+// node 0, job i is a fresh client and sampler seeded fastrand.Mix(1, 1, i)
+// drawing 24 samples at t = 13, 4 backward reps and a variance budget of 8,
+// through SampleNParallel at width 1 (lib-mem-seq) or 2 (lib-mem-par2). It
+// reports µs, queries and walk steps per sample; one op is one job.
+func BenchmarkSampleNJob(b *testing.B) {
+	const count = 24
+	g := gen.BarabasiAlbert(50000, 5, fastrand.New(7))
+	net := osn.NewNetwork(g)
+	ct, err := BuildCrawlTable(osn.NewClient(net, osn.CostUniqueNodes, fastrand.New(7)), walk.SRW{}, 0, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{Design: walk.SRW{}, Start: 0, WalkLength: 13, UseCrawl: true, CrawlHops: 2, Crawl: ct,
+		BackwardReps: 4, VarianceBudget: 8}
+	for _, width := range []struct {
+		name    string
+		workers int
+	}{{"seq", 1}, {"par2", 2}} {
+		workers := width.workers
+		b.Run(width.name, func(b *testing.B) {
+			var queries, steps int64
+			t0 := time.Now()
+			for i := 0; i < b.N; i++ {
+				rng := fastrand.New(fastrand.Mix(1, 1, int64(i)))
+				c := osn.NewClient(net, osn.CostUniqueNodes, rng)
+				s, err := NewSampler(c, cfg, rng)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := s.SampleNParallel(count, workers)
+				if err != nil {
+					b.Fatal(err)
+				}
+				queries += c.TotalQueries()
+				for _, st := range res.Steps {
+					steps += int64(st)
+				}
+			}
+			samples := float64(b.N * count)
+			b.ReportMetric(float64(time.Since(t0).Microseconds())/samples, "µs/sample")
+			b.ReportMetric(float64(queries)/samples, "queries/sample")
+			b.ReportMetric(float64(steps)/samples, "steps/sample")
+		})
 	}
 }

@@ -15,10 +15,9 @@ import (
 // the determinism contract — is documented in DESIGN.md.
 //
 // Shared across workers: the osn.SharedCache (neighbor lists + unique-node
-// accounting), the immutable CrawlTable, and the live WS-BW history, which
-// only the producer writes, while no worker estimates. Per worker: an
-// osn.Client (own cost meter, reading the shared cache), an Estimator (own
-// scratch buffer, own StepsTaken meter, own walk substreams).
+// accounting) and the immutable CrawlTable. Per worker: an osn.Client (own
+// cost meter, reading the shared cache) and an Estimator (own StepsTaken
+// meter, own walk substreams).
 
 // pcand is one candidate of a batch. The producer fills its draws and
 // forward-walk endpoint (V); exactly one estimator fills PHat, Steps, Err
@@ -31,28 +30,18 @@ type pcand struct {
 	q         float64 // target weight q(v)
 }
 
-// batch is one batch of the pipeline: its candidates, and their forward
-// walks back to back (cands[i]'s walk is paths[i*(t+1):(i+1)*(t+1)]) until
-// record enters them into the WS-BW history. ev reports whether the walks
-// may set evidence rows (walkBatch). A sampler keeps two, the batch being
+// generate draws size candidates into *b from the sampler stream and runs
+// their forward walks. A sampler keeps two batches, the one being
 // estimated and the speculative next one, and reuses their storage.
-type batch struct {
-	cands []pcand
-	paths []int
-	ev    bool
-}
-
-// generate draws size candidates into b from the sampler stream and runs
-// their forward walks.
-func (s *Sampler) generate(b *batch, size int, lockstep bool) {
-	if cap(b.cands) < size {
-		b.cands = make([]pcand, size)
+func (s *Sampler) generate(b *[]pcand, size int, lockstep bool) {
+	if cap(*b) < size {
+		*b = make([]pcand, size)
 	}
-	b.cands = b.cands[:size]
-	for i := range b.cands {
-		s.draw(&b.cands[i])
+	*b = (*b)[:size]
+	for i := range *b {
+		s.draw(&(*b)[i])
 	}
-	s.walkBatch(b, lockstep)
+	s.walkBatch(*b, lockstep)
 }
 
 // SampleNParallel draws n samples like SampleN but runs the backward
@@ -86,8 +75,8 @@ func (s *Sampler) SampleNParallelCtx(ctx context.Context, n, workers int) (walk.
 
 // pool returns the estimation workers of a width above 1: one Estimator per
 // worker over a client forked from the sampler's — forking promotes the
-// private cache into an osn.SharedCache all workers and the producer share
-// — reading the live WS-BW history. The pool persists across calls, and
+// private cache into an osn.SharedCache all workers and the producer share.
+// The pool persists across calls, and
 // with it the workers' clients; a call of another width replaces it, and
 // Queries keeps the retired workers' charges.
 func (s *Sampler) pool(workers int) []*Estimator {
@@ -104,7 +93,6 @@ func (s *Sampler) pool(workers int) []*Estimator {
 			Design: s.cfg.Design,
 			Start:  s.cfg.Start,
 			Crawl:  s.est.Crawl,
-			Hist:   s.hist,
 		}
 	}
 	return s.workerEsts
@@ -115,22 +103,16 @@ func (s *Sampler) pool(workers int) []*Estimator {
 // The producer (the calling goroutine) generates candidates in batches,
 // drawing each candidate's forward-walk seed, estimation seed and
 // acceptance uniform from the sampler's RNG and running the forward walks.
-// Just before a batch is estimated, its walks enter the WS-BW history
-// (record), so every estimate reads the walks of all batches dispatched so
-// far, its own batch included. The consumer then applies bootstrap updates
-// and acceptance tests in candidate order.
+// The consumer then applies bootstrap updates and acceptance tests in
+// candidate order.
 //
 // At width 1 a batch is one candidate, estimated inline on the sampler's
-// own estimator: draw, walk, record, estimate, accept. Above width 1 a
-// batch of max(2·workers, 8) candidates is estimated in one chunk per
-// worker while the producer speculatively generates the next batch —
-// drawing and walking it, not recording it, so nothing writes the history
-// while the workers read it. A speculative batch that is never dispatched
-// never enters the history.
+// own estimator: draw, walk, estimate, accept. Above width 1 a batch of
+// max(2·workers, 8) candidates is estimated in one chunk per worker while
+// the producer speculatively generates the next batch.
 //
 // Because every random decision is either made sequentially by the
-// producer/consumer or derived from a per-candidate seed, and the history a
-// batch reads is a function of the batches before it, the returned node
+// producer/consumer or derived from a per-candidate seed, the returned node
 // sequence is a deterministic function of (sampler seed, workers)
 // regardless of goroutine scheduling — see the determinism contract in
 // DESIGN.md (type-1 neighbor-list restrictions, which re-randomize per
@@ -269,16 +251,13 @@ func (s *Sampler) run(ctx context.Context, n, workers int) (walk.Result, error) 
 		if err := ctx.Err(); err != nil {
 			return res, context.Cause(ctx)
 		}
-		cur := &s.batches[slot]
 		if !speculated {
-			s.generate(cur, batchSize(), lockstep)
+			s.generate(&s.batches[slot], batchSize(), lockstep)
 		}
 		speculated = false
-		// The barrier: no estimate runs, so the batch's walks enter the
-		// history its estimates read.
-		s.record(cur)
+		cur := s.batches[slot]
 		if workers == 1 {
-			s.estimate(s.est, cur.cands, lockstep)
+			s.estimate(s.est, cur, lockstep)
 		} else {
 			// Batched frontier prefetch, at dispatch time: the batch's
 			// candidate endpoints are exactly the nodes every estimation
@@ -291,16 +270,16 @@ func (s *Sampler) run(ctx context.Context, n, workers int) (walk.Result, error) 
 			// untouched. Prefetch consumes no RNG and is a no-op under type-1
 			// restrictions, preserving the determinism contract.
 			s.frontier = s.frontier[:0]
-			for i := range cur.cands {
-				s.frontier = append(s.frontier, int32(cur.cands[i].V))
+			for i := range cur {
+				s.frontier = append(s.frontier, int32(cur[i].V))
 			}
 			s.c.Prefetch(s.frontier)
 			// One contiguous chunk per worker: wide lanes amortize the
 			// batched frontier resolutions without idling workers.
-			chunkSz := (len(cur.cands) + workers - 1) / workers
-			for lo := 0; lo < len(cur.cands); lo += chunkSz {
+			chunkSz := (len(cur) + workers - 1) / workers
+			for lo := 0; lo < len(cur); lo += chunkSz {
 				wg.Add(1)
-				jobs <- cur.cands[lo:min(lo+chunkSz, len(cur.cands))]
+				jobs <- cur[lo:min(lo+chunkSz, len(cur))]
 			}
 			// Speculate the next batch while the pool estimates cur — unless
 			// cur alone will in all likelihood finish the run, in which case
@@ -308,7 +287,7 @@ func (s *Sampler) run(ctx context.Context, n, workers int) (walk.Result, error) 
 			// is cancelled and about to error out of consume.
 			likelyAccepts := 0
 			if s.attempts > 0 {
-				likelyAccepts = int(2 * float64(s.accepted) / float64(s.attempts) * float64(len(cur.cands)))
+				likelyAccepts = int(2 * float64(s.accepted) / float64(s.attempts) * float64(len(cur)))
 			}
 			if likelyAccepts < n-len(res.Nodes) && ctx.Err() == nil {
 				s.generate(&s.batches[slot^1], batchSize(), lockstep)
@@ -316,7 +295,7 @@ func (s *Sampler) run(ctx context.Context, n, workers int) (walk.Result, error) 
 			}
 			wg.Wait()
 		}
-		done, err := consume(cur.cands)
+		done, err := consume(cur)
 		if err != nil || done {
 			return res, err
 		}

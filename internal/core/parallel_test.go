@@ -21,7 +21,6 @@ func parallelTestSampler(t *testing.T, seed int64) *Sampler {
 		WalkLength:     9,
 		UseCrawl:       true,
 		CrawlHops:      2,
-		UseWeighted:    true,
 		VarianceBudget: 4,
 	}, rng)
 	if err != nil {

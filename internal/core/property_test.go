@@ -16,7 +16,7 @@ import (
 // randomized graphs, designs, targets, and heuristic combinations, checking
 // E[p̃_t(u)] = p_t(u) against the exact oracle within CLT tolerance.
 func TestPropertyUnbiasednessRandomGraphs(t *testing.T) {
-	prop := func(seed int64, useMHRW, useCrawl, useHist bool) bool {
+	prop := func(seed int64, useMHRW, useCrawl bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 8 + rng.Intn(10)
 		g := gen.BarabasiAlbert(n, 2, rng)
@@ -40,13 +40,6 @@ func TestPropertyUnbiasednessRandomGraphs(t *testing.T) {
 				return false
 			}
 			e.Crawl = ct
-		}
-		if useHist {
-			h := NewHistory()
-			for i := 0; i < 30; i++ {
-				h.RecordWalk(walk.Path(c, d, start, steps, rng))
-			}
-			e.Hist = h
 		}
 
 		const reps = 12000

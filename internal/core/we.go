@@ -16,14 +16,13 @@ import (
 //
 // Version 2 gives every walk its own substream (forward walks from
 // per-candidate seeds, backward walk r from repSeed) and tops up a noisy
-// estimate in waves of walks. Version 3 keeps that and lets a batch's
-// estimates read every forward walk of the batches dispatched so far, its
-// own included (the pipeline records a batch into the WS-BW history just
-// before estimating it), where version 2 gave the workers of a width
-// above 1 a copy refreshed once the history had grown by half; at width 1
-// the two draw alike. Version 1, which journal records without a version
-// carry implicitly, drew every walk from the sampler's one stream.
-const DrawVersion = 3
+// estimate in waves of walks. Version 3 let a batch's estimates read the
+// WS-BW history of every batch dispatched so far. Version 4 deletes WS-BW:
+// every backward pick is uniform, so every stream is version 3's stream
+// with UseWeighted off, whatever UseWeighted says. Version 1, which
+// journal records without a version carry implicitly, drew every walk from
+// the sampler's one stream.
+const DrawVersion = 4
 
 // Config parameterizes a WALK-ESTIMATE sampler. The zero value is not
 // usable: Design, Start and WalkLength must be set. Defaults follow the
@@ -51,8 +50,9 @@ type Config struct {
 	// so injection leaves each job's sample sequence bit-identical to one
 	// that crawled itself — only the crawl's query charges are saved.
 	Crawl *CrawlTable
-	// UseWeighted enables the weighted backward sampling heuristic
-	// (Section 5.3).
+	// UseWeighted is accepted and has no effect. It named the weighted
+	// backward sampling heuristic (Section 5.3, WS-BW), which draw version 4
+	// removed: it saved no queries and cost half the CPU of a job.
 	UseWeighted bool
 	// BackwardReps is the base number of backward walks per candidate
 	// estimate; zero means DefaultBackwardReps. At most
@@ -133,7 +133,6 @@ type Sampler struct {
 	c    *osn.Client
 	rng  fastrand.RNG
 	est  *Estimator
-	hist *History
 	boot ScaleBootstrap
 
 	// OnSample, when set, is invoked synchronously for each accepted sample
@@ -160,7 +159,7 @@ type Sampler struct {
 	// one substream per forward walk, the reusable frontier buffer for
 	// batched prefetch, the estimation worker pool of a width above 1, and
 	// the query charges of the pools it replaced.
-	batches        [2]batch
+	batches        [2][]pcand
 	fwd            []fastrand.Rand
 	frontier       []int32
 	workerEsts     []*Estimator
@@ -183,29 +182,8 @@ func NewSampler(c *osn.Client, cfg Config, rng fastrand.RNG) (*Sampler, error) {
 			return nil, err
 		}
 	}
-	if cfg.UseWeighted {
-		s.hist = NewHistory()
-	}
-	s.est = &Estimator{
-		Client: c,
-		Design: cfg.Design,
-		Start:  cfg.Start,
-		Crawl:  crawl,
-		Hist:   s.hist,
-	}
+	s.est = &Estimator{Client: c, Design: cfg.Design, Start: cfg.Start, Crawl: crawl}
 	return s, nil
-}
-
-// ReleasePages returns the WS-BW history's pages to the page pool, so a
-// service recycles them into the next job's history.
-// Call it only after the sampling calls have returned (they quiesce their
-// workers before returning, so nothing can still be reading the pages) and
-// treat it as terminal: drawing further samples afterwards is valid but
-// restarts the weighted heuristic from an empty history.
-func (s *Sampler) ReleasePages() {
-	if s.hist != nil {
-		s.hist.Release()
-	}
 }
 
 // SampleEvent describes one accepted sample, in the shape of one row of a
@@ -250,34 +228,20 @@ func (s *Sampler) draw(cd *pcand) {
 	cd.acceptU = s.rng.Float64()
 }
 
-// walkBatch runs the forward walks of b's candidates into b.paths, walk i
-// drawing from the substream fastrand.New(b.cands[i].fwdSeed), and sets
-// each candidate to its walk's endpoint. The walks advance together, step
-// by step; in lockstep one Prefetch resolves each step's frontier first
-// (and one more MHRW's proposals), otherwise each walk fetches its own
-// lists. Both draw the same paths. The walks enter the WS-BW history only
-// when the batch is dispatched (record).
-//
-// b.ev records whether the walks may set evidence rows: only on a
-// symmetric view and only when every list the batch stepped from was
-// fetched — a failed fetch is not cached, and re-reading its list would go
-// back to the backend.
-func (s *Sampler) walkBatch(b *batch, lockstep bool) {
-	cands := b.cands
+// walkBatch runs the forward walks of cands, walk i drawing from the
+// substream fastrand.New(cands[i].fwdSeed), and leaves each candidate's V
+// at its walk's endpoint. The walks advance together, step by step; in
+// lockstep one Prefetch resolves each step's frontier first (and one more
+// MHRW's proposals), otherwise each walk fetches its own lists. Both draw
+// the same walks.
+func (s *Sampler) walkBatch(cands []pcand, lockstep bool) {
 	t := s.cfg.WalkLength
-	n := t + 1
-	if cap(b.paths) < len(cands)*n {
-		b.paths = make([]int, len(cands)*n)
-	}
-	b.paths = b.paths[:len(cands)*n]
-	paths := b.paths
 	for len(s.fwd) < len(cands) {
 		s.fwd = append(s.fwd, fastrand.Rand{})
 	}
-	failed := s.c.FailedFetches()
 	for i := range cands {
 		s.fwd[i].Seed(cands[i].fwdSeed)
-		paths[i*n] = s.cfg.Start
+		cands[i].V = s.cfg.Start
 	}
 	lockstep = lockstep && len(cands) > 1 // one walk has no lockstep partner
 	mhrw, isMHRW := s.cfg.Design.(walk.MHRW)
@@ -285,7 +249,7 @@ func (s *Sampler) walkBatch(b *batch, lockstep bool) {
 		if lockstep {
 			s.frontier = s.frontier[:0]
 			for i := range cands {
-				s.frontier = append(s.frontier, int32(paths[i*n+step]))
+				s.frontier = append(s.frontier, int32(cands[i].V))
 			}
 			s.c.Prefetch(s.frontier)
 			if isMHRW {
@@ -294,7 +258,7 @@ func (s *Sampler) walkBatch(b *batch, lockstep bool) {
 				// them together too.
 				s.frontier = s.frontier[:0]
 				for i := range cands {
-					if nbr := s.c.Neighbors(paths[i*n+step]); len(nbr) > 0 {
+					if nbr := s.c.Neighbors(cands[i].V); len(nbr) > 0 {
 						peek := s.fwd[i]
 						s.frontier = append(s.frontier, int32(mhrw.Propose(nbr, &peek)))
 					}
@@ -303,33 +267,10 @@ func (s *Sampler) walkBatch(b *batch, lockstep bool) {
 			}
 		}
 		for i := range cands {
-			paths[i*n+step+1] = s.cfg.Design.Step(s.c, paths[i*n+step], &s.fwd[i])
+			cands[i].V = s.cfg.Design.Step(s.c, cands[i].V, &s.fwd[i])
 		}
 	}
 	s.forwardSteps += int64(len(cands) * t)
-	for i := range cands {
-		cands[i].V = paths[i*n+t]
-	}
-	b.ev = s.c.SymmetricView() && s.c.FailedFetches() == failed
-}
-
-// record enters b's forward walks into the WS-BW history in candidate
-// order, so the history is a function of the walks, not of how they ran.
-// The pipeline records a batch just before it estimates the batch, while
-// no estimate reads the history. Evidence rows read the lists the walks
-// fetched, which the client still caches.
-func (s *Sampler) record(b *batch) {
-	if s.hist == nil {
-		return
-	}
-	var ev *osn.Client
-	if b.ev {
-		ev = s.c
-	}
-	n := s.cfg.WalkLength + 1
-	for i := range b.cands {
-		s.hist.record(b.paths[i*n:(i+1)*n], ev)
-	}
 }
 
 // estimate runs the backward estimates of cands on e — the lockstep kernel

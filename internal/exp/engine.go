@@ -47,18 +47,15 @@ func newBaselineBuilder(ds *dataset.Dataset, d walk.Design, o Options) samplerBu
 	}
 }
 
-// weVariant toggles WALK-ESTIMATE's variance-reduction heuristics
-// (Figure 9's ablation axes).
+// weVariant toggles WALK-ESTIMATE's initial-crawling heuristic (Figure 9's
+// ablation axis).
 type weVariant struct {
-	crawl    bool
-	weighted bool
+	crawl bool
 }
 
 var (
-	weFull     = weVariant{crawl: true, weighted: true}
-	weNone     = weVariant{}
-	weCrawl    = weVariant{crawl: true}
-	weWeighted = weVariant{weighted: true}
+	weNone  = weVariant{}
+	weCrawl = weVariant{crawl: true}
 )
 
 // newWEBuilder returns a builder for WALK-ESTIMATE over ds with the given
@@ -68,12 +65,11 @@ func newWEBuilder(ds *dataset.Dataset, d walk.Design, v weVariant, o Options) sa
 		rng := rand.New(rand.NewSource(o.Seed ^ int64(trial)*0x5851F42D4C957F2D + 23))
 		c := osn.NewClient(ds.Net, osn.CostUniqueNodes, rng)
 		cfg := core.Config{
-			Design:      d,
-			Start:       ds.StartNode,
-			WalkLength:  ds.WalkLength(),
-			UseCrawl:    v.crawl,
-			CrawlHops:   ds.CrawlHops,
-			UseWeighted: v.weighted,
+			Design:     d,
+			Start:      ds.StartNode,
+			WalkLength: ds.WalkLength(),
+			UseCrawl:   v.crawl,
+			CrawlHops:  ds.CrawlHops,
 		}
 		s, err := core.NewSampler(c, cfg, rng)
 		if err != nil {

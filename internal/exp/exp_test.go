@@ -200,10 +200,10 @@ func TestFig9AblationOrdering(t *testing.T) {
 		t.Fatalf("panels = %d", len(rs))
 	}
 	for _, r := range rs {
-		if len(r.Series) != 4 {
-			t.Fatalf("%s: series = %d, want 4 variants", r.Title, len(r.Series))
+		names := []string{"WE-None", "WE-Crawl"}
+		if len(r.Series) != len(names) {
+			t.Fatalf("%s: series = %d, want %d variants", r.Title, len(r.Series), len(names))
 		}
-		names := []string{"WE-None", "WE-Crawl", "WE-Weighted", "WE"}
 		for i, s := range r.Series {
 			if s.Name != names[i] {
 				t.Fatalf("%s: series %d = %s, want %s", r.Title, i, s.Name, names[i])

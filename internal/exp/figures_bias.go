@@ -41,12 +41,11 @@ func biasDistributions(o Options) (ds *dataset.Dataset, theo, srw, we []float64,
 	rng2 := rand.New(rand.NewSource(o.Seed + 202))
 	c2 := osn.NewClient(ds.Net, osn.CostUniqueNodes, rng2)
 	cfg := core.Config{
-		Design:      walk.SRW{},
-		Start:       ds.StartNode,
-		WalkLength:  ds.WalkLength(),
-		UseCrawl:    true,
-		CrawlHops:   ds.CrawlHops,
-		UseWeighted: true,
+		Design:     walk.SRW{},
+		Start:      ds.StartNode,
+		WalkLength: ds.WalkLength(),
+		UseCrawl:   true,
+		CrawlHops:  ds.CrawlHops,
 	}
 	s, err := core.NewSampler(c2, cfg, rng2)
 	if err != nil {

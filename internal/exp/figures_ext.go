@@ -47,7 +47,7 @@ func GewekeSensitivity(o Options) (Result, error) {
 		}
 		res.Series = append(res.Series, errVsCostSeries(v.name, cost, errs))
 	}
-	cost, errs, err := errCurves(newWEBuilder(ds, walk.SRW{}, weFull, o), walk.SRW{}, osn.AttrDegree, truth, o.trials(), o.samples())
+	cost, errs, err := errCurves(newWEBuilder(ds, walk.SRW{}, weCrawl, o), walk.SRW{}, osn.AttrDegree, truth, o.trials(), o.samples())
 	if err != nil {
 		return Result{}, err
 	}
@@ -70,7 +70,7 @@ func HarvestStudy(o Options) (Result, error) {
 		XLabel: "query-cost",
 		YLabel: "relative-error",
 	}
-	cost, errs, err := errCurves(newWEBuilder(ds, walk.SRW{}, weFull, o), walk.SRW{}, osn.AttrDegree, truth, o.trials(), o.samples())
+	cost, errs, err := errCurves(newWEBuilder(ds, walk.SRW{}, weCrawl, o), walk.SRW{}, osn.AttrDegree, truth, o.trials(), o.samples())
 	if err != nil {
 		return Result{}, err
 	}
@@ -80,12 +80,11 @@ func HarvestStudy(o Options) (Result, error) {
 		rng := rand.New(rand.NewSource(o.Seed ^ int64(trial)*0x5851F42D4C957F2D + 317))
 		c := osn.NewClient(ds.Net, osn.CostUniqueNodes, rng)
 		cfg := core.Config{
-			Design:      walk.SRW{},
-			Start:       ds.StartNode,
-			WalkLength:  ds.WalkLength(),
-			UseCrawl:    true,
-			CrawlHops:   ds.CrawlHops,
-			UseWeighted: true,
+			Design:     walk.SRW{},
+			Start:      ds.StartNode,
+			WalkLength: ds.WalkLength(),
+			UseCrawl:   true,
+			CrawlHops:  ds.CrawlHops,
 		}
 		s, err := core.NewHarvestSampler(c, cfg, 0, rng)
 		if err != nil {

@@ -148,7 +148,6 @@ func Fig5(o Options) (Result, error) {
 			WalkLength:  2*diam + 1,
 			UseCrawl:    true,
 			CrawlHops:   2,
-			UseWeighted: true,
 			MaxAttempts: 200000,
 		}
 		s, err := core.NewSampler(c2, cfg, rng2)

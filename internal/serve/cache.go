@@ -101,6 +101,7 @@ func NormalizeSpec(spec JobSpec, env NormEnv) (JobSpec, error) {
 	if spec.CrawlHops <= 0 {
 		spec.CrawlHops = 2
 	}
+	spec.NoWeighted = false // no longer changes the draws
 	if spec.Attr == "" {
 		spec.Attr = "degree"
 	}
@@ -136,10 +137,10 @@ func SpecDigest(env NormEnv, spec JobSpec) string {
 	}
 	h := sha256.New()
 	fmt.Fprintf(h,
-		"draws=%d|g=%s|type=%s|design=%s|count=%d|seed=%d|workers=%d|start=%d|walklen=%d|hops=%d|nocrawl=%t|noweighted=%t|breps=%d|vbudget=%d|attr=%s",
+		"draws=%d|g=%s|type=%s|design=%s|count=%d|seed=%d|workers=%d|start=%d|walklen=%d|hops=%d|nocrawl=%t|breps=%d|vbudget=%d|attr=%s",
 		core.DrawVersion, env.GraphID, spec.Type, strings.ToLower(spec.Design), spec.Count,
 		spec.Seed, spec.Workers, start, spec.WalkLength, spec.CrawlHops,
-		spec.NoCrawl, spec.NoWeighted, spec.BackwardReps, spec.VarianceBudget,
+		spec.NoCrawl, spec.BackwardReps, spec.VarianceBudget,
 		spec.Attr)
 	sum := h.Sum(nil)
 	return hex.EncodeToString(sum[:16])

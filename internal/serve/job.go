@@ -45,9 +45,12 @@ type JobSpec struct {
 	WalkLength int `json:"walklen,omitempty"`
 	// CrawlHops is the initial-crawl radius h; 0 means 2.
 	CrawlHops int `json:"hops,omitempty"`
-	// NoCrawl and NoWeighted disable the paper's two variance-reduction
-	// heuristics, which the service enables by default.
-	NoCrawl    bool `json:"no_crawl,omitempty"`
+	// NoCrawl disables the initial-crawling heuristic, which the service
+	// enables by default.
+	NoCrawl bool `json:"no_crawl,omitempty"`
+	// NoWeighted is accepted and has no effect: it disabled weighted
+	// backward sampling (WS-BW), which draw version 4 removed.
+	// NormalizeSpec clears it, so it never splits a digest.
 	NoWeighted bool `json:"no_weighted,omitempty"`
 	// BackwardReps is the number of base backward walks per candidate and
 	// VarianceBudget the most top-up walks a candidate runs, in waves,

@@ -201,7 +201,6 @@ func (m *Manager) run(job *Job) (*JobResult, error) {
 			Design:         d,
 			Start:          *spec.Start,
 			WalkLength:     spec.WalkLength,
-			UseWeighted:    !spec.NoWeighted,
 			BackwardReps:   spec.BackwardReps,
 			VarianceBudget: spec.VarianceBudget,
 		}
@@ -218,12 +217,6 @@ func (m *Manager) run(job *Job) (*JobResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Return the WS-BW history pages to the process-wide pool for the
-		// next job, so per-job history churn is bounded by the job's
-		// visited mass instead of regrown from zero. Safe on every path
-		// out of run: SampleN*Ctx quiesce their workers before returning,
-		// so nothing can still read the pages.
-		defer s.ReleasePages()
 		s.OnSample = func(ev core.SampleEvent) {
 			job.Publish(Sample{Index: ev.Index, Node: ev.Node, Steps: ev.Steps, Cost: ev.CostAfter})
 			if ev.Index == 0 {

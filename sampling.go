@@ -49,8 +49,8 @@ func OneLongRun(c *Client, d Design, start, burnIn, count, thin int, rng RNG) (S
 }
 
 // WEConfig parameterizes a WALK-ESTIMATE sampler: the input design, start
-// node, short-walk length (2·D̄+1 recommended), and the variance-reduction
-// heuristics (initial crawling, weighted backward sampling).
+// node, short-walk length (2·D̄+1 recommended), and the initial-crawling
+// heuristic.
 type WEConfig = core.Config
 
 // WESampler is the WALK-ESTIMATE sampler — the paper's primary

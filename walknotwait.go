@@ -17,11 +17,10 @@
 //	net := walknotwait.NewNetwork(g)
 //	client := walknotwait.NewClient(net, walknotwait.CostUniqueNodes, rng)
 //	sampler, err := walknotwait.NewWalkEstimate(client, walknotwait.WEConfig{
-//		Design:      walknotwait.SimpleRandomWalk(),
-//		Start:       0,
-//		WalkLength:  2*8 + 1, // 2·D̄+1 for diameter bound D̄
-//		UseCrawl:    true,
-//		UseWeighted: true,
+//		Design:     walknotwait.SimpleRandomWalk(),
+//		Start:      0,
+//		WalkLength: 2*8 + 1, // 2·D̄+1 for diameter bound D̄
+//		UseCrawl:   true,
 //	}, rng)
 //	nodes, err := sampler.SampleN(100)
 //	avgDeg, err := walknotwait.EstimateMean(client, walknotwait.SimpleRandomWalk(),

@@ -18,12 +18,11 @@ func TestPublicAPISamplingPipeline(t *testing.T) {
 	c := wnw.NewClient(net, wnw.CostUniqueNodes, rng)
 
 	s, err := wnw.NewWalkEstimate(c, wnw.WEConfig{
-		Design:      wnw.SimpleRandomWalk(),
-		Start:       0,
-		WalkLength:  2*g.Diameter() + 1,
-		UseCrawl:    true,
-		CrawlHops:   2,
-		UseWeighted: true,
+		Design:     wnw.SimpleRandomWalk(),
+		Start:      0,
+		WalkLength: 2*g.Diameter() + 1,
+		UseCrawl:   true,
+		CrawlHops:  2,
 	}, rng)
 	if err != nil {
 		t.Fatal(err)
