@@ -36,7 +36,13 @@ import (
 // when the installed Restriction (if any) is deterministic — exactly the
 // condition under which a single-threaded Client caches.
 type SharedCache struct {
-	dir     [sharedDirSize]atomic.Pointer[sharedChunk]
+	dir [sharedDirSize]atomic.Pointer[sharedChunk]
+	// part is the fleet partition, consulted only on the cold miss path.
+	// Like dir it is read-mostly; the pad keeps it off the cache line of
+	// the meters below, which every miss writes.
+	part atomic.Pointer[Partition]
+	_    [64]byte
+
 	queries atomic.Int64
 	calls   atomic.Int64
 	uniq    atomic.Int64 // distinct nodes accessed, for lock-free Stats
@@ -46,8 +52,6 @@ type SharedCache struct {
 	// total regardless of which workers touched which nodes (see
 	// partition.go).
 	owned atomic.Int64
-	// part is the fleet partition, consulted only on the cold miss path.
-	part atomic.Pointer[Partition]
 	// remoteFallbacks counts non-owned ids served by local fetch because
 	// their shard owner was unreachable.
 	remoteFallbacks atomic.Int64
