@@ -76,9 +76,9 @@ func (s *Sampler) SampleNParallelCtx(ctx context.Context, n, workers int) (walk.
 // pool returns the estimation workers of a width above 1: one Estimator per
 // worker over a client forked from the sampler's — forking promotes the
 // private cache into an osn.SharedCache all workers and the producer share.
-// The pool persists across calls, and
-// with it the workers' clients; a call of another width replaces it, and
-// Queries keeps the retired workers' charges.
+// The pool persists across calls, and with it the workers' clients; a call
+// of another width replaces it, and Queries keeps the retired workers'
+// charges.
 func (s *Sampler) pool(workers int) []*Estimator {
 	if len(s.workerEsts) == workers {
 		return s.workerEsts

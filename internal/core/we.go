@@ -50,9 +50,9 @@ type Config struct {
 	// so injection leaves each job's sample sequence bit-identical to one
 	// that crawled itself — only the crawl's query charges are saved.
 	Crawl *CrawlTable
-	// UseWeighted is accepted and has no effect. It named the weighted
-	// backward sampling heuristic (Section 5.3, WS-BW), which draw version 4
-	// removed: it saved no queries and cost half the CPU of a job.
+	// UseWeighted is accepted and has no effect: weighted backward
+	// sampling (Section 5.3, WS-BW) is not implemented, because it saved
+	// no queries on Figure 9 (EXPERIMENTS.md).
 	UseWeighted bool
 	// BackwardReps is the base number of backward walks per candidate
 	// estimate; zero means DefaultBackwardReps. At most
