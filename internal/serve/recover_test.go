@@ -329,7 +329,8 @@ func TestRecoveringReadiness(t *testing.T) {
 }
 
 // A journal written by an older sampler carries records without a draw
-// version. Its incomplete job, and a current-version one whose worker
+// version, or with the previous one. Its incomplete job, and a
+// current-version one whose worker
 // count must be clamped, restart as new streams — nothing durable, counted
 // as restarted, not resumed — instead of splicing a durable prefix drawn
 // by other code. Its terminal rows are rehydrated under their own id, keep
@@ -379,6 +380,12 @@ func TestOldDrawVersionRecordsRestart(t *testing.T) {
 			t.Errorf("record %d: restart %v, durable %d, workers %d; want a restart with nothing durable on 2 workers",
 				i, restart, j.durable.Load(), j.Spec().Workers)
 		}
+	}
+	prev := recs[0]
+	prev.Draws = core.DrawVersion - 1
+	if j, restart := m.jobFromRecord(prev); !restart || j.durable.Load() != 0 {
+		t.Errorf("version %d record: restart %v, durable %d; want a restart with nothing durable",
+			prev.Draws, restart, j.durable.Load())
 	}
 	cur := recs[0]
 	cur.Draws = core.DrawVersion
