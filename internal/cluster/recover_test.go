@@ -52,19 +52,19 @@ func sameRows(t *testing.T, what string, got, want []streamRow) {
 }
 
 // A journaled coordinator restarted over the same journal directory must
-// (a) rehydrate finished jobs — state, rows and digest — and answer their
-// repeats from the re-seeded result cache without dispatching, and (b)
-// re-dispatch a job it abandoned mid-relay once workers join again, with a
-// stream identical on (i, node, steps) to an uninterrupted run.
+// (a) re-dispatch a job it abandoned mid-relay once workers join again,
+// with a stream identical on (i, node, steps) to an uninterrupted run, and
+// (b) after one more restart, rehydrate the finished job — state, rows and
+// digest — and answer its repeat at another width from the re-seeded
+// result cache without dispatching.
 func TestCoordinatorRestartRecoversFromJournal(t *testing.T) {
 	g := testGraph()
 	mkNet := func() *osn.Network {
 		return osn.NewNetworkOn(osn.NewRemoteSim(osn.NewMemBackend(g), time.Millisecond, 0, 8))
 	}
 	wcfg := serve.Config{Runners: 1, WorkerBudget: 4}
-	done := serve.JobSpec{Type: serve.TypeSample, Count: 20, Seed: 5, Workers: 2}
-	// slow must outlast several 5 ms polls even on a warm shared cache, or
-	// the abandon point below races the job's completion.
+	// slow must outlast several 5 ms polls on a cold fleet, or the abandon
+	// point below races the job's completion.
 	slow := serve.JobSpec{Type: serve.TypeSample, Count: 300, Seed: 17, Workers: 1}
 
 	// Reference for the abandoned job: an uninterrupted run on an unjournaled fleet.
@@ -76,16 +76,13 @@ func TestCoordinatorRestartRecoversFromJournal(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	first := startFleet(t, 2, mkNet, wcfg, CoordinatorConfig{Journal: openJournal(t, dir)})
-	fin := first.submit(t, done)
-	finRows, finTerm := first.readStream(t, fin.ID, nil)
-	if finTerm.State != string(serve.JobDone) {
-		t.Fatalf("first run: %+v", finTerm)
+	boot := func() *testFleet {
+		return startFleet(t, 2, mkNet, wcfg, CoordinatorConfig{Journal: openJournal(t, dir)})
 	}
-	finSt := first.getStatus(t, fin.ID)
-
-	// Abandon the slow job mid-relay: Close stops the relay without a
+	// Abandon the job mid-relay, first on a fresh fleet, so no earlier job
+	// has warmed the cache it reads: Close stops the relay without a
 	// terminal record, exactly what a kill -9 leaves in the journal.
+	first := boot()
 	ab := first.submit(t, slow)
 	deadline := time.Now().Add(20 * time.Second)
 	for {
@@ -103,44 +100,49 @@ func TestCoordinatorRestartRecoversFromJournal(t *testing.T) {
 	}
 	first.close()
 
-	second := startFleet(t, 2, mkNet, wcfg, CoordinatorConfig{Journal: openJournal(t, dir)})
-	defer second.close()
+	// (a) The abandoned job is re-dispatched and completes with the
+	// uninterrupted run's rows.
+	second := boot()
+	rows, term := second.readStream(t, ab.ID, nil)
+	if term.State != string(serve.JobDone) {
+		t.Fatalf("resumed job terminal: %+v", term)
+	}
+	sameRows(t, "resumed stream", rows, refRows)
+	finSt := second.getStatus(t, ab.ID)
+	if finSt.Attempts < 1 || finSt.Worker < 0 {
+		t.Fatalf("resumed job was not placed: %+v", finSt)
+	}
+	second.close()
 
-	// (a) The finished job rehydrates with its state, digest and rows.
-	st := second.getStatus(t, fin.ID)
+	// (b) The finished job rehydrates with its state, digest and rows.
+	third := boot()
+	defer third.close()
+	st := third.getStatus(t, ab.ID)
 	if st.State != serve.JobDone || st.Digest != finSt.Digest || st.Samples != finSt.Samples {
 		t.Fatalf("rehydrated status %+v, want %+v", st.JobStatus, finSt.JobStatus)
 	}
-	rows, term := second.readStream(t, fin.ID, nil)
+	rows, term = third.readStream(t, ab.ID, nil)
 	if term.State != string(serve.JobDone) {
 		t.Fatalf("rehydrated terminal line: %+v", term)
 	}
-	sameRows(t, "rehydrated stream", rows, finRows)
+	sameRows(t, "rehydrated stream", rows, refRows)
 
-	// A repeat hits the re-seeded coordinator cache once the norm env is
-	// adopted from a heartbeat: instantly done, never placed on a worker.
+	// A repeat at another width hits the re-seeded coordinator cache once
+	// the norm env is adopted from a heartbeat: instantly done, never
+	// placed on a worker.
 	deadline = time.Now().Add(10 * time.Second)
-	for second.co.normEnv.Load() == nil {
+	for third.co.normEnv.Load() == nil {
 		if time.Now().After(deadline) {
 			t.Fatal("coordinator never adopted a worker norm env")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	rep := second.submit(t, done)
+	wide := slow
+	wide.Workers = 2
+	rep := third.submit(t, wide)
 	if rep.State != serve.JobDone || rep.Result == nil || !rep.Result.Cached ||
 		rep.Digest != finSt.Digest || rep.Worker != -1 || rep.Attempts != 0 {
 		t.Fatalf("repeat after restart was not a coordinator cache hit: %+v", rep)
-	}
-
-	// (b) The abandoned job is re-dispatched and completes with the
-	// uninterrupted run's rows.
-	rows, term = second.readStream(t, ab.ID, nil)
-	if term.State != string(serve.JobDone) {
-		t.Fatalf("resumed job terminal: %+v", term)
-	}
-	sameRows(t, "resumed stream", rows, refRows)
-	if got := second.getStatus(t, ab.ID); got.Attempts < 1 || got.Worker < 0 {
-		t.Fatalf("resumed job was not placed: %+v", got)
 	}
 }
 

@@ -24,20 +24,15 @@ type goldenRun struct {
 	Queries, Back int64
 }
 
-// goldenWant: the mem and sim pipelines run different worker kernels (the
-// scalar loop and the batch kernel) and must agree with each other too.
-// Draw version 4 re-pinned every entry to the value draw version 3 drew
-// with UseWeighted off.
+// goldenWant pins one entry per spec, drawn at width 1. Draw version 4
+// re-pinned every entry to the value draw version 3 drew with UseWeighted
+// off; version 5 left them as they were. "mixed" is one SampleN(24).
 var goldenWant = map[string]goldenRun{
 	"seq": {
 		Nodes:   []int{605, 433, 1371, 299, 106, 8, 1952, 392, 1273, 1066, 953, 765, 14, 334, 89, 1264},
 		Steps:   []int{58, 58, 58, 262, 58, 232, 58, 146, 146, 30, 494, 88, 206, 146, 58, 322},
 		Queries: 1413, Back: 1988,
 	},
-	"mem-par2": goldenPar2,
-	"mem-par4": goldenPar4,
-	"sim-par2": goldenPar2,
-	"sim-par4": goldenPar4,
 	// MHRW exercises the self-loop candidate slot; the restricted view
 	// (FixedK, deterministic, so cached) is not symmetric, so every
 	// transition weight takes the membership scan.
@@ -46,40 +41,38 @@ var goldenWant = map[string]goldenRun{
 		Steps:   []int{58, 58, 58, 58, 262, 378, 292, 348, 204, 436, 58, 174, 118, 58, 174, 58},
 		Queries: 1498, Back: 2324,
 	},
-	"mhrw-par2": {
-		Nodes:   []int{978, 479, 1536, 1268, 1998, 1704, 1996, 933, 1291, 1498, 610, 1143, 501, 622, 1120, 1850},
-		Steps:   []int{58, 58, 58, 174, 436, 116, 320, 204, 232, 174, 58, 436, 348, 58, 348, 58},
-		Queries: 1580, Back: 2632,
-	},
 	"restricted-seq": {
 		Nodes:   []int{102, 559, 1203, 9, 47, 668, 731, 116, 278, 923, 1935, 218, 229, 841, 486, 265},
 		Steps:   []int{33, 29, 27, 24, 46, 31, 41, 29, 39, 36, 22, 28, 44, 45, 30, 25},
 		Queries: 242, Back: 385,
 	},
-	"restricted-par2": {
-		Nodes:   []int{569, 74, 1005, 403, 14, 1671, 1123, 1865, 274, 17, 242, 45, 443, 1385, 558, 951},
-		Steps:   []int{45, 34, 31, 35, 40, 35, 40, 39, 42, 41, 22, 24, 29, 30, 29, 28},
-		Queries: 249, Back: 400,
-	},
 	"mixed": {
-		Nodes: []int{605, 433, 1371, 299, 106, 8, 1952, 392, 277, 59, 579, 132, 1775, 9, 1927, 1344,
-			2, 384, 886, 103, 1816, 1192, 1555, 1790},
-		Steps: []int{58, 58, 58, 262, 58, 232, 58, 146, 118, 58, 58, 60, 88, 204, 58, 30,
-			148, 176, 58, 322, 58, 60, 116, 58},
-		Queries: 1457, Back: 2261,
+		Nodes: []int{605, 433, 1371, 299, 106, 8, 1952, 392, 1273, 1066, 953, 765, 14, 334, 89, 1264,
+			56, 1282, 17, 916, 1746, 768, 84, 51},
+		Steps: []int{58, 58, 58, 262, 58, 232, 58, 146, 146, 30, 494, 88, 206, 146, 58, 322,
+			116, 174, 116, 30, 116, 234, 58, 58},
+		Queries: 1520, Back: 2737,
 	},
 }
 
-var goldenPar2 = goldenRun{
-	Nodes:   []int{26, 29, 651, 103, 433, 468, 277, 59, 579, 1775, 9, 1344, 2, 384, 886, 103},
-	Steps:   []int{58, 116, 116, 58, 408, 116, 176, 58, 58, 148, 204, 88, 206, 176, 58, 322},
-	Queries: 1445, Back: 2163,
-}
-
-var goldenPar4 = goldenRun{
-	Nodes:   []int{117, 414, 107, 231, 154, 1436, 40, 198, 608, 1235, 1000, 841, 5, 1153, 269, 51},
-	Steps:   []int{30, 58, 88, 30, 88, 58, 116, 60, 58, 174, 58, 204, 58, 58, 58, 58},
-	Queries: 1214, Back: 1148,
+// goldenWide pins the runs at other widths: each draws its spec's Nodes
+// and Steps, but pays its own Queries and Back, because speculation
+// charges by width. The mem and sim pipelines run different worker
+// kernels (the scalar loop and the batch kernel) and must agree with each
+// other too. "mixed" alternates sequential and parallel calls on one
+// sampler: each call continues the sampler stream and the scale bootstrap
+// the calls before it left.
+var goldenWide = map[string]struct {
+	spec          string
+	Queries, Back int64
+}{
+	"mem-par2":        {"seq", 1413, 1988},
+	"mem-par4":        {"seq", 1413, 1988},
+	"sim-par2":        {"seq", 1413, 1988},
+	"sim-par4":        {"seq", 1413, 1988},
+	"mhrw-par2":       {"mhrw-seq", 1517, 2492},
+	"restricted-par2": {"restricted-seq", 242, 385},
+	"mixed-calls":     {"mixed", 1561, 3276},
 }
 
 func TestGoldenSampleStreams(t *testing.T) {
@@ -131,6 +124,7 @@ func TestGoldenSampleStreams(t *testing.T) {
 	restricted := osn.WithRestriction(osn.FixedK{K: 5, Seed: 99})
 	got := map[string]goldenRun{
 		"seq":             run(mem(), 0, srw),
+		"mixed":           calls(mem(), srw, nil, [2]int{24, 0}),
 		"mem-par2":        run(mem(), 2, srw),
 		"mem-par4":        run(mem(), 4, srw),
 		"sim-par2":        run(sim(), 2, srw),
@@ -139,15 +133,18 @@ func TestGoldenSampleStreams(t *testing.T) {
 		"mhrw-par2":       run(mem(), 2, mhrw),
 		"restricted-seq":  run(mem(), 0, srw, restricted),
 		"restricted-par2": run(mem(), 2, srw, restricted),
-		// One sampler alternating sequential and parallel calls: each call
-		// continues the sampler stream and the scale bootstrap the calls
-		// before it left.
-		"mixed": calls(mem(), srw, nil, [2]int{8, 0}, [2]int{8, 2}, [2]int{4, 0}, [2]int{4, 2}),
+		"mixed-calls":     calls(mem(), srw, nil, [2]int{8, 0}, [2]int{8, 2}, [2]int{4, 0}, [2]int{4, 2}),
 	}
-	for _, name := range []string{"seq", "mem-par2", "mem-par4", "sim-par2", "sim-par4",
-		"mhrw-seq", "mhrw-par2", "restricted-seq", "restricted-par2", "mixed"} {
-		if !reflect.DeepEqual(got[name], goldenWant[name]) {
-			t.Errorf("%s: got %#v\nwant %#v", name, got[name], goldenWant[name])
+	for name, want := range goldenWant {
+		if !reflect.DeepEqual(got[name], want) {
+			t.Errorf("%s: got %#v\nwant %#v", name, got[name], want)
+		}
+	}
+	for name, w := range goldenWide {
+		want := goldenWant[w.spec]
+		want.Queries, want.Back = w.Queries, w.Back
+		if !reflect.DeepEqual(got[name], want) {
+			t.Errorf("%s: got %#v\nwant %#v", name, got[name], want)
 		}
 	}
 }

@@ -64,8 +64,8 @@ func (s *Sampler) SampleNParallel(n, workers int) (walk.Result, error) {
 // candidates are abandoned (their slot resolves to ctx's error instead of an
 // estimate) and no further forward walk, prefetch, or backward walk starts —
 // so the run stops charging queries within one batch. The checks consume no
-// RNG and cancelled runs return an error, so the per-(seed, workers)
-// determinism contract of *completed* runs is untouched.
+// RNG and cancelled runs return an error, so the per-seed determinism
+// contract of *completed* runs is untouched.
 func (s *Sampler) SampleNParallelCtx(ctx context.Context, n, workers int) (walk.Result, error) {
 	if workers < 1 {
 		return walk.Result{}, fmt.Errorf("core: need >= 1 worker, got %d", workers)
@@ -78,7 +78,8 @@ func (s *Sampler) SampleNParallelCtx(ctx context.Context, n, workers int) (walk.
 // private cache into an osn.SharedCache all workers and the producer share.
 // The pool persists across calls, and with it the workers' clients; a call
 // of another width replaces it, and Queries keeps the retired workers'
-// charges.
+// charges. A fork's RNG only re-randomizes type-1 restrictions, which void
+// the determinism contract anyway, so it takes no sampler draw.
 func (s *Sampler) pool(workers int) []*Estimator {
 	if len(s.workerEsts) == workers {
 		return s.workerEsts
@@ -89,7 +90,7 @@ func (s *Sampler) pool(workers int) []*Estimator {
 	s.workerEsts = make([]*Estimator, workers)
 	for w := range s.workerEsts {
 		s.workerEsts[w] = &Estimator{
-			Client: s.c.Fork(fastrand.New(s.rng.Int63())),
+			Client: s.c.Fork(fastrand.New(int64(w))),
 			Design: s.cfg.Design,
 			Start:  s.cfg.Start,
 			Crawl:  s.est.Crawl,
@@ -111,10 +112,10 @@ func (s *Sampler) pool(workers int) []*Estimator {
 // max(2·workers, 8) candidates is estimated in one chunk per worker while
 // the producer speculatively generates the next batch.
 //
-// Because every random decision is either made sequentially by the
-// producer/consumer or derived from a per-candidate seed, the returned node
-// sequence is a deterministic function of (sampler seed, workers)
-// regardless of goroutine scheduling — see the determinism contract in
+// Every random decision is made in order by the producer and consumer or
+// derived from a candidate's three draws, the k-th candidate taking the
+// k-th triple at every width (see draw), so the node sequence is a
+// deterministic function of the sampler seed alone — see the contract in
 // DESIGN.md (type-1 neighbor-list restrictions, which re-randomize per
 // call, void it).
 func (s *Sampler) run(ctx context.Context, n, workers int) (walk.Result, error) {
@@ -136,9 +137,9 @@ func (s *Sampler) run(ctx context.Context, n, workers int) (walk.Result, error) 
 	// Kernel selection (lockstep): forward and backward walks run in
 	// lockstep when the backend answers batch requests concurrently, one
 	// after another otherwise. Either way every walk draws from its own
-	// substream, so results — and therefore the (seed, workers)
-	// determinism contract — do not depend on the kernel, nor on how a
-	// batch is chunked across workers.
+	// substream, so results — and therefore the per-seed determinism
+	// contract — do not depend on the kernel, nor on how a batch is
+	// chunked across workers.
 	lockstep := s.lockstep()
 
 	fullBatch := 1
@@ -173,6 +174,7 @@ func (s *Sampler) run(ctx context.Context, n, workers int) (walk.Result, error) 
 
 	attemptsSince := 0   // attempts since the last accepted sample
 	var stepsSince int64 // walk steps since the last accepted sample
+	var next []pcand     // the batch speculated for the next round, if any
 
 	// consume applies bootstrap updates and acceptance tests in candidate
 	// order. It reports done=true once n samples are accepted. A cancelled
@@ -212,13 +214,14 @@ func (s *Sampler) run(ctx context.Context, n, workers int) (walk.Result, error) 
 					stepsSince = 0
 					attemptsSince = 0
 					if len(res.Nodes) == n {
-						// Account the estimation work of the remaining
-						// already-estimated speculative candidates.
-						for _, rest := range cands[i+1:] {
-							if rest.Err == nil {
-								s.backwardSteps += rest.Steps
+						// Account the estimation work of the rest of the batch,
+						// and hand back the draws not consumed, in draw order.
+						for _, cd := range cands[i+1:] {
+							if cd.Err == nil {
+								s.backwardSteps += cd.Steps
 							}
 						}
+						s.unused = append(append(append([]pcand(nil), cands[i+1:]...), next...), s.unused...)
 						return true, nil
 					}
 				}
@@ -243,7 +246,6 @@ func (s *Sampler) run(ctx context.Context, n, workers int) (walk.Result, error) 
 		return min(max(need, workers), fullBatch)
 	}
 
-	speculated := false // the batch of this round was generated last round
 	for slot := 0; ; slot ^= 1 {
 		// Producer-side cancellation point: between batches, before any of
 		// the next batch's queries (forward walks, prefetch, estimates) are
@@ -251,10 +253,10 @@ func (s *Sampler) run(ctx context.Context, n, workers int) (walk.Result, error) 
 		if err := ctx.Err(); err != nil {
 			return res, context.Cause(ctx)
 		}
-		if !speculated {
+		if next == nil {
 			s.generate(&s.batches[slot], batchSize(), lockstep)
 		}
-		speculated = false
+		next = nil
 		cur := s.batches[slot]
 		if workers == 1 {
 			s.estimate(s.est, cur, lockstep)
@@ -291,7 +293,7 @@ func (s *Sampler) run(ctx context.Context, n, workers int) (walk.Result, error) 
 			}
 			if likelyAccepts < n-len(res.Nodes) && ctx.Err() == nil {
 				s.generate(&s.batches[slot^1], batchSize(), lockstep)
-				speculated = true
+				next = s.batches[slot^1]
 			}
 			wg.Wait()
 		}

@@ -10,7 +10,7 @@ import (
 )
 
 // DrawVersion names the sampler's draw protocol: the map from (seed,
-// config, workers) to samples. A change that alters the draws bumps it. A
+// config) to samples. A change that alters the draws bumps it. A
 // service keys result digests and journaled streams by it, so a stream
 // drawn by other code is never spliced with, or served for, this one.
 //
@@ -19,10 +19,11 @@ import (
 // estimate in waves of walks. Version 3 let a batch's estimates read the
 // WS-BW history of every batch dispatched so far. Version 4 deletes WS-BW:
 // every backward pick is uniform, so every stream is version 3's stream
-// with UseWeighted off, whatever UseWeighted says. Version 1, which
-// journal records without a version carry implicitly, drew every walk from
-// the sampler's one stream.
-const DrawVersion = 4
+// with UseWeighted off, whatever UseWeighted says. Version 5 makes every
+// width draw width 1's (version 4's) stream: see Sampler.draw. Version 1,
+// which journal records without a version carry implicitly, drew every
+// walk from the sampler's one stream.
+const DrawVersion = 5
 
 // Config parameterizes a WALK-ESTIMATE sampler. The zero value is not
 // usable: Design, Start and WalkLength must be set. Defaults follow the
@@ -156,10 +157,11 @@ type Sampler struct {
 
 	// Pipeline state (see parallel.go): the batch being estimated and the
 	// speculative next one, whose storage every attempt and call reuses,
-	// one substream per forward walk, the reusable frontier buffer for
-	// batched prefetch, the estimation worker pool of a width above 1, and
-	// the query charges of the pools it replaced.
+	// the draws handed back, one substream per forward walk, the reusable
+	// frontier buffer for batched prefetch, the estimation worker pool of a
+	// width above 1, and the query charges of the pools it replaced.
 	batches        [2][]pcand
+	unused         []pcand
 	fwd            []fastrand.Rand
 	frontier       []int32
 	workerEsts     []*Estimator
@@ -221,8 +223,13 @@ func (s *Sampler) lockstep() bool {
 // draw takes a candidate's three draws from the sampler stream: the seed of
 // its forward walk, the seed of its backward walks and the uniform of its
 // acceptance test. Everything else the candidate draws comes from
-// substreams of these seeds.
+// substreams of these seeds. Draws a call left unconsumed (see run) go
+// first, so the k-th candidate attempted takes the k-th triple at any width.
 func (s *Sampler) draw(cd *pcand) {
+	if len(s.unused) > 0 {
+		*cd, s.unused = s.unused[0], s.unused[1:]
+		return
+	}
 	cd.fwdSeed = s.rng.Int63()
 	cd.Seed = s.rng.Int63()
 	cd.acceptU = s.rng.Float64()

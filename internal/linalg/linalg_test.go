@@ -30,14 +30,14 @@ func checkRowStochastic(m *Matrix, tol float64) error {
 	return nil
 }
 
-// relPointwiseDist returns the paper's Δ(t): the maximum over all start
-// nodes u and targets v of |T^t(u,v) − π(v)|/π(v), one distribution
-// evolution of t steps per start.
+// relPointwiseDist returns the paper's Δ(t) (Definition 3): the maximum
+// over all start nodes u and targets v of |T^t(u,v) − π(v)|/π(v), one
+// distribution evolution of t steps per start. π entries must be positive.
 func relPointwiseDist(m *Matrix, pi []float64, t int) float64 {
 	worst := 0.0
 	for u := 0; u < m.n; u++ {
-		if d := m.RelPointwiseDistFrom(pi, u, t); d > worst {
-			worst = d
+		for v, pv := range m.DistFrom(u, t) {
+			worst = max(worst, math.Abs(pv-pi[v])/pi[v])
 		}
 	}
 	return worst

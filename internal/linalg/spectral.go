@@ -6,21 +6,6 @@ import (
 	"math/rand"
 )
 
-// RelPointwiseDistFrom returns max_v |p_t(v) − π(v)|/π(v) for a walk started
-// at node start — the single-row version of the paper's relative point-wise
-// distance Δ(t) (Definition 3). π entries must be positive.
-func (m *Matrix) RelPointwiseDistFrom(pi []float64, start, t int) float64 {
-	p := m.DistFrom(start, t)
-	worst := 0.0
-	for v, pv := range p {
-		d := math.Abs(pv-pi[v]) / pi[v]
-		if d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
 // BurnIn returns the smallest t <= tmax with Δ(t) <= eps (Definition 3's
 // burn-in period), or tmax+1 if the chain has not mixed by tmax. It evolves
 // all n rows simultaneously, O(tmax·n·nnz) total.

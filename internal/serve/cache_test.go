@@ -36,9 +36,9 @@ func cacheManager(t *testing.T, cfg Config) (*Engine, *Manager) {
 }
 
 // Equivalent submissions — defaults elided vs spelled out, design case
-// aliases, workers over-asked and clamped, start elided vs explicitly the
-// default, the inert no_weighted — must normalize onto one canonical spec
-// and share one digest.
+// aliases, start elided vs explicitly the default, any worker count, the
+// inert no_weighted — must normalize onto one canonical spec and share one
+// digest.
 func TestSpecDigestEquivalentVariants(t *testing.T) {
 	_, m := cacheManager(t, Config{})
 	env := m.NormEnv()
@@ -60,6 +60,9 @@ func TestSpecDigestEquivalentVariants(t *testing.T) {
 		// no_weighted no longer changes the draws (draw version 4), so it
 		// must not split the digest either.
 		"no_weighted": {NoWeighted: true},
+		// Nor does the width (draw version 5), clamped or not.
+		"workers 4":          {Workers: 4},
+		"workers over-asked": {Workers: 999},
 	}
 	var want string
 	for name, spec := range variants {
@@ -77,21 +80,9 @@ func TestSpecDigestEquivalentVariants(t *testing.T) {
 		}
 	}
 
-	// Workers above the per-job clamp digest identically to asking for the
-	// clamp exactly.
-	clamped, err := NormalizeSpec(JobSpec{Workers: 999}, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := NormalizeSpec(JobSpec{Workers: env.MaxWorkersPerJob}, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clamped.Workers != env.MaxWorkersPerJob {
-		t.Fatalf("workers not clamped: %d", clamped.Workers)
-	}
-	if a, b := SpecDigest(env, clamped), SpecDigest(env, exact); a != b {
-		t.Fatalf("clamped digest %s != exact digest %s", a, b)
+	// The clamp still bounds the parallelism.
+	if clamped, err := NormalizeSpec(JobSpec{Workers: 999}, env); err != nil || clamped.Workers != env.MaxWorkersPerJob {
+		t.Fatalf("workers not clamped: %+v, %v", clamped, err)
 	}
 }
 
@@ -107,7 +98,6 @@ func TestSpecDigestNoCollisions(t *testing.T) {
 		{},
 		{Count: 11},
 		{Seed: 2},
-		{Workers: 2},
 		{Start: &otherStart},
 		{WalkLength: env.DefaultWalkLen + 1},
 		{CrawlHops: 3},
@@ -221,7 +211,8 @@ func TestRepeatSubmissionServedFromCache(t *testing.T) {
 	}
 }
 
-// Equivalent-but-differently-spelled submissions hit the same cache entry.
+// Equivalent-but-differently-spelled submissions hit the same cache entry,
+// at any worker count.
 func TestRepeatSubmissionVariantSpelling(t *testing.T) {
 	_, m := cacheManager(t, Config{})
 	a, err := m.Submit(JobSpec{Design: "srw", Count: 15, Seed: 3})
@@ -230,7 +221,7 @@ func TestRepeatSubmissionVariantSpelling(t *testing.T) {
 	}
 	waitJob(t, a)
 
-	b, err := m.Submit(JobSpec{Design: "SRW", Count: 15, Seed: 3, Workers: 1, DeadlineMS: 60000})
+	b, err := m.Submit(JobSpec{Design: "SRW", Count: 15, Seed: 3, Workers: 4, DeadlineMS: 60000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,11 +498,15 @@ func TestConcurrentRepeatsAllHit(t *testing.T) {
 // replays on 2 CPUs, too close to the bound below to time.
 //   - cold and sequential, every repeat of a spec already seen is a hit
 //     and nothing else is: hits == jobs − distinct specs, exactly;
-//   - warm and concurrent (the mix replayed four times), every job hits,
-//     the charge meter does not move and the saved-queries meter does;
+//   - warm and concurrent, every job hits, the charge meter does not move
+//     and the saved-queries meter does;
 //   - a daemon with the cache disabled, its neighbor cache warmed by one
 //     pass over the specs, serves the same mix with no hit, at no more
 //     than a fifth of the cached daemon's samples/s.
+//
+// Both timed passes replay whole mixes until their window reaches
+// minWindow: one pass lasts ~15 ms cached and ~50 ms uncached on 2 CPUs,
+// too short to time, and 250 ms windows still swing the ratio 5.4–11.5×.
 func TestHTTPZipfRepeatMix(t *testing.T) {
 	const (
 		jobs     = 48
@@ -519,6 +514,8 @@ func TestHTTPZipfRepeatMix(t *testing.T) {
 		count    = 120
 		conc     = 8
 		seed     = 500
+
+		minWindow = time.Second
 	)
 	g := gen.BarabasiAlbert(3000, 3, rand.New(rand.NewSource(7)))
 	daemon := func(cacheBytes int64) string {
@@ -537,58 +534,56 @@ func TestHTTPZipfRepeatMix(t *testing.T) {
 	}
 
 	// run submits every seed's job from conc client loops and follows each
-	// stream to its terminal line; it returns the result-cache hits and the
+	// stream to its terminal line, replaying the whole list until window
+	// has passed; it returns the jobs run, the result-cache hits and the
 	// samples streamed per second of wall time.
-	run := func(base string, seeds []int64, conc int) (hits int, samplesPerSec float64) {
+	run := func(base string, seeds []int64, conc int, window time.Duration) (ran, hits int, samplesPerSec float64) {
 		t.Helper()
 		var (
 			mu      sync.Mutex
 			samples int
 			errs    []error
 			wg      sync.WaitGroup
-			next    atomic.Int64
 		)
 		start := time.Now()
-		for w := 0; w < conc; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := int(next.Add(1)) - 1; i < len(seeds); i = int(next.Add(1)) - 1 {
-					n, cached, err := submitAndStream(base, JobSpec{Count: count, Seed: seeds[i], Workers: 2, BackwardReps: 4, VarianceBudget: 8})
-					mu.Lock()
-					samples += n
-					if cached {
-						hits++
+		for ran == 0 || time.Since(start) < window {
+			var next atomic.Int64
+			for w := 0; w < conc; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := int(next.Add(1)) - 1; i < len(seeds); i = int(next.Add(1)) - 1 {
+						n, cached, err := submitAndStream(base, JobSpec{Count: count, Seed: seeds[i], Workers: 2, BackwardReps: 4, VarianceBudget: 8})
+						mu.Lock()
+						samples += n
+						if cached {
+							hits++
+						}
+						if err != nil {
+							errs = append(errs, err)
+						}
+						mu.Unlock()
 					}
-					if err != nil {
-						errs = append(errs, err)
-					}
-					mu.Unlock()
-				}
-			}()
+				}()
+			}
+			wg.Wait()
+			if len(errs) > 0 {
+				t.Fatal(errs[0])
+			}
+			ran += len(seeds)
 		}
-		wg.Wait()
-		if len(errs) > 0 {
-			t.Fatal(errs[0])
-		}
-		return hits, float64(samples) / time.Since(start).Seconds()
+		return ran, hits, float64(samples) / time.Since(start).Seconds()
 	}
 
 	cached := daemon(0)
-	if hits, _ := run(cached, mix, 1); hits != jobs-len(seen) {
+	if _, hits, _ := run(cached, mix, 1, 0); hits != jobs-len(seen) {
 		t.Fatalf("cold sequential mix: %d hits, want jobs − distinct seen = %d", hits, jobs-len(seen))
 	}
-	// The warm pass replays the mix four times: a hit costs so little that
-	// one pass is too short a window to time.
-	var warm []int64
-	for r := 0; r < 4; r++ {
-		warm = append(warm, mix...)
-	}
 	before := scrapeMetrics(t, cached)
-	hits, warmRate := run(cached, warm, conc)
+	ran, hits, warmRate := run(cached, mix, conc, minWindow)
 	after := scrapeMetrics(t, cached)
-	if hits != len(warm) {
-		t.Fatalf("warm mix: %d hits of %d jobs, want every job", hits, len(warm))
+	if hits != ran {
+		t.Fatalf("warm mix: %d hits of %d jobs, want every job", hits, ran)
 	}
 	const charged, saved = "walknotwait_queries_charged_total", "walknotwait_queries_saved_total"
 	if b, a := metricValue(before, charged), metricValue(after, charged); a != b {
@@ -603,14 +598,14 @@ func TestHTTPZipfRepeatMix(t *testing.T) {
 	for i := range all {
 		all[i] = seed + int64(i)
 	}
-	run(live, all, 4)
-	hits, liveRate := run(live, mix, conc)
+	run(live, all, 4, 0)
+	liveRan, hits, liveRate := run(live, mix, conc, minWindow)
 	if hits != 0 {
 		t.Fatalf("cache-disabled daemon reported %d hits", hits)
 	}
 	ratio := warmRate / liveRate
-	t.Logf("%d jobs over %d specs: warm cached %.0f samples/s, cache disabled %.0f samples/s (%.1f×)",
-		jobs, len(seen), warmRate, liveRate, ratio)
+	t.Logf("%d jobs over %d specs: warm cached %.0f samples/s (%d jobs), cache disabled %.0f samples/s (%d jobs): %.1f×",
+		jobs, len(seen), warmRate, ran, liveRate, liveRan, ratio)
 	if ratio < 5 {
 		t.Fatalf("result cache gives only %.2f× the cache-disabled samples/s, want >= 5×", ratio)
 	}

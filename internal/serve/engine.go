@@ -19,15 +19,15 @@
 //     cancellation, /healthz, and a Prometheus-text /metrics endpoint.
 //
 // Determinism contract: a job's sample sequence is a deterministic function
-// of its normalized spec — (type, design, seed, workers, walk length, crawl
-// parameters, heuristics) — and of nothing else. Cache warmth, crawl-table
-// reuse, and concurrent traffic change only query charges and wall-clock,
-// never the data any request observes, because the shared cache stores
-// ground-truth (or deterministically restricted) neighbor lists and crawl
-// tables are pure functions of the graph. Two identical submissions
-// therefore return identical sample sequences, warm or cold. Cancellation
-// voids only the cancelled job: it errors out, and completed jobs never
-// observe a cancelled context (see core.SampleNParallelCtx).
+// of its normalized spec — (type, design, seed, walk length, crawl
+// parameters, heuristics) — and of nothing else. Workers, cache warmth,
+// crawl-table reuse, and concurrent traffic change only query charges and
+// wall-clock, never the data any request observes, because the shared
+// cache stores ground-truth (or deterministically restricted) neighbor
+// lists and crawl tables are pure functions of the graph. Two identical
+// submissions therefore return identical sample sequences, warm or cold.
+// Cancellation voids only the cancelled job: it errors out, and completed
+// jobs never observe a cancelled context (see core.SampleNParallelCtx).
 package serve
 
 import (

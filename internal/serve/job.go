@@ -456,8 +456,7 @@ type Config struct {
 	Runners int
 	// WorkerBudget is the global pool of estimation-worker slots carved up
 	// among running jobs (default 4·Runners). A job holds exactly its
-	// normalized Workers slots for its whole run — never a dynamic share,
-	// which would break per-(seed, workers) determinism.
+	// normalized Workers slots for its whole run.
 	WorkerBudget int
 	// MaxWorkersPerJob clamps a spec's Workers (default WorkerBudget).
 	MaxWorkersPerJob int

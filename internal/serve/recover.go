@@ -14,16 +14,16 @@ import (
 // and sample rows, so GETs and stream replays serve them with zero new walk
 // steps and zero new query charges. Incomplete records are *resumed*: the
 // job is re-admitted with its recovered durable-sample count k and re-runs
-// its deterministic pipeline from scratch — the per-(spec, seed, workers)
+// its deterministic pipeline from scratch — the per-(spec, seed)
 // determinism contract guarantees the re-run regenerates the identical
-// sample sequence, so the client-visible stream of a crashed-and-restarted
-// job is bit-identical to an uninterrupted run. The first k samples are
-// re-published to the in-memory stream (clients replay from index 0) but
-// suppressed from the journal: they are already durable. That guarantee
-// holds only for the spec and draw version the k samples were drawn under:
-// an incomplete record of another draw version, or one whose worker count
-// must be clamped, is *restarted* instead — re-run as a new stream with
-// nothing durable, so no journal splices two streams.
+// sample sequence at any worker count, so the client-visible stream of a
+// crashed-and-restarted job is bit-identical to an uninterrupted run. The
+// first k samples are re-published to the in-memory stream (clients replay
+// from index 0) but suppressed from the journal: they are already durable.
+// That guarantee holds only for the draw version the k samples were drawn
+// under: an incomplete record of another draw version is *restarted*
+// instead — re-run as a new stream with nothing durable, so no journal
+// splices two streams.
 //
 // Lock discipline: every journal append happens OUTSIDE m.mu and job.mu.
 // Rotation (inside the journal lock) calls back into snapshotRecords, which
@@ -112,22 +112,20 @@ func (m *Manager) jobFromRecord(rec JobRecord) (j *Job, restart bool) {
 	env, haveEnv := m.runner.Env()
 	if haveEnv && spec.Workers > env.MaxWorkersPerJob {
 		// A shrunken worker budget cannot honor the recorded parallelism;
-		// clamp rather than deadlock on acquisition. The clamped spec draws
-		// another stream, so an incomplete job restarts — keep the budget
-		// stable across restarts when bit-identity matters.
+		// clamp (the stream stays) rather than deadlock on acquisition.
 		spec.Workers = env.MaxWorkersPerJob
 	}
 	terminal := rec.State.Terminal()
-	restart = !terminal && (rec.Draws != core.DrawVersion || spec.Workers != rec.Spec.Workers)
+	restart = !terminal && rec.Draws != core.DrawVersion
 	j = m.newJob(spec, rec.Digest, msToTime(rec.SubmittedMS))
 	j.id = rec.ID
 	j.seq = rec.Seq
 	if haveEnv && (restart || (j.digest == "" && rec.Draws == core.DrawVersion)) {
-		// A job that re-runs under another spec or draw version than its
-		// record's, or a pre-digest record of this version: the recorded
-		// spec is already normalized, so the digest is recomputable
-		// against the current environment. A terminal record of another
-		// version keeps the digest it was drawn under.
+		// A job that re-runs under another draw version than its record's,
+		// or a pre-digest record of this version: the recorded spec is
+		// already normalized, so the digest is recomputable against the
+		// current environment. A terminal record of another version keeps
+		// the digest it was drawn under.
 		j.digest = SpecDigest(env, spec)
 	}
 	if !terminal {

@@ -329,19 +329,19 @@ func TestRecoveringReadiness(t *testing.T) {
 }
 
 // A journal written by an older sampler carries records without a draw
-// version, or with the previous one. Its incomplete job, and a
-// current-version one whose worker
-// count must be clamped, restart as new streams — nothing durable, counted
-// as restarted, not resumed — instead of splicing a durable prefix drawn
-// by other code. Its terminal rows are rehydrated under their own id, keep
-// their version and lack of a digest, and are never returned for a new
-// submission.
+// version, or with the previous one. Its incomplete job restarts as a new
+// stream — nothing durable, counted as restarted, not resumed — instead of
+// splicing a durable prefix drawn by other code. A current-version record
+// whose worker count must be clamped resumes its durable prefix: the width
+// does not change the draws. Terminal rows of an old version are
+// rehydrated under their own id, keep their version and lack of a digest,
+// and are never returned for a new submission.
 func TestOldDrawVersionRecordsRestart(t *testing.T) {
 	cfg := Config{Runners: 1, WorkerBudget: 2}
 	ref := NewManager(NewEngine(testNetwork(t)), cfg)
 	run := func(seed int64) (*Job, JobStatus) {
 		t.Helper()
-		j, err := ref.Submit(JobSpec{Count: 12, Seed: seed, Workers: 2})
+		j, err := ref.Submit(JobSpec{Count: 12, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,12 +374,12 @@ func TestOldDrawVersionRecordsRestart(t *testing.T) {
 	}
 
 	m := NewManager(NewEngine(testNetwork(t)), cfg)
-	for i, rec := range recs[:2] {
-		j, restart := m.jobFromRecord(rec)
-		if !restart || j.durable.Load() != 0 || j.Spec().Workers != 2 {
-			t.Errorf("record %d: restart %v, durable %d, workers %d; want a restart with nothing durable on 2 workers",
-				i, restart, j.durable.Load(), j.Spec().Workers)
-		}
+	if j, restart := m.jobFromRecord(recs[0]); !restart || j.durable.Load() != 0 {
+		t.Errorf("unversioned record: restart %v, durable %d; want a restart with nothing durable", restart, j.durable.Load())
+	}
+	if j, restart := m.jobFromRecord(recs[1]); restart || j.durable.Load() != 5 || j.Spec().Workers != 2 {
+		t.Errorf("clamped record: restart %v, durable %d, workers %d; want a resume of 5 on 2 workers",
+			restart, j.durable.Load(), j.Spec().Workers)
 	}
 	prev := recs[0]
 	prev.Draws = core.DrawVersion - 1
@@ -410,8 +410,8 @@ func TestOldDrawVersionRecordsRestart(t *testing.T) {
 	cfg.Journal = openTestJournal(t, JournalConfig{Dir: dir, Fsync: FsyncOff})
 	re := NewManager(NewEngine(testNetwork(t)), cfg)
 	defer re.Close()
-	if resumed, restarted, rehydrated := re.RecoveredCounts(); resumed != 0 || restarted != 2 || rehydrated != 1 {
-		t.Fatalf("recovered (resumed=%d, restarted=%d, rehydrated=%d), want (0, 2, 1)", resumed, restarted, rehydrated)
+	if resumed, restarted, rehydrated := re.RecoveredCounts(); resumed != 1 || restarted != 1 || rehydrated != 1 {
+		t.Fatalf("recovered (resumed=%d, restarted=%d, rehydrated=%d), want (1, 1, 1)", resumed, restarted, rehydrated)
 	}
 	sameDraws := func(what string, got, want []Sample) {
 		t.Helper()
@@ -427,12 +427,12 @@ func TestOldDrawVersionRecordsRestart(t *testing.T) {
 	for _, id := range []string{"job-000001", "job-000002"} {
 		j, ok := re.Get(id)
 		if !ok {
-			t.Fatalf("restarted job %s not registered", id)
+			t.Fatalf("recovered job %s not registered", id)
 		}
 		if st := waitJob(t, j); st.State != JobDone {
-			t.Fatalf("restarted job %s: %+v", id, st)
+			t.Fatalf("recovered job %s: %+v", id, st)
 		}
-		sameDraws("restarted "+id, allRows(t, j), wantB)
+		sameDraws("recovered "+id, allRows(t, j), wantB)
 	}
 	old, ok := re.Get("job-000003")
 	if !ok {

@@ -58,7 +58,7 @@ type WEConfig = core.Config
 // fraction of the query cost of waiting for burn-in. Besides the sequential
 // Sample/SampleN, it offers SampleNParallel(n, workers), which fans the
 // backward estimates across a worker pool over a shared neighbor cache and
-// is deterministic per (seed, workers); see DESIGN.md for the concurrency
+// draws SampleN's samples at any width; see DESIGN.md for the concurrency
 // model. SampleNCtx/SampleNParallelCtx add cancellation (a cancelled run
 // stops charging queries within one batch and returns the context's error;
 // completed runs are bit-identical to the context-free forms), and the
